@@ -1,8 +1,6 @@
 """Command-line front end: simulate, sweep, enumerate, verify.
 
-Flag precedence is flag > config file > built-in default. The worker-thread
-count for candidate evaluation comes from the SEMOFF_THREADS environment
-variable (default 1).
+Flag precedence is flag > config file > built-in default.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -20,13 +17,6 @@ import numpy as np
 from . import actor, channel, critic, engine, oracle, power, queueing
 from .config import (ConfigError, SlotState, SystemConfig, load_config,
                      validate_config)
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SEMOFF_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load(args) -> tuple[SystemConfig, engine.Scenario | None]:
@@ -71,7 +61,7 @@ def cmd_simulate(args) -> int:
     def progress(done: int, total: int) -> None:
         print(f"  slot {done}/{total}", file=sys.stderr)
 
-    log = engine.run_scenario(cfg, scenario, workers=_workers(),
+    log = engine.run_scenario(cfg, scenario,
                               progress=progress if args.verbose else None)
     outdir = Path(args.out)
     engine.write_run_outputs(outdir, log, resolved, scenario,
@@ -88,7 +78,7 @@ def cmd_sweep(args) -> int:
     slots = args.slots if args.slots is not None else engine.INHERIT
     values = [float(v) for v in args.values.split(",")]
     rows = engine.sweep(args.param, values, cfg, policy=policy, seed=seed,
-                        total_slots=slots, workers=_workers())
+                        total_slots=slots)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     engine.sweep_to_csv(rows, outdir / f"sweep_{args.param}.csv")

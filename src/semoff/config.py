@@ -291,10 +291,15 @@ class Policy:
     rho_cloud: np.ndarray  # bool, length I
 
     def key(self) -> tuple[int, int]:
-        """Compact hashable form (bitmask per half, device 0 = LSB)."""
-        e = int(sum(1 << i for i, b in enumerate(self.rho_edge) if b))
-        c = int(sum(1 << i for i, b in enumerate(self.rho_cloud) if b))
-        return e, c
+        """Compact hashable form (bitmask per half, device 0 = LSB).
+
+        Python ints, so any device count fits."""
+        return _mask_int(self.rho_edge), _mask_int(self.rho_cloud)
+
+
+def _mask_int(mask: np.ndarray) -> int:
+    packed = np.packbits(np.asarray(mask, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 @dataclass

@@ -24,6 +24,7 @@ the frequency stages and a net-of-edge-offload weight in the cloud stage.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,17 +218,20 @@ def evaluate_policy(policy: Policy, state: SlotState,
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation over many candidate policies
+# The per-slot combo solve and the searches that read it
 # ---------------------------------------------------------------------------
 
-def device_g_table(state: SlotState, cfg: SystemConfig) -> np.ndarray:
-    """(4, I) objective contributions for each per-device association combo.
+def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Allocation]:
+    """(4, I) objective contributions for each per-device association combo,
+    plus the 4I-long allocation they were solved from.
 
-    Combo index is 2*edge_bit + cloud_bit. Valid because the per-slot
-    objective decomposes across devices once the bandwidth split is fixed,
-    which the equal split by the association cap guarantees. All four
-    combos are solved in one pass over a 4x-tiled state; elementwise
-    results are identical to solving each combo separately.
+    Combo index is 2*edge_bit + cloud_bit; entry `combo * I + i` of each
+    allocation array belongs to device i under that combo. Valid because
+    the per-slot objective decomposes across devices once the bandwidth
+    split is fixed, which the equal split by the association cap
+    guarantees. All four combos are solved in one pass over a 4x-tiled
+    state; elementwise results are identical to solving each combo
+    separately, so `gather` reproduces `evaluate_policy` bit for bit.
     """
     n = cfg.system.num_devices
     tiled = SlotState(
@@ -239,11 +243,98 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> np.ndarray:
     alloc = assemble_allocation(tiled, e_mask, c_mask, cfg)
     pol = Policy(rho_edge=e_mask, rho_cloud=c_mask)
     lt, et, pt = g_terms(alloc, pol, tiled, cfg)
-    return (lt + et + pt).reshape(4, n)
+    return (lt + et + pt).reshape(4, n), alloc
+
+
+def gather(table: np.ndarray, tiled: Allocation,
+           policy: Policy) -> tuple[Allocation, float]:
+    """A policy's allocation and objective value, read from the combo solve.
+
+    Equal to `evaluate_policy(policy, ...)`'s `alloc` and `g_value` bit for
+    bit: the same elementwise values, summed in the same order.
+    """
+    n = table.shape[1]
+    idx = (2 * policy.rho_edge.astype(np.intp) + policy.rho_cloud) * n + np.arange(n)
+    alloc = Allocation(*(getattr(tiled, f.name)[idx]
+                         for f in dataclasses.fields(Allocation)))
+    return alloc, float(np.sum(table.reshape(-1)[idx]))
+
+
+def _bits(key: int, n: int) -> np.ndarray:
+    """The n low bits of `key` as a bool mask, most significant bit first."""
+    raw = np.frombuffer(key.to_bytes((n + 7) // 8, "big"), dtype=np.uint8)
+    return np.unpackbits(raw)[raw.size * 8 - n:].astype(bool)
+
+
+def best_association(table: np.ndarray, chi_e: int, chi_c: int,
+                     at_most: bool = False) -> Policy:
+    """Minimum-objective association for a (4, I) combo table, exactly.
+
+    A forward dynamic program over devices on the state (#edge, #cloud):
+    O(I * chi_e * chi_c) steps instead of scoring all C(I, chi_e) *
+    C(I, chi_c) policies. Each state keeps its best path's value g (summed
+    device by device) and the path's edge and cloud bit strings E and C,
+    device 0 as the most significant bit, so a path is its own policy.
+
+    Exact ties resolve as a first-index argmin over `oracle.policy_table`
+    does: enumeration lists policies with the larger E first, then the
+    larger C, so an exact value tie keeps the larger (E, C). With
+    `at_most`, sizes come first in enumeration order, so the final pick
+    over states goes by (g, #edge ascending, E descending, #cloud
+    ascending, C descending). The keys are Python ints and cannot
+    overflow at any I.
+    """
+    n = table.shape[1]
+    ke, kc = min(chi_e, n), min(chi_c, n)
+    w = kc + 1
+    size = (ke + 1) * w
+    inf = float("inf")
+    g_old, e_old, c_old = [inf] * size, [0] * size, [0] * size
+    g_old[0] = 0.0
+    for i, (t0, t1, t2, t3) in enumerate(table.T.tolist()):
+        # states (a, b) reachable after device i that can still end feasible
+        left = n - 1 - i
+        lo_e = 0 if at_most else max(ke - left, 0)
+        lo_c = 0 if at_most else max(kc - left, 0)
+        hi_e, hi_c = min(ke, i + 1), min(kc, i + 1)
+        g_new, e_new, c_new = [inf] * size, [0] * size, [0] * size
+        for a in range(lo_e, hi_e + 1):
+            row = a * w
+            for s in range(row + lo_c, row + hi_c + 1):
+                # predecessors: s (no server), s - 1 (cloud), s - w (edge),
+                # s - w - 1 (both); unrolled, as this loop is the hot path
+                g, e, c = g_old[s] + t0, 2 * e_old[s], 2 * c_old[s]
+                if s > row:
+                    x = g_old[s - 1] + t1
+                    if x <= g:
+                        xe, xc = 2 * e_old[s - 1], 2 * c_old[s - 1] + 1
+                        if x < g or xe > e or (xe == e and xc > c):
+                            g, e, c = x, xe, xc
+                if a:
+                    r = s - w
+                    x = g_old[r] + t2
+                    if x <= g:
+                        xe, xc = 2 * e_old[r] + 1, 2 * c_old[r]
+                        if x < g or xe > e or (xe == e and xc > c):
+                            g, e, c = x, xe, xc
+                    if s > row:
+                        x = g_old[r - 1] + t3
+                        if x <= g:
+                            xe, xc = 2 * e_old[r - 1] + 1, 2 * c_old[r - 1] + 1
+                            if x < g or xe > e or (xe == e and xc > c):
+                                g, e, c = x, xe, xc
+                g_new[s], e_new[s], c_new[s] = g, e, c
+        g_old, e_old, c_old = g_new, e_new, c_new
+    if at_most:
+        s = min(range(size), key=lambda s: (g_old[s], s // w, -e_old[s],
+                                            s % w, -c_old[s]))
+    else:
+        s = size - 1
+    return Policy(rho_edge=_bits(e_old[s], n), rho_cloud=_bits(c_old[s], n))
 
 
 class PolicyBatch:
-    """A fixed set of candidate policies prepared for repeated evaluation."""
+    """A fixed set of candidate policies scored against combo tables."""
 
     def __init__(self, edge_masks: np.ndarray, cloud_masks: np.ndarray):
         self.edge_masks = edge_masks
@@ -254,48 +345,19 @@ class PolicyBatch:
     def __len__(self) -> int:
         return self.combo.shape[0]
 
-    def policy(self, idx: int) -> Policy:
-        return Policy(rho_edge=self.edge_masks[idx].copy(),
-                      rho_cloud=self.cloud_masks[idx].copy())
-
-    def evaluate(self, state: SlotState, cfg: SystemConfig,
-                 workers: int = 1) -> np.ndarray:
-        """Objective values for every policy in the batch.
-
-        `workers > 1` scores contiguous chunks on a thread pool and
-        concatenates them in order, so the result is identical to the
-        sequential pass.
-        """
-        table_by_device = device_g_table(state, cfg).T  # (I, 4)
-        if workers > 1 and len(self) >= 4 * workers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunks = np.array_split(self.combo, workers, axis=0)
-
-            def score(chunk: np.ndarray) -> np.ndarray:
-                return np.sum(table_by_device[self._device_idx, chunk], axis=1)
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(score, chunks))
-            return np.concatenate(parts)
-        per_device = table_by_device[self._device_idx, self.combo]  # (P, I)
+    def evaluate(self, table: np.ndarray) -> np.ndarray:
+        """Objective values for every policy in the batch, given
+        `device_g_table`'s (4, I) table."""
+        per_device = table.T[self._device_idx, self.combo]  # (P, I)
         return np.sum(per_device, axis=1)
 
-    def best(self, state: SlotState, cfg: SystemConfig,
-             workers: int = 1) -> tuple[int, np.ndarray]:
+    def best(self, table: np.ndarray) -> tuple[int, np.ndarray]:
         """Index of the minimum-objective policy (first on ties) plus all values."""
-        g = self.evaluate(state, cfg, workers=workers)
+        g = self.evaluate(table)
         return int(np.argmin(g)), g
 
 
-def evaluate_policies(edge_masks: np.ndarray, cloud_masks: np.ndarray,
-                      state: SlotState, cfg: SystemConfig) -> np.ndarray:
-    """Objective values for a (P, I) batch of policies in one pass."""
-    return PolicyBatch(edge_masks, cloud_masks).evaluate(state, cfg)
-
-
 def best_policy(edge_masks: np.ndarray, cloud_masks: np.ndarray,
-                state: SlotState, cfg: SystemConfig,
-                workers: int = 1) -> tuple[int, np.ndarray]:
+                table: np.ndarray) -> tuple[int, np.ndarray]:
     """One-shot form of PolicyBatch.best for ad-hoc candidate sets."""
-    return PolicyBatch(edge_masks, cloud_masks).best(state, cfg, workers=workers)
+    return PolicyBatch(edge_masks, cloud_masks).best(table)

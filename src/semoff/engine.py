@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import actor, channel, critic, oracle, power, queueing
-from .config import (Policy, SlotOutcome, SlotState, SystemConfig,
+from .config import (Allocation, Policy, SlotOutcome, SlotState, SystemConfig,
                      config_to_dict, validate_config)
 
 # Named RNG streams (master seed, stream id[, slot]).
@@ -139,8 +139,9 @@ class MetricsLog:
             setattr(self, name, np.zeros((total_slots, num_devices)))
         for name in _SCALAR_SERIES:
             setattr(self, name, np.full(total_slots, np.nan))
-        self.policy_edge = np.zeros(total_slots, dtype=np.int64)
-        self.policy_cloud = np.zeros(total_slots, dtype=np.int64)
+        # Python ints: the masks need I bits, more than int64 holds at I >= 64
+        self.policy_edge = np.zeros(total_slots, dtype=object)
+        self.policy_cloud = np.zeros(total_slots, dtype=object)
         self.num_candidates = np.zeros(total_slots, dtype=np.int64)
         self.bound_violations = 0
         self.train_steps = 0
@@ -218,14 +219,12 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 class Simulation:
     """One run: a config, a policy source, a seed, and the slot loop."""
 
-    def __init__(self, cfg: SystemConfig, policy_spec: str, seed: int,
-                 workers: int = 1):
+    def __init__(self, cfg: SystemConfig, policy_spec: str, seed: int):
         problems = validate_config(cfg)
         if problems:
             raise ValueError("invalid config: " + "; ".join(problems))
         self.cfg = cfg
         self.seed = seed
-        self.workers = workers
         self.policy_spec = policy_spec
         self.kind, self.n_candidates = parse_policy_spec(policy_spec)
         n = cfg.system.num_devices
@@ -241,9 +240,9 @@ class Simulation:
         self.z_edge = np.zeros(n)
 
         if self.kind == "exhaustive":
-            self.batch = critic.PolicyBatch(*oracle.policy_table(
+            self.n_policies = oracle.count_policies(
                 n, cfg.system.chi_edge, cfg.system.chi_cloud,
-                at_most=not cfg.system.exact_cardinality))
+                at_most=not cfg.system.exact_cardinality)
         elif self.kind == "drlh":
             self.net = actor.ActorNetwork.create(n, cfg.training.hidden_sizes,
                                                  _rng(seed, STREAM_ACTOR_INIT))
@@ -262,25 +261,33 @@ class Simulation:
         return log
 
     def _choose(self, t: int, state: SlotState,
-                log: MetricsLog) -> tuple[Policy, critic.CriticResult]:
+                log: MetricsLog) -> tuple[Policy, Allocation, float]:
+        """The slot's policy plus its allocation and objective value.
+
+        `exhaustive` and `drlh` read everything from one combo solve
+        (`critic.device_g_table`); `random` solves its one policy directly.
+        """
         cfg = self.cfg
-        if self.kind == "exhaustive":
-            idx, _ = self.batch.best(state, cfg, workers=self.workers)
-            chosen = self.batch.policy(idx)
-            log.num_candidates[t] = len(self.batch)
-        elif self.kind == "random":
+        at_most = not cfg.system.exact_cardinality
+        if self.kind == "random":
             rng = channel.slot_rng(self.seed, STREAM_RANDOM_POLICY, t)
             chosen = oracle.random_policy(rng, cfg.system.num_devices,
                                           cfg.system.chi_edge, cfg.system.chi_cloud,
-                                          at_most=not cfg.system.exact_cardinality)
+                                          at_most=at_most)
             log.num_candidates[t] = 1
+            result = critic.evaluate_policy(chosen, state, cfg)
+            return chosen, result.alloc, result.g_value
+        table, tiled = critic.device_g_table(state, cfg)
+        if self.kind == "exhaustive":
+            chosen = critic.best_association(table, cfg.system.chi_edge,
+                                             cfg.system.chi_cloud, at_most=at_most)
+            log.num_candidates[t] = self.n_policies
         else:
             feats = actor.featurize(state, cfg)
             relaxed = actor.relaxed_policy(self.net, feats, cfg.system.num_devices)
             edge_masks, cloud_masks = actor.generate_candidates(
                 relaxed, self.n_candidates, self.noise_rng, cfg)
-            idx, _ = critic.best_policy(edge_masks, cloud_masks, state, cfg,
-                                        workers=self.workers)
+            idx, _ = critic.best_policy(edge_masks, cloud_masks, table)
             chosen = Policy(rho_edge=edge_masks[idx].copy(),
                             rho_cloud=cloud_masks[idx].copy())
             log.num_candidates[t] = edge_masks.shape[0]
@@ -297,7 +304,8 @@ class Simulation:
                 if loss is not None:
                     log.train_loss[t] = loss
                     log.train_steps += 1
-        return chosen, critic.evaluate_policy(chosen, state, cfg)
+        alloc, g_value = critic.gather(table, tiled, chosen)
+        return chosen, alloc, g_value
 
     def run_slot(self, t: int, log: MetricsLog) -> SlotOutcome:
         """Advance one slot: draw channels, decide, execute, update queues."""
@@ -310,8 +318,7 @@ class Simulation:
                           z_local=self.z_local, z_edge=self.z_edge)
         state.check()
 
-        chosen, result = self._choose(t, state, log)
-        alloc = result.alloc
+        chosen, alloc, g_value = self._choose(t, state, log)
         mu_local = (np.asarray(power.local_exec_rate(alloc.f_local, cfg))
                     + alloc.u_edge + alloc.u_cloud)
         mu_edge = np.asarray(power.edge_exec_rate(alloc.f_edge, cfg))
@@ -363,7 +370,7 @@ class Simulation:
         log.p_tx_edge[t] = float(np.sum(p_tx_e))
         log.p_tx_cloud[t] = float(np.sum(p_tx_c))
         log.p_total[t] = p_total
-        log.g_value[t] = result.g_value
+        log.g_value[t] = g_value
         log.dpp[t] = dpp
         log.bound[t] = bound
         e_key, c_key = chosen.key()
@@ -376,14 +383,14 @@ class Simulation:
         self.z_edge = z_edge_next
         return SlotOutcome(mu_local=mu_local, mu_edge=mu_edge, p_local=p_l,
                            p_edge=p_e, p_tx_edge=p_tx_e, p_tx_cloud=p_tx_c,
-                           total_power=p_total, g_value=result.g_value,
+                           total_power=p_total, g_value=g_value,
                            next_state=next_state)
 
 
-def run_scenario(cfg: SystemConfig, scenario: Scenario, workers: int = 1,
+def run_scenario(cfg: SystemConfig, scenario: Scenario,
                  progress: Optional[Callable[[int, int], None]] = None) -> MetricsLog:
     resolved = scenario.apply(cfg)
-    sim = Simulation(resolved, scenario.policy, scenario.seed, workers=workers)
+    sim = Simulation(resolved, scenario.policy, scenario.seed)
     return sim.run(progress=progress)
 
 
@@ -391,36 +398,36 @@ def run_scenario(cfg: SystemConfig, scenario: Scenario, workers: int = 1,
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-SWEEPABLE = ("arrival", "v", "users")
+SWEEPABLE = {"arrival": ("arrival_rate_per_sec", float),
+             "v": ("lyapunov_v", float),
+             "users": ("num_devices", int)}
+
+
+def sweep_config(cfg: SystemConfig, parameter: str, value: float) -> SystemConfig:
+    """The config `sweep` runs for one value of `parameter`."""
+    if parameter not in SWEEPABLE:
+        raise ValueError(f"parameter must be one of {tuple(SWEEPABLE)}, "
+                         f"got {parameter!r}")
+    name, cast = SWEEPABLE[parameter]
+    return dataclasses.replace(
+        cfg, system=dataclasses.replace(cfg.system, **{name: cast(value)}))
 
 
 def sweep(parameter: str, values: list[float], cfg: SystemConfig,
           policy: str = "exhaustive", seed: int = 1,
-          total_slots: Any = INHERIT, workers: int = 1,
+          total_slots: Any = INHERIT,
           progress: Optional[Callable[[int, int], None]] = None) -> list[dict[str, Any]]:
     """Run one scenario per value; emit plot-ready summary rows.
 
     Every run shares the same master seed, so channel and arrival draws are
     comparable across values wherever dimensions match.
     """
-    if parameter not in SWEEPABLE:
-        raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     rows: list[dict[str, Any]] = []
     for value in values:
-        run_cfg = cfg
-        if parameter == "arrival":
-            run_cfg = dataclasses.replace(
-                cfg, system=dataclasses.replace(cfg.system,
-                                                arrival_rate_per_sec=float(value)))
-        elif parameter == "v":
-            run_cfg = dataclasses.replace(
-                cfg, system=dataclasses.replace(cfg.system, lyapunov_v=float(value)))
-        else:
-            run_cfg = dataclasses.replace(
-                cfg, system=dataclasses.replace(cfg.system, num_devices=int(value)))
+        run_cfg = sweep_config(cfg, parameter, value)
         scenario = Scenario(name=f"sweep_{parameter}_{value}", policy=policy,
                             seed=seed, total_slots=total_slots)
-        log = run_scenario(run_cfg, scenario, workers=workers, progress=progress)
+        log = run_scenario(run_cfg, scenario, progress=progress)
         resolved = scenario.apply(run_cfg)
         row = {
             "parameter": parameter,

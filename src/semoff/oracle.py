@@ -1,6 +1,10 @@
 """Ground-truth baselines: full policy enumeration, exhaustive search, and
 the uniform-random policy.
 
+Enumeration is a test oracle and the `enumerate` command's output; the
+exhaustive search itself is the exact dynamic program in
+`critic.best_association`.
+
 Association counts follow the exact-cardinality convention by default:
 exactly min(chi_edge, I) edge slots and exactly chi_cloud cloud slots are
 filled, which reproduces the binomial-product search-space sizes. The
@@ -62,17 +66,13 @@ def policy_table(num_devices: int, chi_edge: int, chi_cloud: int,
     return np.array(edges, dtype=bool), np.array(clouds, dtype=bool)
 
 
-def exhaustive_best(state: SlotState, cfg: SystemConfig,
-                    masks: tuple[np.ndarray, np.ndarray] | None = None,
-                    workers: int = 1) -> tuple[Policy, critic.CriticResult]:
-    """Minimum-objective policy over the whole feasible set (first on ties)."""
-    if masks is None:
-        masks = policy_table(cfg.system.num_devices, cfg.system.chi_edge,
-                             cfg.system.chi_cloud,
-                             at_most=not cfg.system.exact_cardinality)
-    edge_masks, cloud_masks = masks
-    idx, _ = critic.best_policy(edge_masks, cloud_masks, state, cfg, workers=workers)
-    pol = Policy(rho_edge=edge_masks[idx].copy(), rho_cloud=cloud_masks[idx].copy())
+def exhaustive_best(state: SlotState, cfg: SystemConfig
+                    ) -> tuple[Policy, critic.CriticResult]:
+    """Minimum-objective policy over the whole feasible set (first in
+    enumeration order on ties), found by `critic.best_association`."""
+    table, _ = critic.device_g_table(state, cfg)
+    pol = critic.best_association(table, cfg.system.chi_edge, cfg.system.chi_cloud,
+                                  at_most=not cfg.system.exact_cardinality)
     return pol, critic.evaluate_policy(pol, state, cfg)
 
 

@@ -70,13 +70,26 @@ class RateCaps:
 
 
 def poisson_quantile(q: float, mean: float) -> int:
-    """Smallest k with P(X <= k) >= q for X ~ Poisson(mean)."""
+    """Smallest k with P(X <= k) >= q for X ~ Poisson(mean), 0 < q < 1.
+
+    Sums the pmf upward from k0 = mean - 12 sd (k0 = 0 for means up to
+    144), where the mass left out is below 1e-30. The first term comes from
+    the log pmf, so exp(-mean) cannot underflow, and the loop takes
+    O(sqrt(mean)) steps.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile must lie in (0, 1), got {q!r}")
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean!r}")
     if mean <= 0:
         return 0
-    k = 0
-    p = math.exp(-mean)
+    sd = math.sqrt(mean)
+    k = max(int(mean - 12.0 * sd), 0)
+    p = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
     cdf = p
-    while cdf < q and k < 10_000_000:
+    # past mean + 40 sd the remaining mass is below float64 resolution of q
+    k_max = mean + 40.0 * sd + 40.0
+    while cdf < q and k < k_max:
         k += 1
         p *= mean / k
         cdf += p

@@ -6,7 +6,6 @@ expect several minutes of wall time. Run with `pytest tests/test_acceptance.py
 """
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,9 +341,8 @@ def sweeps():
     # scenario I keeps whole logs for the per-device queue check; each run is
     # the one engine.sweep makes for that value (same config, seed and slots)
     cfg1 = engine.scenario_one(policy="exhaustive", seed=1).apply(CFG)
-    v_scen1 = [engine.run_scenario(
-                   replace(cfg1, system=replace(cfg1.system, lyapunov_v=float(v))),
-                   engine.Scenario(policy="exhaustive", seed=1))
+    v_scen1 = [engine.run_scenario(engine.sweep_config(cfg1, "v", v),
+                                   engine.Scenario(policy="exhaustive", seed=1))
                for v in [0.5, 1, 2, 4, 8]]
     return arrival, v_scen2, v_scen1
 

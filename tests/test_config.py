@@ -1,11 +1,12 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semoff.config import (ConfigError, SystemConfig, SystemParams,
+from semoff.config import (ConfigError, Policy, SystemConfig, SystemParams,
                            config_from_dict, config_to_dict, load_config,
                            save_config, validate_config)
 
@@ -119,3 +120,14 @@ def test_per_device_bandwidth_split():
     cfg = SystemConfig()
     assert cfg.bandwidth_edge == pytest.approx(1e6 / 4)
     assert cfg.bandwidth_cloud == pytest.approx(5e4 / 2)
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 70, 256])
+def test_policy_key_is_device_zero_lsb_at_any_size(n):
+    rng = np.random.default_rng(n)
+    edge, cloud = rng.random(n) < 0.5, rng.random(n) < 0.2
+    e, c = Policy(rho_edge=edge, rho_cloud=cloud).key()
+    assert e == sum(1 << i for i in range(n) if edge[i])
+    assert c == sum(1 << i for i in range(n) if cloud[i])
+    assert Policy(rho_edge=np.zeros(n, bool), rho_cloud=np.ones(n, bool)).key() \
+        == (0, (1 << n) - 1)

@@ -1,8 +1,11 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from semoff import channel, critic, oracle, power
 from semoff.config import Allocation, Policy, SlotState, SystemConfig
@@ -242,20 +245,109 @@ def test_batch_evaluation_matches_single_bit_exact():
     rng = np.random.default_rng(12)
     st = _random_state(rng)
     em, cm = oracle.policy_table(8, 4, 2)
-    g = critic.evaluate_policies(em, cm, st, CFG)
+    table, _ = critic.device_g_table(st, CFG)
+    g = critic.PolicyBatch(em, cm).evaluate(table)
     for idx in rng.choice(len(em), 40, replace=False):
         pol = Policy(rho_edge=em[idx], rho_cloud=cm[idx])
         assert critic.evaluate_policy(pol, st, CFG).g_value == g[idx]
 
 
-def test_threaded_batch_matches_sequential():
-    rng = np.random.default_rng(13)
-    st = _random_state(rng)
-    em, cm = oracle.policy_table(8, 4, 2)
-    batch = critic.PolicyBatch(em, cm)
-    g1 = batch.evaluate(st, CFG, workers=1)
-    g4 = batch.evaluate(st, CFG, workers=4)
-    assert np.array_equal(g1, g4)
+@pytest.mark.parametrize("n", [1, 8, 13])
+def test_gathered_allocation_matches_evaluate_policy_bit_exact(n):
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=n,
+                                      chi_edge=min(4, n), chi_cloud=min(2, n)))
+    rng = np.random.default_rng(50 + n)
+    geom = channel.place_devices(cfg, rng)
+    for _ in range(30):
+        st = _random_state(np.random.default_rng(rng.integers(1 << 30)), cfg, geom)
+        st.q_local[rng.random(n) < 0.3] = 0.0   # idle devices tie their combos
+        table, tiled = critic.device_g_table(st, cfg)
+        for at_most in (False, True):
+            pol = oracle.random_policy(rng, n, cfg.system.chi_edge,
+                                       cfg.system.chi_cloud, at_most=at_most)
+            alloc, g = critic.gather(table, tiled, pol)
+            ref = critic.evaluate_policy(pol, st, cfg)
+            assert g == ref.g_value
+            for f in ("u_edge", "u_cloud", "f_local", "f_encode", "f_edge"):
+                assert np.array_equal(getattr(alloc, f), getattr(ref.alloc, f)), f
+
+
+# --- exact association search against enumeration ----------------------------
+
+@functools.lru_cache(maxsize=None)
+def _batch(n, chi_e, chi_c, at_most):
+    return critic.PolicyBatch(*oracle.policy_table(n, chi_e, chi_c, at_most))
+
+
+@hs.composite
+def _tables(draw):
+    """Combo tables with many exact ties. Entries are small integers, so
+    every policy sum is exact in float64 whatever the summation order: the
+    DP and enumeration then see the same values and the same ties, and only
+    the tie-break rule can tell them apart."""
+    n = draw(hs.integers(1, 10))
+    chi_e = draw(hs.integers(0, n + 1))     # above n clamps to n
+    chi_c = draw(hs.integers(0, n))
+    values = hs.integers(-3, 3).map(float)
+    table = np.array(draw(hs.lists(hs.lists(values, min_size=n, max_size=n),
+                                   min_size=4, max_size=4)))
+    kind = draw(hs.sampled_from(["plain", "zero_columns", "duplicate_columns",
+                                 "all_zero"]))
+    if kind == "all_zero":
+        table[:] = 0.0
+    elif kind == "zero_columns":
+        table[:, draw(hs.lists(hs.integers(0, n - 1), max_size=n))] = 0.0
+    elif kind == "duplicate_columns":
+        src = draw(hs.integers(0, n - 1))
+        table[:, draw(hs.lists(hs.integers(0, n - 1), max_size=n))] = table[:, [src]]
+    return table, chi_e, chi_c
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_tables(), at_most=hs.booleans())
+def test_best_association_equals_enumeration_argmin(case, at_most):
+    table, chi_e, chi_c = case
+    n = table.shape[1]
+    batch = _batch(n, chi_e, chi_c, at_most)
+    idx, _ = batch.best(table)
+    pol = critic.best_association(table, chi_e, chi_c, at_most=at_most)
+    assert np.array_equal(pol.rho_edge, batch.edge_masks[idx])
+    assert np.array_equal(pol.rho_cloud, batch.cloud_masks[idx])
+
+
+@pytest.mark.parametrize("n,at_most", [(8, False), (8, True), (10, False)])
+def test_best_association_equals_enumeration_on_solved_tables(n, at_most):
+    # real combo tables: idle devices make whole columns tie exactly
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=n))
+    batch = _batch(n, 4, 2, at_most)
+    rng = np.random.default_rng(60 + n)
+    geom = channel.place_devices(cfg, rng)
+    for _ in range(25):
+        st = _random_state(np.random.default_rng(rng.integers(1 << 30)), cfg, geom)
+        idle = rng.random(n) < 0.4
+        for name in ("q_local", "q_edge", "z_local", "z_edge"):
+            getattr(st, name)[idle] = 0.0
+        table, _ = critic.device_g_table(st, cfg)
+        idx, g = batch.best(table)
+        pol = critic.best_association(table, 4, 2, at_most=at_most)
+        assert np.array_equal(pol.rho_edge, batch.edge_masks[idx])
+        assert np.array_equal(pol.rho_cloud, batch.cloud_masks[idx])
+
+
+def test_best_association_large_population_is_feasible_and_beats_samples():
+    # I=256 is far past enumeration (and past int64 bit masks); the DP result
+    # must have the exact cardinalities and beat every sampled policy
+    n = 256
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=n))
+    rng = np.random.default_rng(70)
+    st = _random_state(rng, cfg)
+    table, tiled = critic.device_g_table(st, cfg)
+    pol = critic.best_association(table, 4, 2)
+    assert pol.rho_edge.sum() == 4 and pol.rho_cloud.sum() == 2
+    _, g_best = critic.gather(table, tiled, pol)
+    for _ in range(200):
+        other = oracle.random_policy(rng, n, 4, 2)
+        assert g_best <= critic.gather(table, tiled, other)[1] + 1e-9 * abs(g_best)
 
 
 # --- per-stage grid dominance -------------------------------------------------

@@ -173,9 +173,32 @@ def test_virtual_queues_vanish_relative_to_horizon():
     assert log.z_edge[-1].max() / horizon < 1e-3
 
 
-def test_workers_do_not_change_results():
-    sc = engine.scenario_one(policy="exhaustive", seed=4, total_slots=40)
-    a = engine.run_scenario(CFG, sc, workers=1)
-    b = engine.run_scenario(CFG, sc, workers=3)
-    assert np.array_equal(a.g_value, b.g_value)
-    assert np.array_equal(a.policy_edge, b.policy_edge)
+@pytest.mark.parametrize("policy", ["random", "exhaustive"])
+def test_seventy_devices_run_to_completion(policy):
+    # 70 devices need 70-bit association masks, past int64
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=70))
+    sc = engine.scenario_one(policy=policy, seed=3, total_slots=50)
+    log = engine.run_scenario(cfg, sc)
+    assert np.all(np.isfinite(log.p_total))
+    assert max(max(log.policy_edge), max(log.policy_cloud)) >= 1 << 63
+    for t in range(50):
+        assert bin(log.policy_edge[t]).count("1") == 4
+        assert bin(log.policy_cloud[t]).count("1") == 2
+
+
+def test_exhaustive_at_256_devices_keeps_the_bound():
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=256))
+    sc = engine.scenario_one(policy="exhaustive", seed=2, total_slots=200)
+    log = engine.run_scenario(cfg, sc)
+    assert log.bound_violations == 0
+    assert np.all(log.dpp <= log.bound + 1e-9)
+    assert np.all(log.num_candidates == oracle.count_policies(256, 4, 2))
+
+
+def test_sweep_config_sets_one_field():
+    for parameter, field, value in (("arrival", "arrival_rate_per_sec", 200.0),
+                                    ("v", "lyapunov_v", 4.0),
+                                    ("users", "num_devices", 6)):
+        cfg = engine.sweep_config(CFG, parameter, value)
+        assert cfg == replace(CFG, system=replace(CFG.system, **{field: value}))
+        assert type(getattr(cfg.system, field)) is type(value)

@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +87,52 @@ def test_poisson_quantile_basics():
     q = queueing.poisson_quantile(0.9999, 1.0)
     assert 4 <= q <= 8
     assert queueing.poisson_quantile(0.9999, 7.5) >= 15
+
+
+def _poisson_quantile_linear(q, mean):
+    """Direct summation from k = 0; exp(-mean) underflows past mean ~745."""
+    if mean <= 0:
+        return 0
+    k, p = 0, math.exp(-mean)
+    cdf = p
+    while cdf < q:
+        k += 1
+        p *= mean / k
+        cdf += p
+    return k
+
+
+def test_poisson_quantile_matches_direct_summation_up_to_700():
+    means = np.concatenate([np.linspace(0.0, 20.0, 2001), np.linspace(20.0, 700.0, 3401)])
+    for q in (0.9999, 0.5):
+        for mean in means:
+            mean = float(mean)
+            assert queueing.poisson_quantile(q, mean) == _poisson_quantile_linear(q, mean), (q, mean)
+
+
+@pytest.mark.parametrize("mean", [1e3, 745.5, 800.0, 1e4, 1e5, 1e6])
+def test_poisson_quantile_large_means_fast_and_correct(mean):
+    t0 = time.perf_counter()
+    k = queueing.poisson_quantile(0.9999, mean)
+    assert time.perf_counter() - t0 < 0.5
+    # 0.9999 is 3.719 sd above the mean in the normal limit, and the Poisson
+    # skew adds about (z^2 - 1) / 6 = 2.14 tasks at any mean
+    expected = mean + 3.719 * math.sqrt(mean) + 2.14
+    assert abs(k - expected) <= 2.0
+    # the defining property, checked with an independent log-space cdf
+    def cdf(x):
+        ks = np.arange(x + 1)
+        logp = ks * math.log(mean) - mean - np.array([math.lgamma(j + 1) for j in ks])
+        return float(np.exp(logp).sum())
+    assert cdf(k) >= 0.9999 > cdf(k - 1)
+
+
+def test_poisson_quantile_rejects_bad_arguments():
+    for q in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="quantile"):
+            queueing.poisson_quantile(q, 3.0)
+    with pytest.raises(ValueError, match="mean"):
+        queueing.poisson_quantile(0.9, float("inf"))
 
 
 def test_bound_trivial_cases():
