@@ -36,6 +36,15 @@ def featurize(state: SlotState, cfg: SystemConfig) -> np.ndarray:
     return blocks.reshape(-1)
 
 
+def cross_entropy(out: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy per component of network outputs `out`
+    (one vector or a batch) against labels `y`, outputs clipped away from
+    0 and 1."""
+    out = np.clip(np.atleast_2d(out), _LOG_CLIP, 1.0 - _LOG_CLIP)
+    y = np.atleast_2d(y)
+    return float(-np.mean(y * np.log(out) + (1.0 - y) * np.log(1.0 - out)))
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
@@ -75,9 +84,7 @@ class ActorNetwork:
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean binary cross-entropy per output component."""
-        out = np.clip(np.atleast_2d(self.forward(x)), _LOG_CLIP, 1.0 - _LOG_CLIP)
-        y = np.atleast_2d(y)
-        return float(-np.mean(y * np.log(out) + (1.0 - y) * np.log(1.0 - out)))
+        return cross_entropy(self.forward(x), y)
 
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray
                       ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -91,8 +98,7 @@ class ActorNetwork:
             activations.append(a)
         out = _sigmoid(a @ self.weights[-1] + self.biases[-1])
 
-        clipped = np.clip(out, _LOG_CLIP, 1.0 - _LOG_CLIP)
-        loss = float(-np.mean(y * np.log(clipped) + (1.0 - y) * np.log(1.0 - clipped)))
+        loss = cross_entropy(out, y)
 
         scale = 1.0 / y.size
         # d(loss)/d(pre-sigmoid); the clip zeroes the gradient where active
@@ -219,14 +225,16 @@ def generate_candidates(relaxed: RelaxedPolicy, num_candidates: int,
     """
     scores = np.concatenate([relaxed.rho_hat_edge, relaxed.rho_hat_cloud])
     n = len(relaxed.rho_hat_edge)
-    noisy = np.tile(scores, (num_candidates, 1))
+    noisy = scores[None]
     if num_candidates > 1:
-        noisy[1:] += rng.normal(0.0, cfg.training.candidate_noise_std,
-                                size=(num_candidates - 1, 2 * n))
+        noisy = np.concatenate((noisy, scores + rng.normal(
+            0.0, cfg.training.candidate_noise_std, size=(num_candidates - 1, 2 * n))))
     edge_masks = _top_k_rows(noisy[:, :n], cfg.chi_edge_eff)
     cloud_masks = _top_k_rows(noisy[:, n:], cfg.chi_cloud_eff)
-    combined = np.concatenate([edge_masks, cloud_masks], axis=1)
-    _, first = np.unique(combined, axis=0, return_index=True)
+    # one fixed-width byte key per candidate: its packed edge and cloud bits
+    packed = np.packbits(np.concatenate((edge_masks, cloud_masks), axis=1), axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first = np.unique(keys, return_index=True)
     keep = np.sort(first)
     return edge_masks[keep], cloud_masks[keep]
 
@@ -245,8 +253,3 @@ def train_step(net: ActorNetwork, opt: AdaptiveMomentState, memory: ReplayMemory
     opt.step(net, grads_w, grads_b, learning_rate)
     return loss
 
-
-def test_loss(net: ActorNetwork, features: np.ndarray,
-              labels: np.ndarray) -> float:
-    """Cross-entropy on held-out pairs; no parameter change."""
-    return net.loss(features, labels)

@@ -176,10 +176,18 @@ def validate_config(cfg: SystemConfig) -> list[str]:
     bad: list[str] = []
 
     def positive(name: str, value: float) -> None:
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not (isinstance(value, (int, float)) and 0 < value < math.inf):
             bad.append(f"{name}: must be a positive finite number, got {value!r}")
 
-    if sys_.num_devices < 1:
+    def not_integer(name: str, value: Any) -> None:
+        bad.append(f"{name}: must be an integer, got {value!r}")
+
+    # counts and flags must be exactly int and bool (JSON allows any type);
+    # `type(x) is int` also refuses bool
+    devices_ok = type(sys_.num_devices) is int
+    if not devices_ok:
+        not_integer("num_devices", sys_.num_devices)
+    elif sys_.num_devices < 1:
         bad.append(f"num_devices: must be >= 1, got {sys_.num_devices}")
     positive("slot_length", sys_.slot_length)
     positive("lyapunov_v", sys_.lyapunov_v)
@@ -194,14 +202,19 @@ def validate_config(cfg: SystemConfig) -> list[str]:
     for name in ("sentence_len", "symbols_per_word", "bits_per_word"):
         positive(name, getattr(sem, name))
 
-    if sys_.chi_edge < 0 or sys_.chi_edge > sys_.num_devices:
-        bad.append(f"chi_edge exceeds device count ({sys_.chi_edge} > {sys_.num_devices})"
-                   if sys_.chi_edge > sys_.num_devices
-                   else f"chi_edge: must be >= 0, got {sys_.chi_edge}")
-    if sys_.chi_cloud < 0 or sys_.chi_cloud > sys_.num_devices:
-        bad.append(f"chi_cloud exceeds device count ({sys_.chi_cloud} > {sys_.num_devices})"
-                   if sys_.chi_cloud > sys_.num_devices
-                   else f"chi_cloud: must be >= 0, got {sys_.chi_cloud}")
+    for name, chi in (("chi_edge", sys_.chi_edge), ("chi_cloud", sys_.chi_cloud)):
+        if type(chi) is not int:
+            not_integer(name, chi)
+        elif chi < 0:
+            bad.append(f"{name}: must be >= 0, got {chi}")
+        elif devices_ok and chi > sys_.num_devices:
+            bad.append(f"{name} exceeds device count ({chi} > {sys_.num_devices})")
+    for name, flag in (("exact_cardinality", sys_.exact_cardinality),
+                       ("shadowing_per_slot", ch.shadowing_per_slot),
+                       ("shannon_minus_one", sem.shannon_minus_one),
+                       ("fixed_accuracy_mode", sem.fixed_accuracy_mode)):
+        if type(flag) is not bool:
+            bad.append(f"{name}: must be true or false, got {flag!r}")
 
     for name, q_max in (("q_max_local", sys_.q_max_local),
                         ("q_max_edge", sys_.q_max_edge)):
@@ -230,6 +243,19 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         bad.append("epsilon_min: must be below accuracy_ceiling")
     if sem.accuracy_slope_per_db <= 0:
         bad.append("accuracy_slope_per_db: must be > 0")
+    if sem.accuracy_table_csv is not None and not isinstance(sem.accuracy_table_csv, str):
+        bad.append(f"accuracy_table_csv: must be a file path or null, "
+                   f"got {sem.accuracy_table_csv!r}")
+    elif sem.accuracy_table_csv is not None:
+        from .power import load_accuracy_table  # power imports this module
+        try:
+            curve = load_accuracy_table(sem.accuracy_table_csv)
+        except (OSError, ValueError) as exc:
+            bad.append(f"accuracy_table_csv: {exc}")
+        else:
+            if not curve.epsilon[0] <= sem.epsilon_min < curve.ceiling:
+                bad.append(f"accuracy_table_csv: epsilon_min {sem.epsilon_min} must lie "
+                           f"in the table's range [{curve.epsilon[0]}, {curve.ceiling})")
 
     if not (0 < ch.hotspot_radius_min < ch.hotspot_radius_max):
         bad.append("hotspot_radius_min/max: need 0 < min < max")
@@ -238,12 +264,28 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         bad.append("shadowing_std_db: must be >= 0")
 
     positive("learning_rate", tr.learning_rate)
-    for name in ("memory_size", "batch_size", "train_interval",
-                 "num_candidates", "total_slots"):
-        if getattr(tr, name) < 1:
-            bad.append(f"{name}: must be >= 1")
-    if tr.batch_size > tr.memory_size:
+    counts_ok = True
+    for name, count, low in (("memory_size", tr.memory_size, 1),
+                             ("batch_size", tr.batch_size, 1),
+                             ("train_interval", tr.train_interval, 1),
+                             ("train_start_slot", tr.train_start_slot, 0),
+                             ("num_candidates", tr.num_candidates, 1),
+                             ("total_slots", tr.total_slots, 1)):
+        if type(count) is not int:
+            not_integer(name, count)
+            counts_ok = False
+        elif count < low:
+            bad.append(f"{name}: must be >= {low}")
+    if counts_ok and tr.batch_size > tr.memory_size:
         bad.append("batch_size: must not exceed memory_size")
+    if not tr.hidden_sizes:
+        bad.append("hidden_sizes: must list at least one layer size")
+    for size in tr.hidden_sizes:
+        if type(size) is not int or size < 1:
+            bad.append(f"hidden_sizes: layer sizes must be integers >= 1, got {size!r}")
+    noise = tr.candidate_noise_std
+    if not ((type(noise) is int or isinstance(noise, float)) and 0 <= noise < math.inf):
+        bad.append(f"candidate_noise_std: must be a finite number >= 0, got {noise!r}")
     positive("feature_gain_scale_db", tr.feature_gain_scale_db)
     positive("feature_queue_ref", tr.feature_queue_ref)
     return bad
@@ -277,6 +319,10 @@ class SlotState:
         for name in ("h_cloud", "q_local", "q_edge", "z_local", "z_edge"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"SlotState.{name}: expected length {n}")
+        q = np.concatenate((self.q_local, self.q_edge, self.z_local, self.z_edge))
+        # a NaN minimum fails the first test, +inf the second
+        if q.min() >= 0 and q.max() < np.inf:
+            return
         for name in ("q_local", "q_edge", "z_local", "z_edge"):
             v = getattr(self, name)
             if not np.all(np.isfinite(v)) or np.any(v < 0):

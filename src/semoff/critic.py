@@ -24,7 +24,6 @@ the frequency stages and a net-of-edge-offload weight in the cloud stage.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +174,33 @@ def check_allocation(alloc: Allocation, policy: Policy, state: SlotState,
         raise FeasibilityError("cloud transmit power exceeds p_tx_max")
 
 
-def g_terms(alloc: Allocation, policy: Policy, state: SlotState,
+@dataclass
+class Solution:
+    """A solved allocation with the execution rates and the four power
+    components it implies, per device (or per device and combo)."""
+
+    alloc: Allocation
+    mu_local: np.ndarray    # tasks served locally: executed plus offloaded
+    mu_edge: np.ndarray     # tasks decoded at the edge server
+    p_local: np.ndarray
+    p_edge: np.ndarray
+    p_tx_edge: np.ndarray
+    p_tx_cloud: np.ndarray
+
+
+def rates_and_powers(alloc: Allocation, policy: Policy, state: SlotState,
+                     cfg: SystemConfig) -> Solution:
+    """Rates and powers of an allocation under a policy."""
+    mu_local = (np.asarray(power.local_exec_rate(alloc.f_local, cfg))
+                + alloc.u_edge + alloc.u_cloud)
+    mu_edge = np.asarray(power.edge_exec_rate(alloc.f_edge, cfg))
+    p_l, p_e, p_tx_e, p_tx_c, _ = power.total_power(alloc, policy, state, cfg)
+    return Solution(alloc=alloc, mu_local=mu_local, mu_edge=mu_edge,
+                    p_local=np.asarray(p_l), p_edge=np.asarray(p_e),
+                    p_tx_edge=p_tx_e, p_tx_cloud=p_tx_c)
+
+
+def g_terms(sol: Solution, state: SlotState,
             cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-device contributions to the per-slot objective.
 
@@ -184,13 +209,9 @@ def g_terms(alloc: Allocation, policy: Policy, state: SlotState,
     """
     v = cfg.system.lyapunov_v
     lam = cfg.mean_arrivals_per_slot
-    mu_local = (np.asarray(power.local_exec_rate(alloc.f_local, cfg))
-                + alloc.u_edge + alloc.u_cloud)
-    mu_edge = np.asarray(power.edge_exec_rate(alloc.f_edge, cfg))
-    local_terms = -(state.q_local + state.z_local) * (mu_local - lam)
-    edge_terms = -(state.q_edge + state.z_edge) * (mu_edge - alloc.u_edge)
-    p_l, p_e, p_tx_e, p_tx_c, _ = power.total_power(alloc, policy, state, cfg)
-    power_terms = v * (np.asarray(p_l) + np.asarray(p_e) + p_tx_e + p_tx_c)
+    local_terms = -(state.q_local + state.z_local) * (sol.mu_local - lam)
+    edge_terms = -(state.q_edge + state.z_edge) * (sol.mu_edge - sol.alloc.u_edge)
+    power_terms = v * (sol.p_local + sol.p_edge + sol.p_tx_edge + sol.p_tx_cloud)
     return local_terms, edge_terms, power_terms
 
 
@@ -198,7 +219,8 @@ def evaluate_g(alloc: Allocation, policy: Policy, state: SlotState,
                cfg: SystemConfig) -> float:
     """Exact per-slot objective of a feasible allocation (error if infeasible)."""
     check_allocation(alloc, policy, state, cfg)
-    local_terms, edge_terms, power_terms = g_terms(alloc, policy, state, cfg)
+    local_terms, edge_terms, power_terms = g_terms(
+        rates_and_powers(alloc, policy, state, cfg), state, cfg)
     return float(np.sum(local_terms + edge_terms + power_terms))
 
 
@@ -207,7 +229,8 @@ def evaluate_policy(policy: Policy, state: SlotState,
     """Solve the continuous allocation for one policy and score it."""
     alloc = assemble_allocation(state, policy.rho_edge.astype(bool),
                                 policy.rho_cloud.astype(bool), cfg)
-    local_terms, edge_terms, power_terms = g_terms(alloc, policy, state, cfg)
+    local_terms, edge_terms, power_terms = g_terms(
+        rates_and_powers(alloc, policy, state, cfg), state, cfg)
     p_tx_e, p_tx_c = power.transmit_powers(alloc, state, cfg)
     cap = cfg.channel.p_tx_max * (1 + _TX_POWER_TOL)
     feasible = (p_tx_e <= cap) & (p_tx_c <= cap)
@@ -221,43 +244,50 @@ def evaluate_policy(policy: Policy, state: SlotState,
 # The per-slot combo solve and the searches that read it
 # ---------------------------------------------------------------------------
 
-def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Allocation]:
+def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Solution]:
     """(4, I) objective contributions for each per-device association combo,
-    plus the 4I-long allocation they were solved from.
+    plus the 4I-long solution (allocation, rates, powers) they came from.
 
     Combo index is 2*edge_bit + cloud_bit; entry `combo * I + i` of each
-    allocation array belongs to device i under that combo. Valid because
+    solution array belongs to device i under that combo. Valid because
     the per-slot objective decomposes across devices once the bandwidth
     split is fixed, which the equal split by the association cap
     guarantees. All four combos are solved in one pass over a 4x-tiled
     state; elementwise results are identical to solving each combo
-    separately, so `gather` reproduces `evaluate_policy` bit for bit.
+    separately, so `gather` reproduces `evaluate_policy` and
+    `power.total_power` bit for bit.
     """
     n = cfg.system.num_devices
-    tiled = SlotState(
-        h_edge=np.tile(state.h_edge, 4), h_cloud=np.tile(state.h_cloud, 4),
-        q_local=np.tile(state.q_local, 4), q_edge=np.tile(state.q_edge, 4),
-        z_local=np.tile(state.z_local, 4), z_edge=np.tile(state.z_edge, 4))
+    tiled = SlotState(*(np.concatenate((x, x, x, x)) for x in (
+        state.h_edge, state.h_cloud, state.q_local, state.q_edge,
+        state.z_local, state.z_edge)))
     e_mask = np.repeat(np.array([False, False, True, True]), n)
     c_mask = np.repeat(np.array([False, True, False, True]), n)
     alloc = assemble_allocation(tiled, e_mask, c_mask, cfg)
-    pol = Policy(rho_edge=e_mask, rho_cloud=c_mask)
-    lt, et, pt = g_terms(alloc, pol, tiled, cfg)
-    return (lt + et + pt).reshape(4, n), alloc
+    sol = rates_and_powers(alloc, Policy(rho_edge=e_mask, rho_cloud=c_mask), tiled, cfg)
+    lt, et, pt = g_terms(sol, tiled, cfg)
+    return (lt + et + pt).reshape(4, n), sol
 
 
-def gather(table: np.ndarray, tiled: Allocation,
-           policy: Policy) -> tuple[Allocation, float]:
-    """A policy's allocation and objective value, read from the combo solve.
+def gather(table: np.ndarray, tiled: Solution,
+           policy: Policy) -> tuple[Solution, float]:
+    """A policy's solution and objective value, read from the combo solve.
 
-    Equal to `evaluate_policy(policy, ...)`'s `alloc` and `g_value` bit for
+    Equal to `evaluate_policy(policy, ...)`'s `alloc` and `g_value`, and to
+    `power.total_power` and the execution rates on that allocation, bit for
     bit: the same elementwise values, summed in the same order.
     """
     n = table.shape[1]
     idx = (2 * policy.rho_edge.astype(np.intp) + policy.rho_cloud) * n + np.arange(n)
-    alloc = Allocation(*(getattr(tiled, f.name)[idx]
-                         for f in dataclasses.fields(Allocation)))
-    return alloc, float(np.sum(table.reshape(-1)[idx]))
+    a = tiled.alloc
+    alloc = Allocation(u_edge=a.u_edge[idx], u_cloud=a.u_cloud[idx],
+                       f_local=a.f_local[idx], f_encode=a.f_encode[idx],
+                       f_edge=a.f_edge[idx])
+    sol = Solution(alloc=alloc, mu_local=tiled.mu_local[idx],
+                   mu_edge=tiled.mu_edge[idx], p_local=tiled.p_local[idx],
+                   p_edge=tiled.p_edge[idx], p_tx_edge=tiled.p_tx_edge[idx],
+                   p_tx_cloud=tiled.p_tx_cloud[idx])
+    return sol, float(np.sum(table.reshape(-1)[idx]))
 
 
 def _bits(key: int, n: int) -> np.ndarray:

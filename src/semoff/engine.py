@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import actor, channel, critic, oracle, power, queueing
-from .config import (Allocation, Policy, SlotOutcome, SlotState, SystemConfig,
+from .config import (Policy, SlotOutcome, SlotState, SystemConfig,
                      config_to_dict, validate_config)
 
 # Named RNG streams (master seed, stream id[, slot]).
@@ -173,39 +173,42 @@ class MetricsLog:
 
     def to_csv(self, path: str | Path) -> None:
         header = ["slot"]
+        cols = [np.arange(self.total_slots)]
         for name in _PER_DEVICE_SERIES:
             header += [f"{name}_{i}" for i in range(self.num_devices)]
+            cols += list(getattr(self, name).T)
         header += list(_SCALAR_SERIES)
+        cols += [getattr(self, name) for name in _SCALAR_SERIES]
         header += ["policy_edge_mask", "policy_cloud_mask", "num_candidates"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t in range(self.total_slots):
-                row: list[str] = [str(t)]
-                for name in _PER_DEVICE_SERIES:
-                    row += [repr(float(v)) for v in getattr(self, name)[t]]
-                row += [repr(float(getattr(self, name)[t])) for name in _SCALAR_SERIES]
-                row += [str(int(self.policy_edge[t])), str(int(self.policy_cloud[t])),
-                        str(int(self.num_candidates[t]))]
-                writer.writerow(row)
+        cols += [self.policy_edge, self.policy_cloud, self.num_candidates]
+        _write_columns(path, header, cols)
 
     def loss_to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "train_loss", "test_loss"])
-            for t in range(self.total_slots):
-                writer.writerow([str(t), repr(float(self.train_loss[t])),
-                                 repr(float(self.test_loss[t]))])
+        _write_columns(path, ["slot", "train_loss", "test_loss"],
+                       [np.arange(self.total_slots), self.train_loss, self.test_loss])
 
     def channels_to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "device", "h2_edge", "h2_cloud"])
-            for t in range(self.total_slots):
-                for i in range(self.num_devices):
-                    writer.writerow([str(t), str(i),
-                                     repr(float(self.h2_edge[t, i])),
-                                     repr(float(self.h2_cloud[t, i]))])
+        _write_columns(path, ["slot", "device", "h2_edge", "h2_cloud"],
+                       [np.repeat(np.arange(self.total_slots), self.num_devices),
+                        np.tile(np.arange(self.num_devices), self.total_slots),
+                        self.h2_edge.reshape(-1), self.h2_cloud.reshape(-1)])
+
+
+_CSV_BLOCK_ROWS = 16   # rows formatted at a time, so the text held stays small
+
+
+def _write_columns(path: str | Path, header: list[str], cols: list[np.ndarray]) -> None:
+    """Write equal-length 1-D columns as CSV rows, byte for byte as
+    `csv.writer` writes them (no field here needs quoting; rows end in
+    CRLF): floats as `repr`, the shortest text that reads back exactly,
+    integers (also Python ints in object arrays) as `str`."""
+    text = [repr if col.dtype.kind == "f" else str for col in cols]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+            block = [map(fmt, col[lo:lo + _CSV_BLOCK_ROWS].tolist())
+                     for fmt, col in zip(text, cols)]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*block))
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +264,19 @@ class Simulation:
         return log
 
     def _choose(self, t: int, state: SlotState,
-                log: MetricsLog) -> tuple[Policy, Allocation, float]:
-        """The slot's policy plus its allocation and objective value.
-
-        `exhaustive` and `drlh` read everything from one combo solve
-        (`critic.device_g_table`); `random` solves its one policy directly.
-        """
+                log: MetricsLog) -> tuple[Policy, critic.Solution, float]:
+        """The slot's policy plus its solution and objective value, all read
+        from the slot's one combo solve (`critic.device_g_table`)."""
         cfg = self.cfg
         at_most = not cfg.system.exact_cardinality
+        table, tiled = critic.device_g_table(state, cfg)
         if self.kind == "random":
             rng = channel.slot_rng(self.seed, STREAM_RANDOM_POLICY, t)
             chosen = oracle.random_policy(rng, cfg.system.num_devices,
                                           cfg.system.chi_edge, cfg.system.chi_cloud,
                                           at_most=at_most)
             log.num_candidates[t] = 1
-            result = critic.evaluate_policy(chosen, state, cfg)
-            return chosen, result.alloc, result.g_value
-        table, tiled = critic.device_g_table(state, cfg)
-        if self.kind == "exhaustive":
+        elif self.kind == "exhaustive":
             chosen = critic.best_association(table, cfg.system.chi_edge,
                                              cfg.system.chi_cloud, at_most=at_most)
             log.num_candidates[t] = self.n_policies
@@ -293,7 +291,9 @@ class Simulation:
             log.num_candidates[t] = edge_masks.shape[0]
 
             label = np.concatenate([chosen.rho_edge, chosen.rho_cloud]).astype(float)
-            log.test_loss[t] = self.net.loss(feats, label)
+            # the relaxed scores are this slot's forward pass on `feats`
+            log.test_loss[t] = actor.cross_entropy(
+                np.concatenate([relaxed.rho_hat_edge, relaxed.rho_hat_cloud]), label)
             self.memory.add(feats, label)
             tr = cfg.training
             if (t >= tr.train_start_slot
@@ -304,8 +304,8 @@ class Simulation:
                 if loss is not None:
                     log.train_loss[t] = loss
                     log.train_steps += 1
-        alloc, g_value = critic.gather(table, tiled, chosen)
-        return chosen, alloc, g_value
+        sol, g_value = critic.gather(table, tiled, chosen)
+        return chosen, sol, g_value
 
     def run_slot(self, t: int, log: MetricsLog) -> SlotOutcome:
         """Advance one slot: draw channels, decide, execute, update queues."""
@@ -318,10 +318,8 @@ class Simulation:
                           z_local=self.z_local, z_edge=self.z_edge)
         state.check()
 
-        chosen, alloc, g_value = self._choose(t, state, log)
-        mu_local = (np.asarray(power.local_exec_rate(alloc.f_local, cfg))
-                    + alloc.u_edge + alloc.u_cloud)
-        mu_edge = np.asarray(power.edge_exec_rate(alloc.f_edge, cfg))
+        chosen, sol, g_value = self._choose(t, state, log)
+        alloc, mu_local, mu_edge = sol.alloc, sol.mu_local, sol.mu_edge
 
         # backlog constraints must hold by construction; tolerate rounding only
         if np.any(mu_local > self.q_local + 1e-6) or np.any(mu_edge > self.q_edge + 1e-6):
@@ -329,7 +327,9 @@ class Simulation:
         if np.any(alloc.f_local + alloc.f_encode > cfg.system.f_local_max * (1 + 1e-9)):
             raise RuntimeError(f"slot {t}: local clock budget violated")
 
-        p_l, p_e, p_tx_e, p_tx_c, p_total = power.total_power(alloc, chosen, state, cfg)
+        p_l, p_e, p_tx_e, p_tx_c = sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud
+        sum_l, sum_e, sum_tx_e, sum_tx_c = (float(np.sum(p)) for p in (p_l, p_e, p_tx_e, p_tx_c))
+        p_total = sum_l + sum_e + sum_tx_e + sum_tx_c   # `power.total_power`'s order
 
         arrivals = channel.slot_rng(self.seed, STREAM_ARRIVALS, t).poisson(
             cfg.mean_arrivals_per_slot, cfg.system.num_devices).astype(float)
@@ -346,8 +346,8 @@ class Simulation:
 
         dpp = queueing.drift_plus_penalty(state, next_state, p_total,
                                           cfg.system.lyapunov_v)
-        u_cloud_cap = power.cloud_offload_cap(np.abs(draw.h_cloud) ** 2,
-                                              cfg.bandwidth_cloud, cfg)
+        h2_cloud = np.abs(draw.h_cloud) ** 2
+        u_cloud_cap = power.cloud_offload_cap(h2_cloud, cfg.bandwidth_cloud, cfg)
         bound = queueing.drift_penalty_bound(state, mu_local, mu_edge,
                                              alloc.u_edge, arrivals, p_total,
                                              cfg, self.caps, u_cloud_cap)
@@ -364,11 +364,11 @@ class Simulation:
         log.mu_local[t] = mu_local
         log.mu_edge[t] = mu_edge
         log.h2_edge[t] = np.abs(draw.h_edge) ** 2
-        log.h2_cloud[t] = np.abs(draw.h_cloud) ** 2
-        log.p_local[t] = float(np.sum(p_l))
-        log.p_edge[t] = float(np.sum(p_e))
-        log.p_tx_edge[t] = float(np.sum(p_tx_e))
-        log.p_tx_cloud[t] = float(np.sum(p_tx_c))
+        log.h2_cloud[t] = h2_cloud
+        log.p_local[t] = sum_l
+        log.p_edge[t] = sum_e
+        log.p_tx_edge[t] = sum_tx_e
+        log.p_tx_cloud[t] = sum_tx_c
         log.p_total[t] = p_total
         log.g_value[t] = g_value
         log.dpp[t] = dpp

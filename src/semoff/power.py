@@ -57,8 +57,10 @@ class TableAccuracyCurve:
     def __post_init__(self) -> None:
         g = np.asarray(self.snr_db)
         e = np.asarray(self.epsilon)
-        if len(g) < 2 or np.any(np.diff(g) <= 0) or np.any(np.diff(e) <= 0):
-            raise ValueError("accuracy table: both columns must be strictly increasing")
+        if (len(g) < 2 or not (np.all(np.isfinite(g)) and np.all(np.isfinite(e)))
+                or np.any(np.diff(g) <= 0) or np.any(np.diff(e) <= 0)):
+            raise ValueError("accuracy table: both columns must be finite and "
+                             "strictly increasing, with at least two rows")
         if e[0] <= 0 or e[-1] > 1:
             raise ValueError("accuracy table: epsilon must lie in (0, 1]")
 
@@ -79,16 +81,22 @@ class TableAccuracyCurve:
 
 
 def load_accuracy_table(path: str | Path) -> TableAccuracyCurve:
-    """Read a two-column CSV (snr_db, epsilon); a header row is allowed."""
+    """Read a two-column CSV (snr_db, epsilon); a header is allowed before
+    the first data row, and lines starting with '#' are skipped."""
     gammas: list[float] = []
     epsilons: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.reader(fh):
             if not row or row[0].strip().startswith("#"):
                 continue
+            if len(row) < 2:
+                raise ValueError(f"accuracy table {path}: row {row!r} needs two columns")
             try:
                 g, e = float(row[0]), float(row[1])
             except ValueError:
+                if gammas:
+                    raise ValueError(f"accuracy table {path}: row {row!r} is not "
+                                     "two numbers") from None
                 continue  # header
             gammas.append(g)
             epsilons.append(e)

@@ -124,6 +124,39 @@ def test_generate_candidates_large_request_all_valid():
     assert len(combined) == em.shape[0]
 
 
+def _candidates_reference(relaxed, k, rng, cfg):
+    """Row-by-row quantization, de-duplicated with np.unique(axis=0)."""
+    n = len(relaxed.rho_hat_edge)
+    scores = np.concatenate([relaxed.rho_hat_edge, relaxed.rho_hat_cloud])
+    noisy = np.tile(scores, (k, 1))
+    if k > 1:
+        noisy[1:] += rng.normal(0.0, cfg.training.candidate_noise_std,
+                                size=(k - 1, 2 * n))
+    em = np.array([actor.top_k_mask(row[:n], cfg.chi_edge_eff) for row in noisy])
+    cm = np.array([actor.top_k_mask(row[n:], cfg.chi_cloud_eff) for row in noisy])
+    _, first = np.unique(np.concatenate([em, cm], axis=1), axis=0, return_index=True)
+    keep = np.sort(first)
+    return em[keep], cm[keep]
+
+
+@pytest.mark.parametrize("n", [1, 8, 33, 70])
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3])
+def test_generate_candidates_equals_unique_rows_reference(n, noise):
+    from dataclasses import replace
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=n),
+                  training=replace(CFG.training, candidate_noise_std=noise))
+    rng = np.random.default_rng(n)
+    for scores in (rng.random(2 * n), np.full(2 * n, 0.5)):
+        relaxed = RelaxedPolicy(rho_hat_edge=scores[:n], rho_hat_cloud=scores[n:])
+        for k in (1, 2, 64, 300):
+            seed = int(rng.integers(1 << 30))
+            em, cm = actor.generate_candidates(relaxed, k, np.random.default_rng(seed), cfg)
+            ref_e, ref_c = _candidates_reference(relaxed, k, np.random.default_rng(seed), cfg)
+            assert np.array_equal(em, ref_e) and np.array_equal(cm, ref_c), k
+            if noise == 0.0:
+                assert em.shape[0] == 1
+
+
 def test_generate_candidates_deterministic_given_rng_state():
     relaxed = RelaxedPolicy(rho_hat_edge=np.linspace(0, 1, 8),
                             rho_hat_cloud=np.linspace(1, 0, 8))
@@ -207,8 +240,17 @@ def test_test_loss_does_not_touch_parameters():
     rng = np.random.default_rng(1)
     net = actor.ActorNetwork.create(4, (16, 12), rng)
     w_before = [w.copy() for w in net.weights]
-    actor.test_loss(net, rng.normal(size=(3, 24)), np.zeros((3, 8)))
+    net.loss(rng.normal(size=(3, 24)), np.zeros((3, 8)))
     assert all(np.array_equal(a, b) for a, b in zip(w_before, net.weights))
+
+
+def test_cross_entropy_of_forward_is_the_loss():
+    rng = np.random.default_rng(4)
+    net = actor.ActorNetwork.create(4, (16, 12), rng)
+    for x, y in ((rng.normal(size=24), (rng.random(8) < 0.5).astype(float)),
+                 (rng.normal(size=(5, 24)), (rng.random((5, 8)) < 0.5).astype(float))):
+        assert actor.cross_entropy(net.forward(x), y) == net.loss(x, y)
+        assert net.loss_and_grad(x, y)[0] == net.loss(x, y)
 
 
 def test_replay_memory_overwrites_oldest():

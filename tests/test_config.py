@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semoff.config import (ConfigError, Policy, SystemConfig, SystemParams,
+from semoff.config import (ChannelParams, ConfigError, Policy, SemanticParams,
+                           SystemConfig, SystemParams, TrainingParams,
                            config_from_dict, config_to_dict, load_config,
                            save_config, validate_config)
 
@@ -114,6 +115,12 @@ def test_slot_state_check():
     short.z_edge = short.z_edge[:3]
     with pytest.raises(ValueError, match="z_edge"):
         short.check()
+    for name, value in (("q_edge", np.nan), ("z_local", -1e-12),
+                        ("z_edge", np.inf), ("q_local", -np.inf)):
+        state = SlotState.initial(4)
+        getattr(state, name)[2] = value
+        with pytest.raises(ValueError, match=f"SlotState.{name}:"):
+            state.check()
 
 
 def test_per_device_bandwidth_split():
@@ -131,3 +138,56 @@ def test_policy_key_is_device_zero_lsb_at_any_size(n):
     assert c == sum(1 << i for i in range(n) if cloud[i])
     assert Policy(rho_edge=np.zeros(n, bool), rho_cloud=np.ones(n, bool)).key() \
         == (0, (1 << n) - 1)
+
+
+@pytest.mark.parametrize("cfg,field", [
+    (SystemConfig(training=TrainingParams(hidden_sizes=())), "hidden_sizes"),
+    (SystemConfig(training=TrainingParams(hidden_sizes=(120, 0))), "hidden_sizes"),
+    (SystemConfig(training=TrainingParams(hidden_sizes=(-3,))), "hidden_sizes"),
+    (SystemConfig(training=TrainingParams(candidate_noise_std=-0.1)), "candidate_noise_std"),
+    (SystemConfig(training=TrainingParams(candidate_noise_std=float("nan"))),
+     "candidate_noise_std"),
+    (SystemConfig(system=SystemParams(num_devices=8.5)), "num_devices"),
+    (SystemConfig(system=SystemParams(num_devices=True)), "num_devices"),
+    (SystemConfig(system=SystemParams(chi_edge=2.0)), "chi_edge"),
+    (SystemConfig(system=SystemParams(chi_cloud="2")), "chi_cloud"),
+    (SystemConfig(training=TrainingParams(total_slots=100.0)), "total_slots"),
+    (SystemConfig(training=TrainingParams(batch_size=64.5)), "batch_size"),
+    (SystemConfig(training=TrainingParams(train_start_slot=-1)), "train_start_slot"),
+    (SystemConfig(training=TrainingParams(num_candidates=False)), "num_candidates"),
+    (SystemConfig(system=SystemParams(exact_cardinality="yes")), "exact_cardinality"),
+    (SystemConfig(channel=ChannelParams(shadowing_per_slot=1)), "shadowing_per_slot"),
+    (SystemConfig(semantic=SemanticParams(shannon_minus_one=0)), "shannon_minus_one"),
+    (SystemConfig(semantic=SemanticParams(fixed_accuracy_mode="no")),
+     "fixed_accuracy_mode"),
+])
+def test_malformed_values_are_reported_not_raised(cfg, field):
+    problems = validate_config(cfg)
+    assert any(p.startswith(field) for p in problems), problems
+
+
+def _table_cfg(path, epsilon_min=0.9):
+    return SystemConfig(semantic=SemanticParams(accuracy_table_csv=str(path),
+                                                epsilon_min=epsilon_min))
+
+
+def test_accuracy_table_is_checked_when_set(tmp_path):
+    good = tmp_path / "curve.csv"
+    good.write_text("snr_db,epsilon\n-10,0.1\n0,0.5\n10,0.95\n20,0.98\n")
+    assert validate_config(_table_cfg(good)) == []
+    for eps_min in (0.05, 0.98, 0.99):     # below the table, at and above its ceiling
+        problems = validate_config(_table_cfg(good, eps_min))
+        assert any(p.startswith("accuracy_table_csv") and "range" in p
+                   for p in problems), (eps_min, problems)
+    not_a_path = SystemConfig(semantic=SemanticParams(accuracy_table_csv=5))
+    assert any(p.startswith("accuracy_table_csv") for p in validate_config(not_a_path))
+    bad_files = {"missing.csv": None, "one_column.csv": "snr_db\n0\n1\n",
+                 "decreasing.csv": "0,0.5\n1,0.4\n", "one_row.csv": "0,0.95\n",
+                 "nan.csv": "0,0.5\nnan,0.95\n",
+                 "text_after_data.csv": "0,0.5\nten,0.7\n20,0.95\n"}
+    for name, text in bad_files.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        problems = validate_config(_table_cfg(path))
+        assert any(p.startswith("accuracy_table_csv") for p in problems), (name, problems)

@@ -252,7 +252,7 @@ def test_batch_evaluation_matches_single_bit_exact():
         assert critic.evaluate_policy(pol, st, CFG).g_value == g[idx]
 
 
-@pytest.mark.parametrize("n", [1, 8, 13])
+@pytest.mark.parametrize("n", [1, 8, 13, 70])
 def test_gathered_allocation_matches_evaluate_policy_bit_exact(n):
     cfg = replace(CFG, system=replace(CFG.system, num_devices=n,
                                       chi_edge=min(4, n), chi_cloud=min(2, n)))
@@ -265,11 +265,21 @@ def test_gathered_allocation_matches_evaluate_policy_bit_exact(n):
         for at_most in (False, True):
             pol = oracle.random_policy(rng, n, cfg.system.chi_edge,
                                        cfg.system.chi_cloud, at_most=at_most)
-            alloc, g = critic.gather(table, tiled, pol)
+            sol, g = critic.gather(table, tiled, pol)
             ref = critic.evaluate_policy(pol, st, cfg)
             assert g == ref.g_value
             for f in ("u_edge", "u_cloud", "f_local", "f_encode", "f_edge"):
-                assert np.array_equal(getattr(alloc, f), getattr(ref.alloc, f)), f
+                assert np.array_equal(getattr(sol.alloc, f), getattr(ref.alloc, f)), f
+            # rates and powers as the engine used to recompute them
+            a = ref.alloc
+            mu_local = np.asarray(power.local_exec_rate(a.f_local, cfg)) + a.u_edge + a.u_cloud
+            assert np.array_equal(sol.mu_local, mu_local)
+            assert np.array_equal(sol.mu_edge, power.edge_exec_rate(a.f_edge, cfg))
+            *parts, total = power.total_power(a, pol, st, cfg)
+            for f, part in zip(("p_local", "p_edge", "p_tx_edge", "p_tx_cloud"), parts):
+                assert np.array_equal(getattr(sol, f), part), f
+            assert float(np.sum(sol.p_local) + np.sum(sol.p_edge) + np.sum(sol.p_tx_edge)
+                         + np.sum(sol.p_tx_cloud)) == total
 
 
 # --- exact association search against enumeration ----------------------------

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -202,3 +203,29 @@ def test_sweep_config_sets_one_field():
         cfg = engine.sweep_config(CFG, parameter, value)
         assert cfg == replace(CFG, system=replace(CFG.system, **{field: value}))
         assert type(getattr(cfg.system, field)) is type(value)
+
+
+# sha256 of metrics.csv after 300 slots, seed 1 (I=8 on scenario 1, I=12 on
+# scenario 2), recorded with Python 3.11 and numpy 2.4 on x86-64.
+PINNED_METRICS_SHA256 = {
+    ("drlh:64", 8, 1): "06dbc0c2f263e397f4b34418a3bc5ab3a36363b567ee8c700edb268336aae1ec",
+    ("exhaustive", 8, 1): "e4c0378b410976698cba9bd9c74bf39e6fae26e1b8c9bc63f0cad93ca631ad58",
+    ("random", 8, 1): "2a44e7393256d3d7dbcff8c8206467c05de009c80b5beb47a7871ba9f7cd5f79",
+    ("exhaustive", 12, 2): "d3934b9833d3858587c267d113fef288e199c234b38c930fe290890e717bb456",
+}
+
+
+@pytest.mark.parametrize("policy,devices,scenario", sorted(PINNED_METRICS_SHA256))
+def test_metrics_csv_bytes_pinned(policy, devices, scenario, tmp_path):
+    """A run's metrics.csv bytes are fixed by its config and seed.
+
+    Hot-path rewrites must leave them unchanged. A hash here changes only
+    with a stated reason: a deliberate change of the model, the random
+    streams or the output format, recorded in CHANGES.md.
+    """
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=devices))
+    preset = engine.scenario_one if scenario == 1 else engine.scenario_two
+    log = engine.run_scenario(cfg, preset(policy=policy, seed=1, total_slots=300))
+    log.to_csv(tmp_path / "metrics.csv")
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_METRICS_SHA256[policy, devices, scenario]
