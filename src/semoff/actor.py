@@ -26,8 +26,8 @@ def featurize(state: SlotState, cfg: SystemConfig) -> np.ndarray:
     are scaled by a fixed reference length.
     """
     tr = cfg.training
-    h2_edge = np.maximum(np.abs(state.h_edge) ** 2, 1e-30)
-    h2_cloud = np.maximum(np.abs(state.h_cloud) ** 2, 1e-30)
+    h2_edge = np.maximum(state.h2_edge, 1e-30)
+    h2_cloud = np.maximum(state.h2_cloud, 1e-30)
     ge = (10.0 * np.log10(h2_edge) - tr.feature_gain_offset_edge_db) / tr.feature_gain_scale_db
     gc = (10.0 * np.log10(h2_cloud) - tr.feature_gain_offset_cloud_db) / tr.feature_gain_scale_db
     q = tr.feature_queue_ref

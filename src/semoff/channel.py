@@ -27,15 +27,10 @@ class LinkGeometry:
 
 @dataclass
 class ChannelDraw:
-    """One slot's channel realisation for all devices."""
+    """One slot's channel gains |h|^2 for all devices."""
 
-    g_edge: np.ndarray        # linear large-scale gain, edge links
-    g_cloud: np.ndarray       # linear large-scale gain, cloud links
-    shadow_cloud: np.ndarray  # linear log-normal shadowing, cloud links
-    htilde_edge: np.ndarray   # complex, unit-mean-power Rician
-    htilde_cloud: np.ndarray  # complex, unit-variance Rayleigh
-    h_edge: np.ndarray        # composite complex coefficient
-    h_cloud: np.ndarray
+    h2_edge: np.ndarray    # pathloss times unit-mean-power Rician fading
+    h2_cloud: np.ndarray   # pathloss, log-normal shadowing and Rayleigh fading
 
 
 def slot_rng(seed: int, stream: int, slot: int) -> np.random.Generator:
@@ -88,7 +83,7 @@ def _rayleigh(rng: np.random.Generator, n: int) -> np.ndarray:
 def draw_channels(geom: LinkGeometry, cfg: SystemConfig,
                   rng: np.random.Generator,
                   static_shadow: np.ndarray | None = None) -> ChannelDraw:
-    """Draw one slot of composite channel coefficients.
+    """Draw one slot of channel gains.
 
     `static_shadow` supplies a run-constant shadowing vector when
     `shadowing_per_slot` is disabled.
@@ -102,11 +97,8 @@ def draw_channels(geom: LinkGeometry, cfg: SystemConfig,
         shadow = 10.0 ** (rng.normal(0.0, cfg.channel.shadowing_std_db, n) / 10.0)
     else:
         shadow = static_shadow
-    h_edge = np.sqrt(g_edge) * htilde_edge
-    h_cloud = np.sqrt(g_cloud * shadow) * htilde_cloud
-    return ChannelDraw(g_edge=g_edge, g_cloud=g_cloud, shadow_cloud=shadow,
-                       htilde_edge=htilde_edge, htilde_cloud=htilde_cloud,
-                       h_edge=h_edge, h_cloud=h_cloud)
+    return ChannelDraw(h2_edge=np.abs(np.sqrt(g_edge) * htilde_edge) ** 2,
+                       h2_cloud=np.abs(np.sqrt(g_cloud * shadow) * htilde_cloud) ** 2)
 
 
 def draw_static_shadow(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:

@@ -118,7 +118,7 @@ def _random_state(cfg: SystemConfig, rng: np.random.Generator,
                   geom: channel.LinkGeometry) -> SlotState:
     n = cfg.system.num_devices
     draw = channel.draw_channels(geom, cfg, rng)
-    return SlotState(h_edge=draw.h_edge, h_cloud=draw.h_cloud,
+    return SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
                      q_local=rng.uniform(0.0, 15.0, n),
                      q_edge=rng.uniform(0.0, 5.0, n),
                      z_local=rng.uniform(0.0, 5.0, n),
@@ -133,8 +133,6 @@ def _stage_grid_rows(cfg: SystemConfig, state: SlotState, sample: int,
     v = s.lyapunov_v
     tau = s.slot_length
     b_e, b_c = cfg.bandwidth_edge, cfg.bandwidth_cloud
-    h2e = np.abs(state.h_edge) ** 2
-    h2c = np.abs(state.h_cloud) ** 2
     ones = np.ones(s.num_devices, dtype=bool)
 
     u_e = critic.solve_edge_volume(state, ones, cfg)
@@ -147,18 +145,12 @@ def _stage_grid_rows(cfg: SystemConfig, state: SlotState, sample: int,
     for i in range(s.num_devices):
         w_edge = (state.q_local[i] + state.z_local[i]
                   - state.q_edge[i] - state.z_edge[i])
-        if s.solver_weight_mode == "simplified":
-            w_cloud = state.q_local[i] + state.z_local[i] - u_e[i]
-            w_local = state.q_local[i]
-            w_decode = state.q_edge[i]
-        else:
-            w_cloud = state.q_local[i] + state.z_local[i]
-            w_local = state.q_local[i] + state.z_local[i]
-            w_decode = state.q_edge[i] + state.z_edge[i]
+        w_local = state.q_local[i] + state.z_local[i]   # also the cloud stage's
+        w_decode = state.q_edge[i] + state.z_edge[i]
 
         stages = []
         hi = min(state.q_local[i], float(power.encode_rate(s.f_local_max, cfg)),
-                 float(power.semantic_volume_cap(h2e[i], b_e, cfg)))
+                 float(power.semantic_volume_cap(state.h2_edge[i], b_e, cfg)))
 
         def j_edge(u):
             f_en = u * s.task_flops_encode / (tau * s.flops_per_cycle_local)
@@ -167,13 +159,13 @@ def _stage_grid_rows(cfg: SystemConfig, state: SlotState, sample: int,
         stages.append(("edge_volume", u_e[i], max(hi, 0.0), j_edge))
 
         hi_c = max(min(state.q_local[i] - u_e[i],
-                       float(power.cloud_offload_cap(h2c[i], b_c, cfg))), 0.0)
+                       float(power.cloud_offload_cap(state.h2_cloud[i], b_c, cfg))), 0.0)
         bits = cfg.semantic.sentence_len * cfg.semantic.bits_per_word
 
         def j_cloud(u):
             exp = u * bits / (tau * b_c)
-            p = (2.0 ** exp - 1.0) * cfg.channel.noise_psd * b_c / h2c[i]
-            return -w_cloud * u + v * p
+            p = (2.0 ** exp - 1.0) * cfg.channel.noise_psd * b_c / state.h2_cloud[i]
+            return -w_local * u + v * p
 
         stages.append(("cloud_volume", u_c[i], hi_c, j_cloud))
 
@@ -272,27 +264,10 @@ def cmd_verify(args) -> int:
         state = _random_state(cfg, rng, geom)
         pol = oracle.random_policy(rng, cfg.system.num_devices,
                                    cfg.system.chi_edge, cfg.system.chi_cloud)
-        res = critic.evaluate_policy(pol, state, cfg)
-        mu_local = (np.asarray(power.local_exec_rate(res.alloc.f_local, cfg))
-                    + res.alloc.u_edge + res.alloc.u_cloud)
-        mu_edge = np.asarray(power.edge_exec_rate(res.alloc.f_edge, cfg))
+        sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
         arrivals = rng.poisson(cfg.mean_arrivals_per_slot,
                                cfg.system.num_devices).astype(float)
-        p_total = power.total_power(res.alloc, pol, state, cfg)[4]
-        q_l = queueing.update_local_queue(state.q_local, mu_local, arrivals)
-        q_e = queueing.update_edge_queue(state.q_edge, mu_edge, res.alloc.u_edge)
-        nxt = SlotState(h_edge=state.h_edge, h_cloud=state.h_cloud,
-                        q_local=q_l, q_edge=q_e,
-                        z_local=queueing.update_virtual_queue(state.z_local, q_l,
-                                                              cfg.system.q_max_local),
-                        z_edge=queueing.update_virtual_queue(state.z_edge, q_e,
-                                                             cfg.system.q_max_edge))
-        dpp = queueing.drift_plus_penalty(state, nxt, p_total, cfg.system.lyapunov_v)
-        cap_c = power.cloud_offload_cap(np.abs(state.h_cloud) ** 2,
-                                        cfg.bandwidth_cloud, cfg)
-        bound = queueing.drift_penalty_bound(state, mu_local, mu_edge,
-                                             res.alloc.u_edge, arrivals,
-                                             p_total, cfg, caps, cap_c)
+        _, _, dpp, bound = engine.step(state, sol, arrivals, cfg, caps)
         if dpp > bound + 1e-9:
             violations += 1
     ok = violations == 0

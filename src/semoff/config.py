@@ -24,7 +24,8 @@ import numpy as np
 
 
 class ConfigError(ValueError):
-    """Raised for malformed config files (unknown keys, wrong types)."""
+    """Raised for malformed config files (unknown keys, a group that is
+    not an object); `validate_config` reports wrong values."""
 
 
 # -174 dBm/Hz thermal noise floor expressed in W/Hz.
@@ -54,17 +55,13 @@ class SystemParams:
     task_flops_encode: float = 1.2e9     # FLOP/task
     task_flops_decode: float = 3.6e9     # FLOP/task
     task_flops_total: Optional[float] = None  # defaults to encode + decode
-    # "consistent": stationary points weighted exactly as the per-slot
-    # objective implies (real plus virtual queue everywhere).
-    # "simplified": real-queue-only weights in the frequency solvers and a
-    # net-of-edge-offload weight in the cloud-volume solver.
-    solver_weight_mode: str = "consistent"
     # True: association counts are exactly chi (matches the enumerated
     # search-space sizes); False: counts up to chi.
     exact_cardinality: bool = True
 
     def __post_init__(self) -> None:
-        if self.task_flops_total is None:
+        if self.task_flops_total is None and type(self.task_flops_encode) in _NUMBER \
+                and type(self.task_flops_decode) in _NUMBER:
             object.__setattr__(
                 self, "task_flops_total",
                 self.task_flops_encode + self.task_flops_decode)
@@ -128,7 +125,8 @@ class TrainingParams:
     feature_queue_ref: float = 10.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        if isinstance(self.hidden_sizes, list):   # as read from JSON
+            object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
 
 
 @dataclass(frozen=True)
@@ -167,32 +165,53 @@ class SystemConfig:
         return self.system.arrival_rate_per_sec * self.system.slot_length
 
 
+_NUMBER = frozenset({int, float})
+
+# The exact types each field annotation of the parameter groups admits, and
+# how to name them: JSON allows any type, and bool is a subclass of int.
+# An annotation missing here fails at import, so no field goes unchecked.
+_ADMITS = {
+    "int": (frozenset({int}), "an integer"),
+    "float": (_NUMBER, "a number"),
+    "Optional[float]": (_NUMBER | {type(None)}, "a number or null"),
+    "bool": (frozenset({bool}), "true or false"),
+    "Optional[str]": (frozenset({str, type(None)}), "a file path or null"),
+    "tuple[int, ...]": (frozenset({tuple}), "a list of integers"),
+}
+
+# (name, admitted types, their name) for every field of each group
+_FIELD_TYPES = {cls: [(f.name, *_ADMITS[f.type]) for f in dataclasses.fields(cls)]
+                for cls in (SystemParams, ChannelParams, SemanticParams, TrainingParams)}
+
+
 def validate_config(cfg: SystemConfig) -> list[str]:
     """Check every config invariant; returns one message per violation.
 
     Reports rather than throws so a caller can surface all problems at once.
+    Field types are checked first, for every field; the range checks run
+    only once every type is right.
     """
-    sys_, ch, sem, tr = cfg.system, cfg.channel, cfg.semantic, cfg.training
     bad: list[str] = []
+    for group in (cfg.system, cfg.channel, cfg.semantic, cfg.training):
+        for name, admits, kind in _FIELD_TYPES[type(group)]:
+            value = getattr(group, name)
+            if type(value) not in admits:
+                bad.append(f"{name}: must be {kind}, got {value!r}")
+    if bad:
+        return bad
+
+    sys_, ch, sem, tr = cfg.system, cfg.channel, cfg.semantic, cfg.training
 
     def positive(name: str, value: float) -> None:
-        if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+        if not 0 < value < math.inf:
             bad.append(f"{name}: must be a positive finite number, got {value!r}")
 
-    def not_integer(name: str, value: Any) -> None:
-        bad.append(f"{name}: must be an integer, got {value!r}")
-
-    # counts and flags must be exactly int and bool (JSON allows any type);
-    # `type(x) is int` also refuses bool
-    devices_ok = type(sys_.num_devices) is int
-    if not devices_ok:
-        not_integer("num_devices", sys_.num_devices)
-    elif sys_.num_devices < 1:
+    if sys_.num_devices < 1:
         bad.append(f"num_devices: must be >= 1, got {sys_.num_devices}")
     positive("slot_length", sys_.slot_length)
     positive("lyapunov_v", sys_.lyapunov_v)
-    if sys_.arrival_rate_per_sec < 0:
-        bad.append("arrival_rate_per_sec: must be >= 0")
+    if not 0 <= sys_.arrival_rate_per_sec < math.inf:
+        bad.append("arrival_rate_per_sec: must be a finite number >= 0")
     for name in ("f_local_max", "f_edge_max", "flops_per_cycle_local",
                  "flops_per_cycle_edge", "alpha_local", "alpha_edge_weighted",
                  "task_flops_encode", "task_flops_decode"):
@@ -203,37 +222,24 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         positive(name, getattr(sem, name))
 
     for name, chi in (("chi_edge", sys_.chi_edge), ("chi_cloud", sys_.chi_cloud)):
-        if type(chi) is not int:
-            not_integer(name, chi)
-        elif chi < 0:
+        if chi < 0:
             bad.append(f"{name}: must be >= 0, got {chi}")
-        elif devices_ok and chi > sys_.num_devices:
+        elif chi > sys_.num_devices:
             bad.append(f"{name} exceeds device count ({chi} > {sys_.num_devices})")
-    for name, flag in (("exact_cardinality", sys_.exact_cardinality),
-                       ("shadowing_per_slot", ch.shadowing_per_slot),
-                       ("shannon_minus_one", sem.shannon_minus_one),
-                       ("fixed_accuracy_mode", sem.fixed_accuracy_mode)):
-        if type(flag) is not bool:
-            bad.append(f"{name}: must be true or false, got {flag!r}")
 
     for name, q_max in (("q_max_local", sys_.q_max_local),
                         ("q_max_edge", sys_.q_max_edge)):
-        if q_max is not None:
-            if not (math.isfinite(q_max) and q_max > 0):
-                bad.append(f"{name}: must be positive and finite, or null for unbounded")
+        if q_max is not None and not 0 < q_max < math.inf:
+            bad.append(f"{name}: must be positive and finite, or null for unbounded")
     if sys_.q_max_local is not None and sys_.q_max_local < cfg.mean_arrivals_per_slot:
         bad.append("q_max_local: must be at least the mean arrivals per slot "
                    f"({sys_.q_max_local} < {cfg.mean_arrivals_per_slot})")
 
     total = sys_.task_flops_total
     expect = sys_.task_flops_encode + sys_.task_flops_decode
-    if total is None or total != expect:
+    if total != expect:
         bad.append(f"task_flops_total: must equal task_flops_encode + task_flops_decode "
                    f"({total} != {expect})")
-
-    if sys_.solver_weight_mode not in ("consistent", "simplified"):
-        bad.append(f"solver_weight_mode: must be 'consistent' or 'simplified', "
-                   f"got {sys_.solver_weight_mode!r}")
 
     if not (0.0 < sem.epsilon_min < 1.0):
         bad.append(f"epsilon_min: must lie in (0, 1), got {sem.epsilon_min}")
@@ -241,12 +247,8 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         bad.append(f"accuracy_ceiling: must lie in (0, 1], got {sem.accuracy_ceiling}")
     if sem.epsilon_min >= sem.accuracy_ceiling:
         bad.append("epsilon_min: must be below accuracy_ceiling")
-    if sem.accuracy_slope_per_db <= 0:
-        bad.append("accuracy_slope_per_db: must be > 0")
-    if sem.accuracy_table_csv is not None and not isinstance(sem.accuracy_table_csv, str):
-        bad.append(f"accuracy_table_csv: must be a file path or null, "
-                   f"got {sem.accuracy_table_csv!r}")
-    elif sem.accuracy_table_csv is not None:
+    positive("accuracy_slope_per_db", sem.accuracy_slope_per_db)
+    if sem.accuracy_table_csv is not None:
         from .power import load_accuracy_table  # power imports this module
         try:
             curve = load_accuracy_table(sem.accuracy_table_csv)
@@ -257,35 +259,36 @@ def validate_config(cfg: SystemConfig) -> list[str]:
                 bad.append(f"accuracy_table_csv: epsilon_min {sem.epsilon_min} must lie "
                            f"in the table's range [{curve.epsilon[0]}, {curve.ceiling})")
 
-    if not (0 < ch.hotspot_radius_min < ch.hotspot_radius_max):
-        bad.append("hotspot_radius_min/max: need 0 < min < max")
+    if not 0 < ch.hotspot_radius_min < ch.hotspot_radius_max < math.inf:
+        bad.append("hotspot_radius_min, hotspot_radius_max: need 0 < min < max < inf")
     positive("cloud_distance", ch.cloud_distance)
-    if ch.shadowing_std_db < 0:
-        bad.append("shadowing_std_db: must be >= 0")
+    if not 0 <= ch.shadowing_std_db < math.inf:
+        bad.append("shadowing_std_db: must be a finite number >= 0")
+    for group, name in ((ch, "pathloss_intercept_db"), (ch, "pathloss_slope_db"),
+                        (ch, "rician_k_db"), (sem, "accuracy_midpoint_db"),
+                        (tr, "feature_gain_offset_edge_db"), (tr, "feature_gain_offset_cloud_db")):
+        if not -math.inf < getattr(group, name) < math.inf:
+            bad.append(f"{name}: must be finite")
 
     positive("learning_rate", tr.learning_rate)
-    counts_ok = True
     for name, count, low in (("memory_size", tr.memory_size, 1),
                              ("batch_size", tr.batch_size, 1),
                              ("train_interval", tr.train_interval, 1),
                              ("train_start_slot", tr.train_start_slot, 0),
                              ("num_candidates", tr.num_candidates, 1),
                              ("total_slots", tr.total_slots, 1)):
-        if type(count) is not int:
-            not_integer(name, count)
-            counts_ok = False
-        elif count < low:
+        if count < low:
             bad.append(f"{name}: must be >= {low}")
-    if counts_ok and tr.batch_size > tr.memory_size:
+    if tr.batch_size > tr.memory_size:
         bad.append("batch_size: must not exceed memory_size")
     if not tr.hidden_sizes:
         bad.append("hidden_sizes: must list at least one layer size")
     for size in tr.hidden_sizes:
         if type(size) is not int or size < 1:
             bad.append(f"hidden_sizes: layer sizes must be integers >= 1, got {size!r}")
-    noise = tr.candidate_noise_std
-    if not ((type(noise) is int or isinstance(noise, float)) and 0 <= noise < math.inf):
-        bad.append(f"candidate_noise_std: must be a finite number >= 0, got {noise!r}")
+    if not 0 <= tr.candidate_noise_std < math.inf:
+        bad.append(f"candidate_noise_std: must be a finite number >= 0, "
+                   f"got {tr.candidate_noise_std!r}")
     positive("feature_gain_scale_db", tr.feature_gain_scale_db)
     positive("feature_queue_ref", tr.feature_queue_ref)
     return bad
@@ -299,8 +302,8 @@ def validate_config(cfg: SystemConfig) -> list[str]:
 class SlotState:
     """Observable state at the start of a slot: channels plus queue backlog."""
 
-    h_edge: np.ndarray   # complex channel coefficients, edge links
-    h_cloud: np.ndarray  # complex channel coefficients, cloud links
+    h2_edge: np.ndarray   # channel gains |h|^2, edge links
+    h2_cloud: np.ndarray  # channel gains |h|^2, cloud links
     q_local: np.ndarray  # tasks
     q_edge: np.ndarray   # tasks
     z_local: np.ndarray  # virtual queue enforcing the mean local-queue cap
@@ -309,14 +312,13 @@ class SlotState:
     @classmethod
     def initial(cls, num_devices: int) -> "SlotState":
         zeros = np.zeros(num_devices)
-        ones = np.ones(num_devices, dtype=complex)
-        return cls(h_edge=ones.copy(), h_cloud=ones.copy(),
+        return cls(h2_edge=np.ones(num_devices), h2_cloud=np.ones(num_devices),
                    q_local=zeros.copy(), q_edge=zeros.copy(),
                    z_local=zeros.copy(), z_edge=zeros.copy())
 
     def check(self) -> None:
-        n = len(self.h_edge)
-        for name in ("h_cloud", "q_local", "q_edge", "z_local", "z_edge"):
+        n = len(self.h2_edge)
+        for name in ("h2_cloud", "q_local", "q_edge", "z_local", "z_edge"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"SlotState.{name}: expected length {n}")
         q = np.concatenate((self.q_local, self.q_edge, self.z_local, self.z_edge))
@@ -367,21 +369,6 @@ class Allocation:
     f_edge: np.ndarray    # Hz spent decoding at the edge server
 
 
-@dataclass
-class SlotOutcome:
-    """Realised rates, powers, objective value, and the post-slot state."""
-
-    mu_local: np.ndarray
-    mu_edge: np.ndarray
-    p_local: np.ndarray
-    p_edge: np.ndarray
-    p_tx_edge: np.ndarray
-    p_tx_cloud: np.ndarray
-    total_power: float
-    g_value: float
-    next_state: SlotState
-
-
 # ---------------------------------------------------------------------------
 # Structured-text config file handling
 # ---------------------------------------------------------------------------
@@ -392,21 +379,15 @@ _GROUPS = {
     "semantic": SemanticParams,
     "training": TrainingParams,
 }
-_OPTIONAL_NONE_FIELDS = {"q_max_local", "q_max_edge", "task_flops_total",
-                         "accuracy_table_csv"}
 
 
 def _params_from_dict(cls: type, data: dict[str, Any], group: str) -> Any:
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    """A parameter group from its parsed form; `validate_config` checks
+    the values' types (null included)."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in '{group}': {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for name, value in data.items():
-        if value is None and name not in _OPTIONAL_NONE_FIELDS:
-            raise ConfigError(f"'{group}.{name}' must not be null")
-        kwargs[name] = value
-    return cls(**kwargs)
+    return cls(**data)
 
 
 def config_from_dict(data: dict[str, Any]) -> SystemConfig:

@@ -14,12 +14,8 @@ Each subproblem drops the coupling terms the sequence has not fixed yet;
 notably the edge-volume stage ignores the semantic transmit power, which is
 orders of magnitude below the compute power it trades against. The
 assembled allocation is then scored with the full per-slot objective,
-transmit powers included.
-
-`solver_weight_mode` selects the queue weights of the stationary points:
-"consistent" uses real-plus-virtual backlog everywhere (the weights the
-per-slot objective implies), "simplified" uses real-queue-only weights in
-the frequency stages and a net-of-edge-offload weight in the cloud stage.
+transmit powers included. Every stationary point weighs the backlog by its
+real plus virtual queue, as the per-slot objective implies.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ class CriticResult:
     local_terms: np.ndarray   # -(q_l + z_l) * (mu_local - mean arrivals)
     edge_terms: np.ndarray    # -(q_e + z_e) * (mu_edge - u_edge)
     power_terms: np.ndarray   # v * (all four power components)
-    feasible: np.ndarray      # per-device transmit powers within the cap
 
 
 def solve_edge_volume(state: SlotState, edge_mask: np.ndarray,
@@ -66,10 +61,9 @@ def solve_edge_volume(state: SlotState, edge_mask: np.ndarray,
     with np.errstate(invalid="ignore"):
         stationary = np.sqrt(rate_per_hz ** 3 * np.maximum(w, 0.0)
                              / (3.0 * s.lyapunov_v * s.alpha_local))
-    h2_edge = np.abs(state.h_edge) ** 2
     cap = np.minimum(state.q_local,
                      np.minimum(power.encode_rate(s.f_local_max, cfg),
-                                power.semantic_volume_cap(h2_edge, cfg.bandwidth_edge, cfg)))
+                                power.semantic_volume_cap(state.h2_edge, cfg.bandwidth_edge, cfg)))
     out = np.where((w > 0) & edge_mask, np.minimum(stationary, cap), 0.0)
     return np.maximum(out, 0.0)
 
@@ -78,20 +72,16 @@ def solve_cloud_volume(state: SlotState, cloud_mask: np.ndarray,
                        u_edge: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Cloud offload volume: clamped stationary point of the Shannon-power tradeoff."""
     s, sem = cfg.system, cfg.semantic
-    if s.solver_weight_mode == "simplified":
-        w = state.q_local + state.z_local - u_edge
-    else:
-        w = state.q_local + state.z_local
+    w = state.q_local + state.z_local
     b_c = cfg.bandwidth_cloud
     bits_per_task = sem.sentence_len * sem.bits_per_word
-    h2_cloud = np.abs(state.h_cloud) ** 2
     scale = s.slot_length * b_c / bits_per_task
-    arg = (np.maximum(w, 0.0) * s.slot_length * h2_cloud
+    arg = (np.maximum(w, 0.0) * s.slot_length * state.h2_cloud
            / (LN2 * s.lyapunov_v * bits_per_task * cfg.channel.noise_psd))
     with np.errstate(divide="ignore"):
         stationary = np.where(arg > 0, scale * np.log2(np.maximum(arg, 1e-300)), 0.0)
     cap = np.minimum(state.q_local - u_edge,
-                     power.cloud_offload_cap(h2_cloud, b_c, cfg))
+                     power.cloud_offload_cap(state.h2_cloud, b_c, cfg))
     out = np.where(cloud_mask, np.clip(stationary, 0.0, np.maximum(cap, 0.0)), 0.0)
     return out
 
@@ -101,8 +91,7 @@ def solve_local_frequency(state: SlotState, u_edge: np.ndarray,
     """Local execution clock: cubic-power stationary point under the clock
     budget left by encoding and the backlog left by offloading."""
     s = cfg.system
-    mode = cfg.system.solver_weight_mode
-    w_local = state.q_local if mode == "simplified" else state.q_local + state.z_local
+    w_local = state.q_local + state.z_local
     stationary = np.sqrt(s.slot_length * np.maximum(w_local, 0.0) * s.flops_per_cycle_local
                          / (3.0 * s.lyapunov_v * s.task_flops_total * s.alpha_local))
     f_encode = power.encode_frequency(u_edge, cfg)
@@ -116,8 +105,7 @@ def solve_edge_frequency(state: SlotState, cfg: SystemConfig) -> np.ndarray:
     """Edge decode clock; solved for every device with edge backlog, since
     the edge queue drains regardless of the current slot's association."""
     s = cfg.system
-    mode = cfg.system.solver_weight_mode
-    w = state.q_edge if mode == "simplified" else state.q_edge + state.z_edge
+    w = state.q_edge + state.z_edge
     stationary = np.sqrt(s.slot_length * np.maximum(w, 0.0) * s.flops_per_cycle_edge
                          / (3.0 * s.lyapunov_v * s.task_flops_decode * s.alpha_edge_weighted))
     queue_clamp = state.q_edge * s.task_flops_decode / (s.slot_length * s.flops_per_cycle_edge)
@@ -140,10 +128,25 @@ _REL_TOL = 1e-9
 _TX_POWER_TOL = 1e-5
 
 
+def check_clocks_and_backlog(sol: Solution, state: SlotState, cfg: SystemConfig) -> None:
+    """Raise FeasibilityError if the clocks exceed their budgets or the
+    served volumes exceed the backlog, beyond rounding: 1e-9 relative,
+    plus 1e-9 tasks for the volumes."""
+    s, alloc = cfg.system, sol.alloc
+    tol = 1 + _REL_TOL
+    if np.any(alloc.f_local + alloc.f_encode > s.f_local_max * tol):
+        raise FeasibilityError("f_local + f_encode exceeds f_local_max")
+    if np.any(alloc.f_edge > s.f_edge_max * tol):
+        raise FeasibilityError("f_edge exceeds f_edge_max")
+    if np.any(sol.mu_local > state.q_local * tol + _REL_TOL):
+        raise FeasibilityError("served local volume exceeds local backlog")
+    if np.any(sol.mu_edge > state.q_edge * tol + _REL_TOL):
+        raise FeasibilityError("edge decode volume exceeds edge backlog")
+
+
 def check_allocation(alloc: Allocation, policy: Policy, state: SlotState,
                      cfg: SystemConfig) -> None:
     """Raise FeasibilityError naming the first violated per-slot constraint."""
-    s = cfg.system
     if np.any(alloc.u_edge[~policy.rho_edge] != 0):
         raise FeasibilityError("u_edge must be zero without edge association")
     if np.any(alloc.u_cloud[~policy.rho_cloud] != 0):
@@ -153,24 +156,13 @@ def check_allocation(alloc: Allocation, policy: Policy, state: SlotState,
                     ("f_edge", alloc.f_edge)):
         if np.any(np.asarray(v) < 0):
             raise FeasibilityError(f"{name} must be >= 0")
-    tol = 1 + _REL_TOL
-    if np.any(alloc.f_local + alloc.f_encode > s.f_local_max * tol):
-        raise FeasibilityError("f_local + f_encode exceeds f_local_max")
-    if np.any(alloc.f_edge > s.f_edge_max * tol):
-        raise FeasibilityError("f_edge exceeds f_edge_max")
-    mu_local = (np.asarray(power.local_exec_rate(alloc.f_local, cfg))
-                + alloc.u_edge + alloc.u_cloud)
-    if np.any(mu_local > state.q_local * tol + _REL_TOL):
-        raise FeasibilityError("served local volume exceeds local backlog")
-    mu_edge = np.asarray(power.edge_exec_rate(alloc.f_edge, cfg))
-    if np.any(mu_edge > state.q_edge * tol + _REL_TOL):
-        raise FeasibilityError("edge decode volume exceeds edge backlog")
+    sol = rates_and_powers(alloc, policy, state, cfg)
+    check_clocks_and_backlog(sol, state, cfg)
     # the accuracy-curve inversion near its ceiling round-trips to ~1e-6
     # relative in float64, so the power guard is correspondingly looser
-    p_tx_e, p_tx_c = power.transmit_powers(alloc, state, cfg)
-    if np.any(p_tx_e > cfg.channel.p_tx_max * (1 + _TX_POWER_TOL)):
+    if np.any(sol.p_tx_edge > cfg.channel.p_tx_max * (1 + _TX_POWER_TOL)):
         raise FeasibilityError("semantic transmit power exceeds p_tx_max")
-    if np.any(p_tx_c > cfg.channel.p_tx_max * (1 + _TX_POWER_TOL)):
+    if np.any(sol.p_tx_cloud > cfg.channel.p_tx_max * (1 + _TX_POWER_TOL)):
         raise FeasibilityError("cloud transmit power exceeds p_tx_max")
 
 
@@ -231,13 +223,9 @@ def evaluate_policy(policy: Policy, state: SlotState,
                                 policy.rho_cloud.astype(bool), cfg)
     local_terms, edge_terms, power_terms = g_terms(
         rates_and_powers(alloc, policy, state, cfg), state, cfg)
-    p_tx_e, p_tx_c = power.transmit_powers(alloc, state, cfg)
-    cap = cfg.channel.p_tx_max * (1 + _TX_POWER_TOL)
-    feasible = (p_tx_e <= cap) & (p_tx_c <= cap)
     g_value = float(np.sum(local_terms + edge_terms + power_terms))
     return CriticResult(alloc=alloc, g_value=g_value, local_terms=local_terms,
-                        edge_terms=edge_terms, power_terms=power_terms,
-                        feasible=feasible)
+                        edge_terms=edge_terms, power_terms=power_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +247,7 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
     """
     n = cfg.system.num_devices
     tiled = SlotState(*(np.concatenate((x, x, x, x)) for x in (
-        state.h_edge, state.h_cloud, state.q_local, state.q_edge,
+        state.h2_edge, state.h2_cloud, state.q_local, state.q_edge,
         state.z_local, state.z_edge)))
     e_mask = np.repeat(np.array([False, False, True, True]), n)
     c_mask = np.repeat(np.array([False, True, False, True]), n)

@@ -19,8 +19,8 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import actor, channel, critic, oracle, power, queueing
-from .config import (Policy, SlotOutcome, SlotState, SystemConfig,
-                     config_to_dict, validate_config)
+from .config import (Policy, SlotState, SystemConfig, config_to_dict,
+                     validate_config)
 
 # Named RNG streams (master seed, stream id[, slot]).
 STREAM_PLACEMENT = 0
@@ -87,15 +87,10 @@ class Scenario:
 
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
-    known = {"name", "policy", "seed", "arrival_rate_per_sec", "q_max_local",
-             "q_max_edge", "total_slots"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in dataclasses.fields(Scenario)}
     if unknown:
         raise ValueError(f"unknown key(s) in 'scenario': {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
-        kwargs[key] = value
-    return Scenario(**kwargs)
+    return Scenario(**data)
 
 
 def scenario_one(policy: str = "drlh:64", seed: int = 1,
@@ -219,6 +214,36 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
+def step(state: SlotState, sol: critic.Solution, arrivals: np.ndarray,
+         cfg: SystemConfig, caps: queueing.RateCaps
+         ) -> tuple[SlotState, tuple[float, float, float, float, float], float, float]:
+    """One slot's queue transition under a solved allocation.
+
+    Checks the clock budgets and the backlog (`critic.check_clocks_and_backlog`),
+    updates the real and then the virtual queues, and returns the next
+    state (the slot's channels carried over), the power sums (local, edge,
+    edge transmit, cloud transmit, total), the realised drift-plus-penalty
+    and its upper bound. Pure: `state` and `sol` are not modified.
+    """
+    s = cfg.system
+    critic.check_clocks_and_backlog(sol, state, cfg)
+    sums = [float(np.sum(p)) for p in (sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud)]
+    p_total = sums[0] + sums[1] + sums[2] + sums[3]   # `power.total_power`'s order
+    q_local = queueing.update_local_queue(state.q_local, sol.mu_local, arrivals)
+    q_edge = queueing.update_edge_queue(state.q_edge, sol.mu_edge, sol.alloc.u_edge)
+    nxt = SlotState(h2_edge=state.h2_edge, h2_cloud=state.h2_cloud,
+                    q_local=q_local, q_edge=q_edge,
+                    z_local=queueing.update_virtual_queue(state.z_local, q_local,
+                                                          s.q_max_local),
+                    z_edge=queueing.update_virtual_queue(state.z_edge, q_edge,
+                                                         s.q_max_edge))
+    dpp = queueing.drift_plus_penalty(state, nxt, p_total, s.lyapunov_v)
+    u_cloud_cap = power.cloud_offload_cap(state.h2_cloud, cfg.bandwidth_cloud, cfg)
+    bound = queueing.drift_penalty_bound(state, sol.mu_local, sol.mu_edge, sol.alloc.u_edge,
+                                         arrivals, p_total, cfg, caps, u_cloud_cap)
+    return nxt, (*sums, p_total), dpp, bound
+
+
 class Simulation:
     """One run: a config, a policy source, a seed, and the slot loop."""
 
@@ -307,50 +332,24 @@ class Simulation:
         sol, g_value = critic.gather(table, tiled, chosen)
         return chosen, sol, g_value
 
-    def run_slot(self, t: int, log: MetricsLog) -> SlotOutcome:
+    def run_slot(self, t: int, log: MetricsLog) -> None:
         """Advance one slot: draw channels, decide, execute, update queues."""
         cfg = self.cfg
         draw = channel.draw_channels(self.geometry, cfg,
                                      channel.slot_rng(self.seed, STREAM_CHANNEL, t),
                                      self.static_shadow)
-        state = SlotState(h_edge=draw.h_edge, h_cloud=draw.h_cloud,
+        state = SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
                           q_local=self.q_local, q_edge=self.q_edge,
                           z_local=self.z_local, z_edge=self.z_edge)
         state.check()
 
         chosen, sol, g_value = self._choose(t, state, log)
-        alloc, mu_local, mu_edge = sol.alloc, sol.mu_local, sol.mu_edge
-
-        # backlog constraints must hold by construction; tolerate rounding only
-        if np.any(mu_local > self.q_local + 1e-6) or np.any(mu_edge > self.q_edge + 1e-6):
-            raise RuntimeError(f"slot {t}: executed volume exceeds backlog")
-        if np.any(alloc.f_local + alloc.f_encode > cfg.system.f_local_max * (1 + 1e-9)):
-            raise RuntimeError(f"slot {t}: local clock budget violated")
-
-        p_l, p_e, p_tx_e, p_tx_c = sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud
-        sum_l, sum_e, sum_tx_e, sum_tx_c = (float(np.sum(p)) for p in (p_l, p_e, p_tx_e, p_tx_c))
-        p_total = sum_l + sum_e + sum_tx_e + sum_tx_c   # `power.total_power`'s order
-
         arrivals = channel.slot_rng(self.seed, STREAM_ARRIVALS, t).poisson(
             cfg.mean_arrivals_per_slot, cfg.system.num_devices).astype(float)
-
-        q_local_next = queueing.update_local_queue(self.q_local, mu_local, arrivals)
-        q_edge_next = queueing.update_edge_queue(self.q_edge, mu_edge, alloc.u_edge)
-        z_local_next = queueing.update_virtual_queue(self.z_local, q_local_next,
-                                                     cfg.system.q_max_local)
-        z_edge_next = queueing.update_virtual_queue(self.z_edge, q_edge_next,
-                                                    cfg.system.q_max_edge)
-        next_state = SlotState(h_edge=draw.h_edge, h_cloud=draw.h_cloud,
-                               q_local=q_local_next, q_edge=q_edge_next,
-                               z_local=z_local_next, z_edge=z_edge_next)
-
-        dpp = queueing.drift_plus_penalty(state, next_state, p_total,
-                                          cfg.system.lyapunov_v)
-        h2_cloud = np.abs(draw.h_cloud) ** 2
-        u_cloud_cap = power.cloud_offload_cap(h2_cloud, cfg.bandwidth_cloud, cfg)
-        bound = queueing.drift_penalty_bound(state, mu_local, mu_edge,
-                                             alloc.u_edge, arrivals, p_total,
-                                             cfg, self.caps, u_cloud_cap)
+        try:
+            nxt, powers, dpp, bound = step(state, sol, arrivals, cfg, self.caps)
+        except critic.FeasibilityError as exc:
+            raise critic.FeasibilityError(f"slot {t}: {exc}") from exc
         if dpp > bound + 1e-9:
             log.bound_violations += 1
 
@@ -359,17 +358,14 @@ class Simulation:
         log.q_edge[t] = self.q_edge
         log.z_local[t] = self.z_local
         log.z_edge[t] = self.z_edge
-        log.u_edge[t] = alloc.u_edge
-        log.u_cloud[t] = alloc.u_cloud
-        log.mu_local[t] = mu_local
-        log.mu_edge[t] = mu_edge
-        log.h2_edge[t] = np.abs(draw.h_edge) ** 2
-        log.h2_cloud[t] = h2_cloud
-        log.p_local[t] = sum_l
-        log.p_edge[t] = sum_e
-        log.p_tx_edge[t] = sum_tx_e
-        log.p_tx_cloud[t] = sum_tx_c
-        log.p_total[t] = p_total
+        log.u_edge[t] = sol.alloc.u_edge
+        log.u_cloud[t] = sol.alloc.u_cloud
+        log.mu_local[t] = sol.mu_local
+        log.mu_edge[t] = sol.mu_edge
+        log.h2_edge[t] = state.h2_edge
+        log.h2_cloud[t] = state.h2_cloud
+        (log.p_local[t], log.p_edge[t], log.p_tx_edge[t], log.p_tx_cloud[t],
+         log.p_total[t]) = powers
         log.g_value[t] = g_value
         log.dpp[t] = dpp
         log.bound[t] = bound
@@ -377,14 +373,10 @@ class Simulation:
         log.policy_edge[t] = e_key
         log.policy_cloud[t] = c_key
 
-        self.q_local = q_local_next
-        self.q_edge = q_edge_next
-        self.z_local = z_local_next
-        self.z_edge = z_edge_next
-        return SlotOutcome(mu_local=mu_local, mu_edge=mu_edge, p_local=p_l,
-                           p_edge=p_e, p_tx_edge=p_tx_e, p_tx_cloud=p_tx_c,
-                           total_power=p_total, g_value=g_value,
-                           next_state=next_state)
+        self.q_local = nxt.q_local
+        self.q_edge = nxt.q_edge
+        self.z_local = nxt.z_local
+        self.z_edge = nxt.z_edge
 
 
 def run_scenario(cfg: SystemConfig, scenario: Scenario,

@@ -1,5 +1,5 @@
-"""Ground-truth baselines: full policy enumeration, exhaustive search, and
-the uniform-random policy.
+"""Ground-truth baselines: full policy enumeration and the uniform-random
+policy.
 
 Enumeration is a test oracle and the `enumerate` command's output; the
 exhaustive search itself is the exact dynamic program in
@@ -19,8 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import Policy, SlotState, SystemConfig
-from . import critic
+from .config import Policy
 
 
 def _subset_sizes(chi: int, n: int, at_most: bool) -> list[int]:
@@ -64,16 +63,6 @@ def policy_table(num_devices: int, chi_edge: int, chi_cloud: int,
         edges.append(pol.rho_edge)
         clouds.append(pol.rho_cloud)
     return np.array(edges, dtype=bool), np.array(clouds, dtype=bool)
-
-
-def exhaustive_best(state: SlotState, cfg: SystemConfig
-                    ) -> tuple[Policy, critic.CriticResult]:
-    """Minimum-objective policy over the whole feasible set (first in
-    enumeration order on ties), found by `critic.best_association`."""
-    table, _ = critic.device_g_table(state, cfg)
-    pol = critic.best_association(table, cfg.system.chi_edge, cfg.system.chi_cloud,
-                                  at_most=not cfg.system.exact_cardinality)
-    return pol, critic.evaluate_policy(pol, state, cfg)
 
 
 def random_policy(rng: np.random.Generator, num_devices: int, chi_edge: int,

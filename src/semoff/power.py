@@ -254,13 +254,11 @@ def transmit_powers(alloc: Allocation, state: SlotState, cfg: SystemConfig
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-device semantic and cloud transmit powers; zero for zero volume."""
     b_e, b_c = cfg.bandwidth_edge, cfg.bandwidth_cloud
-    h2_edge = np.abs(state.h_edge) ** 2
-    h2_cloud = np.abs(state.h_cloud) ** 2
     eps_req = required_accuracy(alloc.u_edge, b_e, cfg)
     p_tx_e = np.where(alloc.u_edge > 0,
-                      semantic_tx_power(eps_req, h2_edge, b_e, cfg), 0.0)
+                      semantic_tx_power(eps_req, state.h2_edge, b_e, cfg), 0.0)
     p_tx_c = np.where(alloc.u_cloud > 0,
-                      shannon_tx_power(alloc.u_cloud, h2_cloud, b_c, cfg), 0.0)
+                      shannon_tx_power(alloc.u_cloud, state.h2_cloud, b_c, cfg), 0.0)
     return p_tx_e, p_tx_c
 
 

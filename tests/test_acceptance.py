@@ -76,15 +76,15 @@ def test_criterion_01_enumeration_counts(capsys):
 def _random_state(rng, cfg, geom):
     n = cfg.system.num_devices
     draw = channel.draw_channels(geom, cfg, rng)
-    return SlotState(h_edge=draw.h_edge, h_cloud=draw.h_cloud,
+    return SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
                      q_local=rng.uniform(0, 15, n), q_edge=rng.uniform(0, 5, n),
                      z_local=rng.uniform(0, 5, n), z_edge=rng.uniform(0, 3, n))
 
 
 def _stage_specs(st, i, u_edge, u_cloud):
     """Independent transcription of each stage's objective and interval."""
-    h2e = abs(st.h_edge[i]) ** 2
-    h2c = abs(st.h_cloud[i]) ** 2
+    h2e = st.h2_edge[i]
+    h2c = st.h2_cloud[i]
     w_edge = st.q_local[i] + st.z_local[i] - st.q_edge[i] - st.z_edge[i]
     w_cloud = st.q_local[i] + st.z_local[i]
     w_dec = st.q_edge[i] + st.z_edge[i]
@@ -119,9 +119,9 @@ def _device_g(st, i, u_e, u_c, f_l, f_e):
     if u_e > 0:
         eps = max(u_e * 240 / (TAU * B_E), 0.9)
         p += 10 ** ((4 - math.log(0.985 / eps - 1) / 0.5) / 10) * NOISE * B_E \
-            / abs(st.h_edge[i]) ** 2
+            / st.h2_edge[i]
     if u_c > 0:
-        p += (2 ** (u_c * 400 / (TAU * B_C)) - 1) * NOISE * B_C / abs(st.h_cloud[i]) ** 2
+        p += (2 ** (u_c * 400 / (TAU * B_C)) - 1) * NOISE * B_C / st.h2_cloud[i]
     return g + V * p
 
 

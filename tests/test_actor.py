@@ -13,9 +13,8 @@ CFG = SystemConfig()
 
 
 def _state(n=8, q=0.0):
-    ones = np.ones(n, dtype=complex)
     z = np.zeros(n)
-    return SlotState(h_edge=ones * 1e-5, h_cloud=ones * 1e-6,
+    return SlotState(h2_edge=np.full(n, 1e-5 ** 2), h2_cloud=np.full(n, 1e-6 ** 2),
                      q_local=np.full(n, float(q)), q_edge=z.copy(),
                      z_local=z.copy(), z_edge=z.copy())
 

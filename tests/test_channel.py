@@ -39,20 +39,12 @@ def test_pathloss_at_100m_is_90_5_db():
 
 
 def test_rayleigh_small_scale_unit_mean_power():
-    cfg = SystemConfig()
-    geom = channel.place_devices(cfg, _rng(1))
-    rng = _rng(123)
-    samples = [channel.draw_channels(geom, cfg, rng).htilde_cloud for _ in range(12500)]
-    p = np.abs(np.concatenate(samples)) ** 2
+    p = np.abs(channel._rayleigh(_rng(123), 100_000)) ** 2
     assert np.mean(p) == pytest.approx(1.0, abs=0.02)
 
 
 def test_rician_k_factor_recovered_from_moments():
-    cfg = SystemConfig()
-    geom = channel.place_devices(cfg, _rng(2))
-    rng = _rng(321)
-    samples = [channel.draw_channels(geom, cfg, rng).htilde_edge for _ in range(12500)]
-    p = np.abs(np.concatenate(samples)) ** 2
+    p = np.abs(channel._rician(_rng(321), 100_000, SystemConfig().channel.rician_k_db)) ** 2
     # moment estimator: v = Var/mean^2 = (1+2K)/(1+K)^2
     v = np.var(p) / np.mean(p) ** 2
     k_hat = ((1 - v) + np.sqrt(1 - v)) / v
@@ -67,19 +59,29 @@ def test_composite_edge_power_matches_large_scale_gain():
     acc = np.zeros(cfg.system.num_devices)
     n = 20000
     for _ in range(n):
-        acc += np.abs(channel.draw_channels(geom, cfg, rng).h_edge) ** 2
+        acc += channel.draw_channels(geom, cfg, rng).h2_edge
     g = channel.pathloss_gain(geom.d_edge, cfg)
     assert np.allclose(acc / n, g, rtol=0.05)
 
 
+def _fading(cfg, slot):
+    """The slot's small-scale draws, replayed in `draw_channels`' order."""
+    rng = channel.slot_rng(5, 4, slot)
+    n = cfg.system.num_devices
+    edge = channel._rician(rng, n, cfg.channel.rician_k_db)
+    return edge, channel._rayleigh(rng, n), rng
+
+
 def test_large_scale_fixed_small_scale_redrawn():
+    # each gain over its fading power is the slot-constant pathloss gain
     cfg = SystemConfig()
     geom = channel.place_devices(cfg, _rng(4))
-    d1 = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, 0))
-    d2 = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, 1))
-    assert np.array_equal(d1.g_edge, d2.g_edge)
-    assert np.array_equal(d1.g_cloud, d2.g_cloud)
-    assert not np.array_equal(d1.htilde_edge, d2.htilde_edge)
+    g_edge = channel.pathloss_gain(geom.d_edge, cfg)
+    draws = [channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, t)) for t in (0, 1)]
+    for t, draw in enumerate(draws):
+        edge, _, _ = _fading(cfg, t)
+        assert np.allclose(draw.h2_edge / np.abs(edge) ** 2, g_edge, rtol=1e-12, atol=0)
+    assert not np.array_equal(draws[0].h2_edge, draws[1].h2_edge)
 
 
 def test_slot_rng_is_replayable_and_slot_keyed():
@@ -87,16 +89,25 @@ def test_slot_rng_is_replayable_and_slot_keyed():
     geom = channel.place_devices(cfg, _rng(4))
     again = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, 17))
     once = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, 17))
-    assert np.array_equal(once.h_edge, again.h_edge)
-    assert np.array_equal(once.h_cloud, again.h_cloud)
+    assert np.array_equal(once.h2_edge, again.h2_edge)
+    assert np.array_equal(once.h2_cloud, again.h2_cloud)
 
 
 def test_static_shadow_mode():
+    # the cloud gain over pathloss and fading is the shadowing: the run's
+    # static vector, or (by default) a fresh log-normal draw each slot
     from dataclasses import replace
-    cfg = SystemConfig()
-    cfg = replace(cfg, channel=replace(cfg.channel, shadowing_per_slot=False))
-    geom = channel.place_devices(cfg, _rng(4))
-    shadow = channel.draw_static_shadow(cfg, _rng(9))
-    d1 = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, 0), shadow)
-    d2 = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, 1), shadow)
-    assert np.array_equal(d1.shadow_cloud, d2.shadow_cloud)
+    static = channel.draw_static_shadow(SystemConfig(), _rng(9))
+    for per_slot in (False, True):
+        cfg = SystemConfig()
+        cfg = replace(cfg, channel=replace(cfg.channel, shadowing_per_slot=per_slot))
+        geom = channel.place_devices(cfg, _rng(4))
+        g_cloud = channel.pathloss_gain(geom.d_cloud, cfg)
+        for t in (0, 1):
+            draw = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, t), static)
+            _, cloud, rng = _fading(cfg, t)
+            shadow = draw.h2_cloud / (g_cloud * np.abs(cloud) ** 2)
+            expect = (10.0 ** (rng.normal(0.0, cfg.channel.shadowing_std_db,
+                                          cfg.system.num_devices) / 10.0)
+                      if per_slot else static)
+            assert np.allclose(shadow, expect, rtol=1e-12, atol=0)

@@ -108,3 +108,26 @@ def test_verify_quick_passes(tmp_path, capsys):
     assert rc == 0
     assert (out / "solver_audit.csv").exists()
     assert "all checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("group,name,value", [
+    ("system", "q_max_local", "5"),
+    ("system", "arrival_rate_per_sec", "100"),
+    ("semantic", "epsilon_min", "0.9"),
+    ("channel", "hotspot_radius_min", "50"),
+    ("channel", "shadowing_std_db", "8"),
+    ("system", "lyapunov_v", True),
+    ("training", "feature_gain_offset_edge_db", "x"),
+    ("system", "task_flops_encode", "1.2e9"),   # task_flops_total derives from it
+    ("training", "hidden_sizes", 5),
+    ("system", "slot_length", None),
+])
+def test_simulate_reports_wrong_types(tmp_path, capsys, group, name, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({group: {name: value}}))
+    rc = main(["simulate", "--config", str(path), "--slots", "10",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {name}: must be" in err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()

@@ -191,3 +191,39 @@ def test_accuracy_table_is_checked_when_set(tmp_path):
             path.write_text(text)
         problems = validate_config(_table_cfg(path))
         assert any(p.startswith("accuracy_table_csv") for p in problems), (name, problems)
+
+
+def _float_fields():
+    for group in ("system", "channel", "semantic", "training"):
+        for f in dataclasses.fields(getattr(SystemConfig(), group)):
+            if "float" in f.type:
+                yield group, f.name, f.type.startswith("Optional")
+
+
+@pytest.mark.parametrize("group,name,optional", list(_float_fields()))
+def test_wrong_type_in_any_float_field_is_reported(group, name, optional):
+    base = SystemConfig()
+    for value in ["5", True, float("nan"), float("inf"), -float("inf")] \
+            + ([] if optional else [None]):
+        params = dataclasses.replace(getattr(base, group), **{name: value})
+        problems = validate_config(dataclasses.replace(base, **{group: params}))
+        if type(value) is float:     # a number, but not a finite one
+            assert any(name in p for p in problems), (value, problems)
+        else:
+            assert any(p.startswith(f"{name}: must be a number") for p in problems), \
+                (value, problems)
+
+
+def test_every_field_type_is_checked():
+    # every field of every group is typed, bools are not integers, and a
+    # null is reported (not raised) where the field cannot be null
+    cfg = config_from_dict({
+        "system": {"num_devices": True, "exact_cardinality": 1, "slot_length": None},
+        "channel": {"shadowing_per_slot": None},
+        "semantic": {"accuracy_table_csv": 5, "sentence_len": "10"},
+        "training": {"hidden_sizes": 5, "total_slots": 1.0}})
+    problems = validate_config(cfg)
+    for name in ("num_devices", "exact_cardinality", "slot_length", "shadowing_per_slot",
+                 "accuracy_table_csv", "sentence_len", "hidden_sizes", "total_slots"):
+        assert sum(p.startswith(f"{name}: must be") for p in problems) == 1, (name, problems)
+    assert len(problems) == 8

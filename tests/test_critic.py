@@ -21,9 +21,9 @@ NOISE = CFG.channel.noise_psd
 
 
 def _state(q_l, q_e=0.0, z_l=0.0, z_e=0.0, n=8, pl_edge_db=90.5, pl_cloud_db=116.8):
-    he = np.full(n, 10 ** (-pl_edge_db / 20), dtype=complex)
-    hc = np.full(n, 10 ** (-pl_cloud_db / 20), dtype=complex)
-    return SlotState(h_edge=he, h_cloud=hc,
+    h2e = np.full(n, (10 ** (-pl_edge_db / 20)) ** 2)
+    h2c = np.full(n, (10 ** (-pl_cloud_db / 20)) ** 2)
+    return SlotState(h2_edge=h2e, h2_cloud=h2c,
                      q_local=np.full(n, float(q_l)), q_edge=np.full(n, float(q_e)),
                      z_local=np.full(n, float(z_l)), z_edge=np.full(n, float(z_e)))
 
@@ -33,7 +33,7 @@ def _random_state(rng, cfg=CFG, geom=None):
     if geom is None:
         geom = channel.place_devices(cfg, rng)
     draw = channel.draw_channels(geom, cfg, rng)
-    return SlotState(h_edge=draw.h_edge, h_cloud=draw.h_cloud,
+    return SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
                      q_local=rng.uniform(0, 15, n), q_edge=rng.uniform(0, 5, n),
                      z_local=rng.uniform(0, 5, n), z_edge=rng.uniform(0, 3, n))
 
@@ -205,10 +205,10 @@ def test_evaluate_g_matches_term_by_term_recompute():
             if a.u_edge[i] > 0:
                 eps = max(a.u_edge[i] * 240 / (TAU * B_E), 0.9)
                 p += 10 ** ((4 - math.log(0.985 / eps - 1) / 0.5) / 10) * NOISE * B_E \
-                    / abs(st.h_edge[i]) ** 2
+                    / st.h2_edge[i]
             if a.u_cloud[i] > 0:
                 p += (2 ** (a.u_cloud[i] * 400 / (TAU * B_C)) - 1) * NOISE * B_C \
-                    / abs(st.h_cloud[i]) ** 2
+                    / st.h2_cloud[i]
             expected += 2.0 * p
         assert res.g_value == pytest.approx(expected, rel=1e-9)
         assert critic.evaluate_g(a, pol, st, CFG) == pytest.approx(res.g_value, rel=1e-12)
@@ -229,6 +229,14 @@ def test_evaluate_g_rejects_infeasible():
     drain.f_edge[0] = 1e9  # decodes more than the edge backlog holds
     with pytest.raises(critic.FeasibilityError, match="edge backlog"):
         critic.evaluate_g(drain, pol, st, CFG)
+    serve = _zero_alloc()
+    serve.f_local[0] = 5e8  # executes 2.13 tasks of a 1-task backlog
+    with pytest.raises(critic.FeasibilityError, match="local backlog"):
+        critic.evaluate_g(serve, pol, st, CFG)
+    fast = _zero_alloc()
+    fast.f_edge[0] = 1.5e9
+    with pytest.raises(critic.FeasibilityError, match="f_edge_max"):
+        critic.evaluate_g(fast, pol, st, CFG)
 
 
 def test_evaluate_policy_pure_and_deterministic():
@@ -365,8 +373,8 @@ def test_best_association_large_population_is_feasible_and_beats_samples():
 # formulas and minimised on a dense grid of its own feasible interval.
 
 def _stage_objectives(st, cfg, u_edge, u_cloud, i):
-    h2e = abs(st.h_edge[i]) ** 2
-    h2c = abs(st.h_cloud[i]) ** 2
+    h2e = st.h2_edge[i]
+    h2c = st.h2_cloud[i]
     v = cfg.system.lyapunov_v
     w_edge = st.q_local[i] + st.z_local[i] - st.q_edge[i] - st.z_edge[i]
     w_cloud = st.q_local[i] + st.z_local[i]
@@ -453,5 +461,5 @@ def test_solution_within_feasible_intervals():
         st = _random_state(np.random.default_rng(rng.integers(1 << 30)), CFG, geom)
         pol = oracle.random_policy(rng, 8, 4, 2)
         res = critic.evaluate_policy(pol, st, CFG)
-        critic.check_allocation(res.alloc, pol, st, CFG)  # raises on violation
-        assert np.all(res.feasible)
+        # raises on violation, transmit powers within p_tx_max included
+        critic.check_allocation(res.alloc, pol, st, CFG)

@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from semoff import engine, oracle
-from semoff.config import SystemConfig, SystemParams
+from semoff import critic, engine, oracle, queueing
+from semoff.config import (Allocation, SlotState, SystemConfig, SystemParams,
+                           TrainingParams, validate_config)
 
 
 CFG = SystemConfig()
@@ -158,11 +161,53 @@ def test_run_slot_outcome_consistent():
     sim = engine.Simulation(sc.apply(CFG), sc.policy, sc.seed)
     log = engine.MetricsLog(5, 8)
     for t in range(5):
-        outcome = sim.run_slot(t, log)
-        parts = (outcome.p_local.sum() + outcome.p_edge.sum()
-                 + outcome.p_tx_edge.sum() + outcome.p_tx_cloud.sum())
-        assert outcome.total_power == pytest.approx(float(parts), rel=1e-12)
-        assert np.array_equal(outcome.next_state.q_local, sim.q_local)
+        sim.run_slot(t, log)
+        # the four components, added in `power.total_power`'s order
+        assert log.p_total[t] == (log.p_local[t] + log.p_edge[t]
+                                  + log.p_tx_edge[t] + log.p_tx_cloud[t])
+        assert np.array_equal(sim.q_local, queueing.update_local_queue(
+            log.q_local[t], log.mu_local[t], log.arrivals[t]))
+        assert np.array_equal(sim.q_edge, queueing.update_edge_queue(
+            log.q_edge[t], log.mu_edge[t], log.u_edge[t]))
+        assert np.array_equal(sim.z_local, queueing.update_virtual_queue(
+            log.z_local[t], sim.q_local, 5.0))
+        assert np.array_equal(sim.z_edge, queueing.update_virtual_queue(
+            log.z_edge[t], sim.q_edge, 1.0))
+
+
+def test_step_guard_tolerates_rounding_only():
+    # served volumes may pass the backlog by 1e-9 relative plus 1e-9 tasks
+    n = 2
+    state = SlotState.initial(n)
+    state.q_local[:] = 3.0
+    state.q_edge[:] = 2.0
+    zeros = np.zeros(n)
+    caps = queueing.rate_caps(CFG)
+
+    def solution(mu_local, mu_edge):
+        alloc = Allocation(u_edge=zeros, u_cloud=zeros, f_local=zeros,
+                           f_encode=zeros, f_edge=zeros)
+        return critic.Solution(alloc=alloc, mu_local=np.full(n, mu_local),
+                               mu_edge=np.full(n, mu_edge), p_local=zeros, p_edge=zeros,
+                               p_tx_edge=zeros, p_tx_cloud=zeros)
+
+    nxt, powers, _, _ = engine.step(state, solution(3.0 + 3.5e-9, 2.0 + 2.5e-9),
+                                    zeros, CFG, caps)
+    assert np.all(nxt.q_local == 0.0) and np.all(nxt.q_edge == 0.0)
+    assert powers == (0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(critic.FeasibilityError, match="local backlog"):
+        engine.step(state, solution(3.0 + 5e-9, 2.0), zeros, CFG, caps)
+    with pytest.raises(critic.FeasibilityError, match="edge backlog"):
+        engine.step(state, solution(3.0, 2.0 + 4e-9), zeros, CFG, caps)
+
+
+def test_run_slot_names_the_slot_of_a_guard_failure(monkeypatch):
+    def refuse(sol, state, cfg):
+        raise critic.FeasibilityError("served local volume exceeds local backlog")
+    monkeypatch.setattr(critic, "check_clocks_and_backlog", refuse)
+    sim = engine.Simulation(CFG, "random", seed=1)
+    with pytest.raises(critic.FeasibilityError, match="^slot 3: served local volume"):
+        sim.run_slot(3, engine.MetricsLog(4, 8))
 
 
 def test_virtual_queues_vanish_relative_to_horizon():
@@ -229,3 +274,40 @@ def test_metrics_csv_bytes_pinned(policy, devices, scenario, tmp_path):
     log.to_csv(tmp_path / "metrics.csv")
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == PINNED_METRICS_SHA256[policy, devices, scenario]
+
+
+@hs.composite
+def _valid_runs(draw):
+    """A short run of a random valid config: up to 16 devices, either
+    cardinality mode, finite or no queue caps, wide v and arrival rates,
+    any policy; the actor trains from early slots on."""
+    n = draw(hs.integers(1, 16))
+    arrival = draw(hs.floats(0.0, 2000.0))
+    q_local = draw(hs.none() | hs.floats(0.01, 40.0).map(lambda x: arrival * 0.01 + x))
+    system = SystemParams(
+        num_devices=n, chi_edge=draw(hs.integers(0, n)), chi_cloud=draw(hs.integers(0, n)),
+        exact_cardinality=draw(hs.booleans()), arrival_rate_per_sec=arrival,
+        q_max_local=q_local, q_max_edge=draw(hs.none() | hs.floats(0.01, 20.0)),
+        lyapunov_v=draw(hs.floats(0.01, 200.0)))
+    training = TrainingParams(
+        total_slots=draw(hs.integers(1, 40)), train_start_slot=draw(hs.integers(0, 20)),
+        train_interval=draw(hs.integers(1, 5)), batch_size=draw(hs.integers(1, 8)),
+        memory_size=16, hidden_sizes=(16,))
+    policy = draw(hs.sampled_from(["exhaustive", "random"])
+                  | hs.integers(1, 32).map(lambda k: f"drlh:{k}"))
+    return SystemConfig(system=system, training=training), policy, draw(hs.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_valid_runs())
+def test_short_runs_on_random_valid_configs(run):
+    cfg, policy, seed = run
+    assert validate_config(cfg) == []
+    sim = engine.Simulation(cfg, policy, seed)
+    log = sim.run()
+    assert log.bound_violations == 0
+    assert np.all(log.dpp <= log.bound + 1e-9)
+    assert np.all(np.isfinite(log.p_total)) and np.all(np.isfinite(log.g_value))
+    for name in ("q_local", "q_edge", "z_local", "z_edge"):
+        for q in (getattr(log, name), getattr(sim, name)):
+            assert np.all(np.isfinite(q)) and np.all(q >= 0), name

@@ -65,18 +65,25 @@ def _state(rng, cfg=CFG):
     n = cfg.system.num_devices
     geom = channel.place_devices(cfg, rng)
     draw = channel.draw_channels(geom, cfg, rng)
-    return SlotState(h_edge=draw.h_edge, h_cloud=draw.h_cloud,
+    return SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
                      q_local=rng.uniform(0, 10, n), q_edge=rng.uniform(0, 3, n),
                      z_local=rng.uniform(0, 3, n), z_edge=rng.uniform(0, 2, n))
 
 
+def _exhaustive_best(state, cfg=CFG):
+    """The exhaustive search as the simulator runs it, scored independently."""
+    table, _ = critic.device_g_table(state, cfg)
+    pol = critic.best_association(table, cfg.system.chi_edge, cfg.system.chi_cloud,
+                                  at_most=not cfg.system.exact_cardinality)
+    return pol, critic.evaluate_policy(pol, state, cfg)
+
+
 def test_exhaustive_best_zero_state_returns_first_policy():
     n = 8
-    ones = np.ones(n, dtype=complex) * 1e-5
-    state = SlotState(h_edge=ones, h_cloud=ones * 0.1,
+    state = SlotState(h2_edge=np.full(n, 1e-10), h2_cloud=np.full(n, 1e-12),
                       q_local=np.zeros(n), q_edge=np.zeros(n),
                       z_local=np.zeros(n), z_edge=np.zeros(n))
-    pol, res = oracle.exhaustive_best(state, CFG)
+    pol, res = _exhaustive_best(state)
     first = next(oracle.enumerate_policies(8, 4, 2))
     assert np.array_equal(pol.rho_edge, first.rho_edge)
     assert np.array_equal(pol.rho_cloud, first.rho_cloud)
@@ -86,7 +93,7 @@ def test_exhaustive_best_zero_state_returns_first_policy():
 def test_exhaustive_best_dominates_random_policies():
     rng = np.random.default_rng(17)
     state = _state(rng)
-    _, best = oracle.exhaustive_best(state, CFG)
+    _, best = _exhaustive_best(state)
     for _ in range(100):
         pol = oracle.random_policy(rng, 8, 4, 2)
         assert best.g_value <= critic.evaluate_policy(pol, state, CFG).g_value + 1e-12
@@ -97,7 +104,7 @@ def test_exhaustive_best_matches_independent_reenumeration():
     cfg = SystemConfig(system=SystemParams(num_devices=4))
     rng = np.random.default_rng(23)
     state = _state(rng, cfg)
-    pol, res = oracle.exhaustive_best(state, cfg)
+    pol, res = _exhaustive_best(state, cfg)
     best_g, best_masks = None, None
     for e_subset in itertools.combinations(range(4), 4):
         for c_subset in itertools.combinations(range(4), 2):

@@ -243,8 +243,8 @@ def test_semantic_volume_cap_weak_channel_power_binds():
 
 def _random_feasible(rng, n=4):
     state = SlotState(
-        h_edge=np.full(n, 10 ** (-90.5 / 20), dtype=complex),
-        h_cloud=np.full(n, 10 ** (-116.8 / 20), dtype=complex),
+        h2_edge=np.full(n, (10 ** (-90.5 / 20)) ** 2),
+        h2_cloud=np.full(n, (10 ** (-116.8 / 20)) ** 2),
         q_local=rng.uniform(0, 10, n), q_edge=rng.uniform(0, 4, n),
         z_local=np.zeros(n), z_edge=np.zeros(n))
     rho_e = rng.random(n) < 0.5
@@ -280,10 +280,10 @@ def test_total_power_recomposition_oracle():
             if policy.rho_edge[i] and alloc.u_edge[i] > 0:
                 eps = max(alloc.u_edge[i] * 240 / (0.01 * B_EDGE), 0.9)
                 gamma = 10 ** ((4 - math.log(0.985 / eps - 1) / 0.5) / 10)
-                expected += gamma * CFG.channel.noise_psd * B_EDGE / abs(state.h_edge[i]) ** 2
+                expected += gamma * CFG.channel.noise_psd * B_EDGE / state.h2_edge[i]
             if policy.rho_cloud[i] and alloc.u_cloud[i] > 0:
                 exp = alloc.u_cloud[i] * 400 / (0.01 * B_CLOUD)
-                expected += (2 ** exp - 1) * CFG.channel.noise_psd * B_CLOUD / abs(state.h_cloud[i]) ** 2
+                expected += (2 ** exp - 1) * CFG.channel.noise_psd * B_CLOUD / state.h2_cloud[i]
         assert total == pytest.approx(expected, rel=1e-9)
         assert total == pytest.approx(
             float(np.sum(p_l) + np.sum(p_e) + np.sum(p_tx_e) + np.sum(p_tx_c)), rel=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semoff import channel, critic, oracle, power, queueing
+from semoff import channel, critic, engine, oracle, queueing
 from semoff.config import SlotState, SystemConfig
 
 CFG = SystemConfig()
@@ -49,8 +49,8 @@ def test_virtual_queue_examples():
 
 
 def _state(q_l, q_e=0.0, z_l=0.0, z_e=0.0, n=1):
-    ones = np.ones(n, dtype=complex)
-    return SlotState(h_edge=ones, h_cloud=ones,
+    ones = np.ones(n)
+    return SlotState(h2_edge=ones, h2_cloud=ones,
                      q_local=np.full(n, float(q_l)), q_edge=np.full(n, float(q_e)),
                      z_local=np.full(n, float(z_l)), z_edge=np.full(n, float(z_e)))
 
@@ -156,25 +156,13 @@ def test_bound_trivial_cases():
 def _random_transition(cfg, rng, geom, caps):
     n = cfg.system.num_devices
     draw = channel.draw_channels(geom, cfg, rng)
-    state = SlotState(h_edge=draw.h_edge, h_cloud=draw.h_cloud,
+    state = SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
                       q_local=rng.uniform(0, 15, n), q_edge=rng.uniform(0, 5, n),
                       z_local=rng.uniform(0, 5, n), z_edge=rng.uniform(0, 3, n))
     pol = oracle.random_policy(rng, n, cfg.system.chi_edge, cfg.system.chi_cloud)
-    res = critic.evaluate_policy(pol, state, cfg)
-    mu_local = (np.asarray(power.local_exec_rate(res.alloc.f_local, cfg))
-                + res.alloc.u_edge + res.alloc.u_cloud)
-    mu_edge = np.asarray(power.edge_exec_rate(res.alloc.f_edge, cfg))
+    sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
     arrivals = rng.poisson(cfg.mean_arrivals_per_slot, n).astype(float)
-    p_total = power.total_power(res.alloc, pol, state, cfg)[4]
-    q_l = queueing.update_local_queue(state.q_local, mu_local, arrivals)
-    q_e = queueing.update_edge_queue(state.q_edge, mu_edge, res.alloc.u_edge)
-    nxt = SlotState(h_edge=state.h_edge, h_cloud=state.h_cloud, q_local=q_l, q_edge=q_e,
-                    z_local=queueing.update_virtual_queue(state.z_local, q_l, cfg.system.q_max_local),
-                    z_edge=queueing.update_virtual_queue(state.z_edge, q_e, cfg.system.q_max_edge))
-    dpp = queueing.drift_plus_penalty(state, nxt, p_total, cfg.system.lyapunov_v)
-    bound = queueing.drift_penalty_bound(
-        state, mu_local, mu_edge, res.alloc.u_edge, arrivals, p_total, cfg, caps,
-        power.cloud_offload_cap(np.abs(draw.h_cloud) ** 2, cfg.bandwidth_cloud, cfg))
+    _, _, dpp, bound = engine.step(state, sol, arrivals, cfg, caps)
     return dpp, bound
 
 
