@@ -1,7 +1,7 @@
 """Per-slot channel generation: pathloss, shadowing, and small-scale fading.
 
 Large-scale gains are fixed once device positions are placed; small-scale
-coefficients (and, by default, cloud-link shadowing) are redrawn every slot.
+coefficients and cloud-link shadowing are redrawn every slot.
 Slot draws must come from a generator derived per (seed, slot) so that
 replays are order-independent; `slot_rng` builds one.
 """
@@ -20,7 +20,6 @@ class LinkGeometry:
     """Planar device layout around the edge server plus distances to both servers."""
 
     positions: np.ndarray      # (I, 2) m, edge server at the origin
-    mcc_position: np.ndarray   # (2,) m
     d_edge: np.ndarray         # (I,) m
     d_cloud: np.ndarray        # (I,) m
 
@@ -62,8 +61,7 @@ def place_devices(cfg: SystemConfig, rng: np.random.Generator) -> LinkGeometry:
     positions = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     mcc = np.array([ch.cloud_distance, 0.0])
     d_cloud = np.linalg.norm(positions - mcc, axis=1)
-    return LinkGeometry(positions=positions, mcc_position=mcc,
-                        d_edge=r, d_cloud=d_cloud)
+    return LinkGeometry(positions=positions, d_edge=r, d_cloud=d_cloud)
 
 
 def _rician(rng: np.random.Generator, n: int, k_db: float) -> np.ndarray:
@@ -81,26 +79,13 @@ def _rayleigh(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def draw_channels(geom: LinkGeometry, cfg: SystemConfig,
-                  rng: np.random.Generator,
-                  static_shadow: np.ndarray | None = None) -> ChannelDraw:
-    """Draw one slot of channel gains.
-
-    `static_shadow` supplies a run-constant shadowing vector when
-    `shadowing_per_slot` is disabled.
-    """
+                  rng: np.random.Generator) -> ChannelDraw:
+    """Draw one slot of channel gains."""
     n = len(geom.d_edge)
     g_edge = pathloss_gain(geom.d_edge, cfg)
     g_cloud = pathloss_gain(geom.d_cloud, cfg)
     htilde_edge = _rician(rng, n, cfg.channel.rician_k_db)
     htilde_cloud = _rayleigh(rng, n)
-    if cfg.channel.shadowing_per_slot or static_shadow is None:
-        shadow = 10.0 ** (rng.normal(0.0, cfg.channel.shadowing_std_db, n) / 10.0)
-    else:
-        shadow = static_shadow
+    shadow = 10.0 ** (rng.normal(0.0, cfg.channel.shadowing_std_db, n) / 10.0)
     return ChannelDraw(h2_edge=np.abs(np.sqrt(g_edge) * htilde_edge) ** 2,
                        h2_cloud=np.abs(np.sqrt(g_cloud * shadow) * htilde_cloud) ** 2)
-
-
-def draw_static_shadow(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    n = cfg.system.num_devices
-    return 10.0 ** (rng.normal(0.0, cfg.channel.shadowing_std_db, n) / 10.0)

@@ -93,16 +93,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        count = oracle.count_policies(args.users, args.chi_e, args.chi_c,
-                                      at_most=args.at_most)
+        count = oracle.count_policies(args.users, args.chi_e, args.chi_c)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.count_only:
         print(count)
         return 0
-    for pol in oracle.enumerate_policies(args.users, args.chi_e, args.chi_c,
-                                         at_most=args.at_most):
+    for pol in oracle.enumerate_policies(args.users, args.chi_e, args.chi_c):
         edge = "".join("1" if b else "0" for b in pol.rho_edge)
         cloud = "".join("1" if b else "0" for b in pol.rho_cloud)
         print(f"{edge} {cloud}")
@@ -333,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--chi-e", type=int, required=True)
     en.add_argument("--chi-c", type=int, required=True)
     en.add_argument("--count-only", action="store_true")
-    en.add_argument("--at-most", action="store_true",
-                    help="association counts up to chi instead of exactly chi")
     en.set_defaults(func=cmd_enumerate)
 
     ver = sub.add_parser("verify", help="run solver/gradient/bound cross-checks")

@@ -284,8 +284,7 @@ def _bits(key: int, n: int) -> np.ndarray:
     return np.unpackbits(raw)[raw.size * 8 - n:].astype(bool)
 
 
-def best_association(table: np.ndarray, chi_e: int, chi_c: int,
-                     at_most: bool = False) -> Policy:
+def best_association(table: np.ndarray, chi_e: int, chi_c: int) -> Policy:
     """Minimum-objective association for a (4, I) combo table, exactly.
 
     A forward dynamic program over devices on the state (#edge, #cloud):
@@ -296,11 +295,8 @@ def best_association(table: np.ndarray, chi_e: int, chi_c: int,
 
     Exact ties resolve as a first-index argmin over `oracle.policy_table`
     does: enumeration lists policies with the larger E first, then the
-    larger C, so an exact value tie keeps the larger (E, C). With
-    `at_most`, sizes come first in enumeration order, so the final pick
-    over states goes by (g, #edge ascending, E descending, #cloud
-    ascending, C descending). The keys are Python ints and cannot
-    overflow at any I.
+    larger C, so an exact value tie keeps the larger (E, C). The keys are
+    Python ints and cannot overflow at any I.
     """
     n = table.shape[1]
     ke, kc = min(chi_e, n), min(chi_c, n)
@@ -312,8 +308,8 @@ def best_association(table: np.ndarray, chi_e: int, chi_c: int,
     for i, (t0, t1, t2, t3) in enumerate(table.T.tolist()):
         # states (a, b) reachable after device i that can still end feasible
         left = n - 1 - i
-        lo_e = 0 if at_most else max(ke - left, 0)
-        lo_c = 0 if at_most else max(kc - left, 0)
+        lo_e = max(ke - left, 0)
+        lo_c = max(kc - left, 0)
         hi_e, hi_c = min(ke, i + 1), min(kc, i + 1)
         g_new, e_new, c_new = [inf] * size, [0] * size, [0] * size
         for a in range(lo_e, hi_e + 1):
@@ -343,12 +339,7 @@ def best_association(table: np.ndarray, chi_e: int, chi_c: int,
                                 g, e, c = x, xe, xc
                 g_new[s], e_new[s], c_new[s] = g, e, c
         g_old, e_old, c_old = g_new, e_new, c_new
-    if at_most:
-        s = min(range(size), key=lambda s: (g_old[s], s // w, -e_old[s],
-                                            s % w, -c_old[s]))
-    else:
-        s = size - 1
-    return Policy(rho_edge=_bits(e_old[s], n), rho_cloud=_bits(c_old[s], n))
+    return Policy(rho_edge=_bits(e_old[-1], n), rho_cloud=_bits(c_old[-1], n))
 
 
 class PolicyBatch:

@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import actor, channel, critic, oracle, power, queueing
-from .config import (Policy, SlotState, SystemConfig, config_to_dict,
+from .config import (ConfigError, Policy, SlotState, SystemConfig, config_to_dict,
                      validate_config)
 
 # Named RNG streams (master seed, stream id[, slot]).
@@ -30,7 +30,6 @@ STREAM_MEMORY = 3
 STREAM_CHANNEL = 4
 STREAM_ARRIVALS = 5
 STREAM_RANDOM_POLICY = 6
-STREAM_STATIC_SHADOW = 7
 
 INHERIT: Any = object()  # scenario fields left at the base config
 
@@ -87,10 +86,25 @@ class Scenario:
 
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
+    """A config file's 'scenario' group. Checks the run settings here; the
+    values it layers over the config are checked by `validate_config`."""
+    if not isinstance(data, dict):
+        raise ConfigError("'scenario' must be an object")
     unknown = set(data) - {f.name for f in dataclasses.fields(Scenario)}
     if unknown:
-        raise ValueError(f"unknown key(s) in 'scenario': {sorted(unknown)}")
-    return Scenario(**data)
+        raise ConfigError(f"unknown key(s) in 'scenario': {sorted(unknown)}")
+    scenario = Scenario(**data)
+    for name in ("name", "policy"):
+        if type(getattr(scenario, name)) is not str:
+            raise ConfigError(f"scenario.{name}: must be a string, "
+                              f"got {getattr(scenario, name)!r}")
+    if type(scenario.seed) is not int or scenario.seed < 0:
+        raise ConfigError(f"scenario.seed: must be an integer >= 0, got {scenario.seed!r}")
+    try:
+        parse_policy_spec(scenario.policy)
+    except ValueError as exc:
+        raise ConfigError(f"scenario.policy: {exc}") from None
+    return scenario
 
 
 def scenario_one(policy: str = "drlh:64", seed: int = 1,
@@ -258,8 +272,6 @@ class Simulation:
         n = cfg.system.num_devices
 
         self.geometry = channel.place_devices(cfg, _rng(seed, STREAM_PLACEMENT))
-        self.static_shadow = (None if cfg.channel.shadowing_per_slot else
-                              channel.draw_static_shadow(cfg, _rng(seed, STREAM_STATIC_SHADOW)))
         self.caps = queueing.rate_caps(cfg)
 
         self.q_local = np.zeros(n)
@@ -269,8 +281,7 @@ class Simulation:
 
         if self.kind == "exhaustive":
             self.n_policies = oracle.count_policies(
-                n, cfg.system.chi_edge, cfg.system.chi_cloud,
-                at_most=not cfg.system.exact_cardinality)
+                n, cfg.system.chi_edge, cfg.system.chi_cloud)
         elif self.kind == "drlh":
             self.net = actor.ActorNetwork.create(n, cfg.training.hidden_sizes,
                                                  _rng(seed, STREAM_ACTOR_INIT))
@@ -293,17 +304,15 @@ class Simulation:
         """The slot's policy plus its solution and objective value, all read
         from the slot's one combo solve (`critic.device_g_table`)."""
         cfg = self.cfg
-        at_most = not cfg.system.exact_cardinality
         table, tiled = critic.device_g_table(state, cfg)
         if self.kind == "random":
             rng = channel.slot_rng(self.seed, STREAM_RANDOM_POLICY, t)
             chosen = oracle.random_policy(rng, cfg.system.num_devices,
-                                          cfg.system.chi_edge, cfg.system.chi_cloud,
-                                          at_most=at_most)
+                                          cfg.system.chi_edge, cfg.system.chi_cloud)
             log.num_candidates[t] = 1
         elif self.kind == "exhaustive":
             chosen = critic.best_association(table, cfg.system.chi_edge,
-                                             cfg.system.chi_cloud, at_most=at_most)
+                                             cfg.system.chi_cloud)
             log.num_candidates[t] = self.n_policies
         else:
             feats = actor.featurize(state, cfg)
@@ -336,8 +345,7 @@ class Simulation:
         """Advance one slot: draw channels, decide, execute, update queues."""
         cfg = self.cfg
         draw = channel.draw_channels(self.geometry, cfg,
-                                     channel.slot_rng(self.seed, STREAM_CHANNEL, t),
-                                     self.static_shadow)
+                                     channel.slot_rng(self.seed, STREAM_CHANNEL, t))
         state = SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
                           q_local=self.q_local, q_edge=self.q_edge,
                           z_local=self.z_local, z_edge=self.z_edge)
@@ -433,8 +441,7 @@ def sweep(parameter: str, values: list[float], cfg: SystemConfig,
             "tail_mean_power_w": log.tail_mean("p_total"),
             "search_space_size": oracle.count_policies(
                 resolved.system.num_devices, resolved.system.chi_edge,
-                resolved.system.chi_cloud,
-                at_most=not resolved.system.exact_cardinality),
+                resolved.system.chi_cloud),
         }
         rows.append(row)
     return rows

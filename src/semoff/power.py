@@ -1,4 +1,4 @@
-"""Execution rates, computation power, accuracy curves, and transmit power.
+"""Execution rates, computation power, the accuracy curve, and transmit power.
 
 All functions are pure and accept scalars or numpy arrays. Rates are in
 tasks/slot, frequencies in Hz, powers in W.
@@ -6,18 +6,15 @@ tasks/slot, frequencies in Hz, powers in W.
 
 from __future__ import annotations
 
-import csv
-import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .config import Allocation, Policy, SemanticParams, SlotState, SystemConfig
+from .config import Allocation, Policy, SlotState, SystemConfig
 
 
 # ---------------------------------------------------------------------------
-# Accuracy-vs-SNR surrogate curves
+# Accuracy-vs-SNR surrogate curve
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -42,78 +39,11 @@ class LogisticAccuracyCurve:
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class TableAccuracyCurve:
-    """Piecewise-linear curve from sampled (snr_db, epsilon) pairs.
-
-    Both columns must be strictly increasing; queries outside the sampled
-    SNR range clamp to the end accuracies, and inversion is restricted to
-    the sampled accuracy range.
-    """
-
-    snr_db: tuple[float, ...]
-    epsilon: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.snr_db)
-        e = np.asarray(self.epsilon)
-        if (len(g) < 2 or not (np.all(np.isfinite(g)) and np.all(np.isfinite(e)))
-                or np.any(np.diff(g) <= 0) or np.any(np.diff(e) <= 0)):
-            raise ValueError("accuracy table: both columns must be finite and "
-                             "strictly increasing, with at least two rows")
-        if e[0] <= 0 or e[-1] > 1:
-            raise ValueError("accuracy table: epsilon must lie in (0, 1]")
-
-    @property
-    def ceiling(self) -> float:
-        return self.epsilon[-1]
-
-    def accuracy(self, snr_db):
-        out = np.interp(np.asarray(snr_db, dtype=float), self.snr_db, self.epsilon)
-        return out if out.ndim else float(out)
-
-    def snr_db_for(self, epsilon):
-        eps = np.asarray(epsilon, dtype=float)
-        out = np.interp(eps, self.epsilon, self.snr_db)
-        out = np.where(eps > self.ceiling, np.inf, out)
-        out = np.where(eps < self.epsilon[0], -np.inf, out)
-        return out if out.ndim else float(out)
-
-
-def load_accuracy_table(path: str | Path) -> TableAccuracyCurve:
-    """Read a two-column CSV (snr_db, epsilon); a header is allowed before
-    the first data row, and lines starting with '#' are skipped."""
-    gammas: list[float] = []
-    epsilons: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"accuracy table {path}: row {row!r} needs two columns")
-            try:
-                g, e = float(row[0]), float(row[1])
-            except ValueError:
-                if gammas:
-                    raise ValueError(f"accuracy table {path}: row {row!r} is not "
-                                     "two numbers") from None
-                continue  # header
-            gammas.append(g)
-            epsilons.append(e)
-    return TableAccuracyCurve(snr_db=tuple(gammas), epsilon=tuple(epsilons))
-
-
-@functools.lru_cache(maxsize=8)
-def _curve_for(params: SemanticParams):
-    if params.accuracy_table_csv is not None:
-        return load_accuracy_table(params.accuracy_table_csv)
-    return LogisticAccuracyCurve(ceiling=params.accuracy_ceiling,
-                                 slope_per_db=params.accuracy_slope_per_db,
-                                 midpoint_db=params.accuracy_midpoint_db)
-
-
-def accuracy_curve(cfg: SystemConfig):
-    return _curve_for(cfg.semantic)
+def accuracy_curve(cfg: SystemConfig) -> LogisticAccuracyCurve:
+    sem = cfg.semantic
+    return LogisticAccuracyCurve(ceiling=sem.accuracy_ceiling,
+                                 slope_per_db=sem.accuracy_slope_per_db,
+                                 midpoint_db=sem.accuracy_midpoint_db)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +110,7 @@ def semantic_tx_power(eps_required, h2_edge, bandwidth, cfg: SystemConfig):
     """
     sem = cfg.semantic
     curve = accuracy_curve(cfg)
-    eps = np.asarray(eps_required, dtype=float)
-    if sem.fixed_accuracy_mode:
-        eps_eff = np.full_like(eps, sem.epsilon_min)
-    else:
-        eps_eff = np.maximum(eps, sem.epsilon_min)
+    eps_eff = np.maximum(np.asarray(eps_required, dtype=float), sem.epsilon_min)
     snr_db = np.where(eps_eff >= curve.ceiling, np.inf, curve.snr_db_for(
         np.minimum(eps_eff, curve.ceiling * (1 - 1e-15))))
     snr = 10.0 ** (np.asarray(snr_db) / 10.0)
@@ -197,10 +123,8 @@ def shannon_tx_power(u_cloud, h2_cloud, bandwidth, cfg: SystemConfig):
     sem = cfg.semantic
     bits_per_task = sem.sentence_len * sem.bits_per_word
     exponent = np.asarray(u_cloud, dtype=float) * bits_per_task / (cfg.system.slot_length * bandwidth)
-    base = 2.0 ** exponent
-    if sem.shannon_minus_one:
-        base = base - 1.0
-    p = base * cfg.channel.noise_psd * bandwidth / np.asarray(h2_cloud, dtype=float)
+    p = ((2.0 ** exponent - 1.0) * cfg.channel.noise_psd * bandwidth
+         / np.asarray(h2_cloud, dtype=float))
     return p if np.ndim(p) else float(p)
 
 
@@ -213,14 +137,6 @@ def cloud_offload_cap(h2_cloud, bandwidth, cfg: SystemConfig):
     return cap if np.ndim(cap) else float(cap)
 
 
-def semantic_volume_ceiling(bandwidth, cfg: SystemConfig) -> float:
-    """Volume at which the required accuracy hits the curve ceiling."""
-    sem = cfg.semantic
-    curve = accuracy_curve(cfg)
-    return (cfg.system.slot_length * bandwidth * curve.ceiling
-            / (sem.sentence_len * sem.symbols_per_word))
-
-
 # Accuracies this close to the curve ceiling are numerically
 # indistinguishable from it when inverted in float64; capping the volume a
 # hair earlier keeps the required transmit power finite and well-conditioned
@@ -231,9 +147,10 @@ _CEILING_BACKOFF = 1e-9
 def semantic_volume_cap(h2_edge, bandwidth, cfg: SystemConfig):
     """Largest edge offload volume the semantic link supports.
 
-    Strictly below `semantic_volume_ceiling`: the binding limit is either
-    the transmit-power ceiling (weak channels) or the invertible part of
-    the accuracy curve just under its ceiling (strong channels).
+    Strictly below the volume whose required accuracy is the curve ceiling:
+    the binding limit is either the transmit-power ceiling (weak channels)
+    or the invertible part of the accuracy curve just under its ceiling
+    (strong channels).
     """
     sem = cfg.semantic
     curve = accuracy_curve(cfg)

@@ -93,21 +93,18 @@ def test_slot_rng_is_replayable_and_slot_keyed():
     assert np.array_equal(once.h2_cloud, again.h2_cloud)
 
 
-def test_static_shadow_mode():
-    # the cloud gain over pathloss and fading is the shadowing: the run's
-    # static vector, or (by default) a fresh log-normal draw each slot
-    from dataclasses import replace
-    static = channel.draw_static_shadow(SystemConfig(), _rng(9))
-    for per_slot in (False, True):
-        cfg = SystemConfig()
-        cfg = replace(cfg, channel=replace(cfg.channel, shadowing_per_slot=per_slot))
-        geom = channel.place_devices(cfg, _rng(4))
-        g_cloud = channel.pathloss_gain(geom.d_cloud, cfg)
-        for t in (0, 1):
-            draw = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, t), static)
-            _, cloud, rng = _fading(cfg, t)
-            shadow = draw.h2_cloud / (g_cloud * np.abs(cloud) ** 2)
-            expect = (10.0 ** (rng.normal(0.0, cfg.channel.shadowing_std_db,
-                                          cfg.system.num_devices) / 10.0)
-                      if per_slot else static)
-            assert np.allclose(shadow, expect, rtol=1e-12, atol=0)
+def test_cloud_shadowing_redrawn_per_slot():
+    # the cloud gain over pathloss and fading is the shadowing: a fresh
+    # log-normal draw each slot, after the fading in the slot's stream
+    cfg = SystemConfig()
+    geom = channel.place_devices(cfg, _rng(4))
+    g_cloud = channel.pathloss_gain(geom.d_cloud, cfg)
+    shadows = []
+    for t in (0, 1):
+        draw = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, t))
+        _, cloud, rng = _fading(cfg, t)
+        shadows.append(draw.h2_cloud / (g_cloud * np.abs(cloud) ** 2))
+        expect = 10.0 ** (rng.normal(0.0, cfg.channel.shadowing_std_db,
+                                     cfg.system.num_devices) / 10.0)
+        assert np.allclose(shadows[-1], expect, rtol=1e-12, atol=0)
+    assert not np.allclose(shadows[0], shadows[1])

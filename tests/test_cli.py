@@ -118,7 +118,7 @@ def test_verify_quick_passes(tmp_path, capsys):
     ("channel", "shadowing_std_db", "8"),
     ("system", "lyapunov_v", True),
     ("training", "feature_gain_offset_edge_db", "x"),
-    ("system", "task_flops_encode", "1.2e9"),   # task_flops_total derives from it
+    ("system", "task_flops_encode", "1.2e9"),   # task_flops_total reads it
     ("training", "hidden_sizes", 5),
     ("system", "slot_length", None),
 ])
@@ -130,4 +130,22 @@ def test_simulate_reports_wrong_types(tmp_path, capsys, group, name, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"config error: {name}: must be" in err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("scenario,field", [
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"policy": 5}, "policy"),
+    ({"policy": "greedy"}, "policy"),
+    ({"name": 5}, "name"),
+])
+def test_simulate_reports_bad_scenario_values(tmp_path, capsys, scenario, field):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scenario": scenario}))
+    rc = main(["simulate", "--config", str(path), "--slots", "10",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: scenario.{field}: " in err
     assert "Traceback" not in err and not (tmp_path / "run").exists()

@@ -270,31 +270,29 @@ def test_gathered_allocation_matches_evaluate_policy_bit_exact(n):
         st = _random_state(np.random.default_rng(rng.integers(1 << 30)), cfg, geom)
         st.q_local[rng.random(n) < 0.3] = 0.0   # idle devices tie their combos
         table, tiled = critic.device_g_table(st, cfg)
-        for at_most in (False, True):
-            pol = oracle.random_policy(rng, n, cfg.system.chi_edge,
-                                       cfg.system.chi_cloud, at_most=at_most)
-            sol, g = critic.gather(table, tiled, pol)
-            ref = critic.evaluate_policy(pol, st, cfg)
-            assert g == ref.g_value
-            for f in ("u_edge", "u_cloud", "f_local", "f_encode", "f_edge"):
-                assert np.array_equal(getattr(sol.alloc, f), getattr(ref.alloc, f)), f
-            # rates and powers as the engine used to recompute them
-            a = ref.alloc
-            mu_local = np.asarray(power.local_exec_rate(a.f_local, cfg)) + a.u_edge + a.u_cloud
-            assert np.array_equal(sol.mu_local, mu_local)
-            assert np.array_equal(sol.mu_edge, power.edge_exec_rate(a.f_edge, cfg))
-            *parts, total = power.total_power(a, pol, st, cfg)
-            for f, part in zip(("p_local", "p_edge", "p_tx_edge", "p_tx_cloud"), parts):
-                assert np.array_equal(getattr(sol, f), part), f
-            assert float(np.sum(sol.p_local) + np.sum(sol.p_edge) + np.sum(sol.p_tx_edge)
-                         + np.sum(sol.p_tx_cloud)) == total
+        pol = oracle.random_policy(rng, n, cfg.system.chi_edge, cfg.system.chi_cloud)
+        sol, g = critic.gather(table, tiled, pol)
+        ref = critic.evaluate_policy(pol, st, cfg)
+        assert g == ref.g_value
+        for f in ("u_edge", "u_cloud", "f_local", "f_encode", "f_edge"):
+            assert np.array_equal(getattr(sol.alloc, f), getattr(ref.alloc, f)), f
+        # rates and powers as the engine used to recompute them
+        a = ref.alloc
+        mu_local = np.asarray(power.local_exec_rate(a.f_local, cfg)) + a.u_edge + a.u_cloud
+        assert np.array_equal(sol.mu_local, mu_local)
+        assert np.array_equal(sol.mu_edge, power.edge_exec_rate(a.f_edge, cfg))
+        *parts, total = power.total_power(a, pol, st, cfg)
+        for f, part in zip(("p_local", "p_edge", "p_tx_edge", "p_tx_cloud"), parts):
+            assert np.array_equal(getattr(sol, f), part), f
+        assert float(np.sum(sol.p_local) + np.sum(sol.p_edge) + np.sum(sol.p_tx_edge)
+                     + np.sum(sol.p_tx_cloud)) == total
 
 
 # --- exact association search against enumeration ----------------------------
 
 @functools.lru_cache(maxsize=None)
-def _batch(n, chi_e, chi_c, at_most):
-    return critic.PolicyBatch(*oracle.policy_table(n, chi_e, chi_c, at_most))
+def _batch(n, chi_e, chi_c):
+    return critic.PolicyBatch(*oracle.policy_table(n, chi_e, chi_c))
 
 
 @hs.composite
@@ -322,22 +320,22 @@ def _tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_tables(), at_most=hs.booleans())
-def test_best_association_equals_enumeration_argmin(case, at_most):
+@given(case=_tables())
+def test_best_association_equals_enumeration_argmin(case):
     table, chi_e, chi_c = case
     n = table.shape[1]
-    batch = _batch(n, chi_e, chi_c, at_most)
+    batch = _batch(n, chi_e, chi_c)
     idx, _ = batch.best(table)
-    pol = critic.best_association(table, chi_e, chi_c, at_most=at_most)
+    pol = critic.best_association(table, chi_e, chi_c)
     assert np.array_equal(pol.rho_edge, batch.edge_masks[idx])
     assert np.array_equal(pol.rho_cloud, batch.cloud_masks[idx])
 
 
-@pytest.mark.parametrize("n,at_most", [(8, False), (8, True), (10, False)])
-def test_best_association_equals_enumeration_on_solved_tables(n, at_most):
+@pytest.mark.parametrize("n", [8, 10])
+def test_best_association_equals_enumeration_on_solved_tables(n):
     # real combo tables: idle devices make whole columns tie exactly
     cfg = replace(CFG, system=replace(CFG.system, num_devices=n))
-    batch = _batch(n, 4, 2, at_most)
+    batch = _batch(n, 4, 2)
     rng = np.random.default_rng(60 + n)
     geom = channel.place_devices(cfg, rng)
     for _ in range(25):
@@ -347,7 +345,7 @@ def test_best_association_equals_enumeration_on_solved_tables(n, at_most):
             getattr(st, name)[idle] = 0.0
         table, _ = critic.device_g_table(st, cfg)
         idx, g = batch.best(table)
-        pol = critic.best_association(table, 4, 2, at_most=at_most)
+        pol = critic.best_association(table, 4, 2)
         assert np.array_equal(pol.rho_edge, batch.edge_masks[idx])
         assert np.array_equal(pol.rho_cloud, batch.cloud_masks[idx])
 

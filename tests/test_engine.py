@@ -278,15 +278,15 @@ def test_metrics_csv_bytes_pinned(policy, devices, scenario, tmp_path):
 
 @hs.composite
 def _valid_runs(draw):
-    """A short run of a random valid config: up to 16 devices, either
-    cardinality mode, finite or no queue caps, wide v and arrival rates,
-    any policy; the actor trains from early slots on."""
+    """A short run of a random valid config: up to 16 devices, finite or
+    no queue caps, wide v and arrival rates, any policy; the actor trains
+    from early slots on."""
     n = draw(hs.integers(1, 16))
     arrival = draw(hs.floats(0.0, 2000.0))
     q_local = draw(hs.none() | hs.floats(0.01, 40.0).map(lambda x: arrival * 0.01 + x))
     system = SystemParams(
         num_devices=n, chi_edge=draw(hs.integers(0, n)), chi_cloud=draw(hs.integers(0, n)),
-        exact_cardinality=draw(hs.booleans()), arrival_rate_per_sec=arrival,
+        arrival_rate_per_sec=arrival,
         q_max_local=q_local, q_max_edge=draw(hs.none() | hs.floats(0.01, 20.0)),
         lyapunov_v=draw(hs.floats(0.01, 200.0)))
     training = TrainingParams(

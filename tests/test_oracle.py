@@ -54,13 +54,6 @@ def test_enumeration_is_lexicographic_and_streaming():
     assert list(np.nonzero(second.rho_cloud)[0]) == [1]
 
 
-def test_at_most_variant_counts():
-    # all subsets of size <= chi on both halves
-    expect = sum(math.comb(4, k) for k in range(3)) * sum(math.comb(4, k) for k in range(2))
-    assert oracle.count_policies(4, 2, 1, at_most=True) == expect
-    assert sum(1 for _ in oracle.enumerate_policies(4, 2, 1, at_most=True)) == expect
-
-
 def _state(rng, cfg=CFG):
     n = cfg.system.num_devices
     geom = channel.place_devices(cfg, rng)
@@ -73,8 +66,7 @@ def _state(rng, cfg=CFG):
 def _exhaustive_best(state, cfg=CFG):
     """The exhaustive search as the simulator runs it, scored independently."""
     table, _ = critic.device_g_table(state, cfg)
-    pol = critic.best_association(table, cfg.system.chi_edge, cfg.system.chi_cloud,
-                                  at_most=not cfg.system.exact_cardinality)
+    pol = critic.best_association(table, cfg.system.chi_edge, cfg.system.chi_cloud)
     return pol, critic.evaluate_policy(pol, state, cfg)
 
 
