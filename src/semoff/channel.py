@@ -8,6 +8,7 @@ replays are order-independent; `slot_rng` builds one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,15 @@ from .config import SystemConfig
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Planar device layout around the edge server plus distances to both servers."""
+    """Device distances to both servers and the channel terms fixed for the
+    whole run: pathloss gains and Rician line-of-sight and diffuse amplitudes."""
 
-    positions: np.ndarray      # (I, 2) m, edge server at the origin
     d_edge: np.ndarray         # (I,) m
     d_cloud: np.ndarray        # (I,) m
+    sqrt_g_edge: np.ndarray    # (I,) square root of the edge pathloss gain
+    g_cloud: np.ndarray        # (I,) cloud pathloss gain
+    rician_los: float
+    rician_diffuse: float
 
 
 @dataclass
@@ -47,6 +52,12 @@ def pathloss_gain(distance_m, cfg: SystemConfig):
     return 10.0 ** (-pathloss_db(distance_m, cfg) / 10.0)
 
 
+def rician_amplitudes(k_db: float) -> tuple[float, float]:
+    """Line-of-sight and diffuse amplitudes of Rician factor K (dB), E[|h|^2] = 1."""
+    k = 10.0 ** (k_db / 10.0)
+    return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
+
+
 def place_devices(cfg: SystemConfig, rng: np.random.Generator) -> LinkGeometry:
     """Drop devices uniformly (by area) in the hotspot annulus.
 
@@ -56,36 +67,29 @@ def place_devices(cfg: SystemConfig, rng: np.random.Generator) -> LinkGeometry:
     """
     ch = cfg.channel
     n = cfg.system.num_devices
-    r = np.sqrt(rng.uniform(ch.hotspot_radius_min ** 2, ch.hotspot_radius_max ** 2, n))
+    d = np.empty((2, n))     # edge and cloud distances, for one pathloss call
+    r, d_cloud = d
+    np.sqrt(rng.uniform(ch.hotspot_radius_min ** 2, ch.hotspot_radius_max ** 2, n), out=r)
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    positions = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    mcc = np.array([ch.cloud_distance, 0.0])
-    d_cloud = np.linalg.norm(positions - mcc, axis=1)
-    return LinkGeometry(positions=positions, d_edge=r, d_cloud=d_cloud)
-
-
-def _rician(rng: np.random.Generator, n: int, k_db: float) -> np.ndarray:
-    # Deterministic line-of-sight ray plus diffuse part, normalised to
-    # E[|h|^2] = 1.
-    k = 10.0 ** (k_db / 10.0)
-    los = np.sqrt(k / (k + 1.0))
-    diffuse = np.sqrt(1.0 / (k + 1.0))
-    scatter = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    return los + diffuse * scatter
+    x, y = r * np.cos(theta), r * np.sin(theta)
+    dx = x - ch.cloud_distance
+    # the Euclidean norm as np.linalg.norm computes it, bit for bit
+    np.sqrt(dx * dx + y * y, out=d_cloud)
+    g_edge, g_cloud = pathloss_gain(d, cfg)
+    return LinkGeometry(r, d_cloud, np.sqrt(g_edge), g_cloud,
+                        *rician_amplitudes(ch.rician_k_db))
 
 
 def _rayleigh(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
 
 
 def draw_channels(geom: LinkGeometry, cfg: SystemConfig,
                   rng: np.random.Generator) -> ChannelDraw:
-    """Draw one slot of channel gains."""
+    """Draw one slot of fading (Rician edge, Rayleigh cloud) and cloud shadowing."""
     n = len(geom.d_edge)
-    g_edge = pathloss_gain(geom.d_edge, cfg)
-    g_cloud = pathloss_gain(geom.d_cloud, cfg)
-    htilde_edge = _rician(rng, n, cfg.channel.rician_k_db)
+    htilde_edge = geom.rician_los + geom.rician_diffuse * _rayleigh(rng, n)
     htilde_cloud = _rayleigh(rng, n)
     shadow = 10.0 ** (rng.normal(0.0, cfg.channel.shadowing_std_db, n) / 10.0)
-    return ChannelDraw(h2_edge=np.abs(np.sqrt(g_edge) * htilde_edge) ** 2,
-                       h2_cloud=np.abs(np.sqrt(g_cloud * shadow) * htilde_cloud) ** 2)
+    return ChannelDraw(h2_edge=np.abs(geom.sqrt_g_edge * htilde_edge) ** 2,
+                       h2_cloud=np.abs(np.sqrt(geom.g_cloud * shadow) * htilde_cloud) ** 2)

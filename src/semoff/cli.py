@@ -265,8 +265,9 @@ def cmd_verify(args) -> int:
         sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
         arrivals = rng.poisson(cfg.mean_arrivals_per_slot,
                                cfg.system.num_devices).astype(float)
-        _, _, dpp, bound = engine.step(state, sol, arrivals, cfg, caps)
-        if dpp > bound + 1e-9:
+        _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state), sol,
+                                          arrivals, cfg, caps)
+        if dpp > bound + engine.BOUND_TOL:
             violations += 1
     ok = violations == 0
     failures += 0 if ok else 1

@@ -13,6 +13,7 @@ continuous in the clock frequencies; arrivals stay integer Poisson draws.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -34,8 +35,23 @@ NOISE_PSD_DEFAULT = 10.0 ** (-174.0 / 10.0) * 1e-3
 P_TX_MAX_DEFAULT = 10.0 ** (20.0 / 10.0) * 1e-3
 
 
+class _Group:
+    """Base of the four parameter groups. Stores a JSON list or int as its
+    field's tuple or float, so numpy sees floats (10**20 as an int makes an
+    object array); an int too large for a float is left to `validate_config`."""
+
+    def __post_init__(self) -> None:
+        for name, admits, _ in _FIELD_TYPES[type(self)]:
+            value = getattr(self, name)
+            if type(value) is list and tuple in admits:
+                object.__setattr__(self, name, tuple(value))
+            elif type(value) is int and float in admits:
+                with contextlib.suppress(OverflowError):
+                    object.__setattr__(self, name, float(value))
+
+
 @dataclass(frozen=True)
-class SystemParams:
+class SystemParams(_Group):
     """Device counts, queue caps, compute hardware, and solver weights."""
 
     num_devices: int = 8
@@ -62,7 +78,7 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(_Group):
     """Geometry, pathloss/fading parameters, bandwidths, radio limits."""
 
     bw_edge_total: float = 1e6           # Hz, shared uplink to the edge server
@@ -79,7 +95,7 @@ class ChannelParams:
 
 
 @dataclass(frozen=True)
-class SemanticParams:
+class SemanticParams(_Group):
     """Task/source statistics and the accuracy-vs-SNR surrogate curve."""
 
     sentence_len: float = 10.0           # words/task
@@ -92,7 +108,7 @@ class SemanticParams:
 
 
 @dataclass(frozen=True)
-class TrainingParams:
+class TrainingParams(_Group):
     """Actor network, replay memory, and run-length settings."""
 
     learning_rate: float = 1e-3
@@ -109,10 +125,6 @@ class TrainingParams:
     feature_gain_offset_cloud_db: float = -115.0
     feature_gain_scale_db: float = 10.0
     feature_queue_ref: float = 10.0
-
-    def __post_init__(self) -> None:
-        if isinstance(self.hidden_sizes, list):   # as read from JSON
-            object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
 
 
 @dataclass(frozen=True)
@@ -181,12 +193,9 @@ def validate_config(cfg: SystemConfig) -> list[str]:
             value = getattr(group, name)
             if type(value) not in admits:
                 bad.append(f"{name}: must be {kind}, got {value!r}")
-            elif type(value) is int and float in admits:
-                try:
-                    float(value)
-                except OverflowError:
-                    bad.append(f"{name}: must be {kind}, got an integer too large "
-                               "for a float")
+            elif type(value) is int and float in admits:   # see `_Group`
+                bad.append(f"{name}: must be {kind}, got an integer too large "
+                           "for a float")
     if bad:
         return bad
 
@@ -243,6 +252,10 @@ def validate_config(cfg: SystemConfig) -> list[str]:
                         (tr, "feature_gain_offset_edge_db"), (tr, "feature_gain_offset_cloud_db")):
         if not -math.inf < getattr(group, name) < math.inf:
             bad.append(f"{name}: must be finite")
+    try:
+        10.0 ** (ch.rician_k_db / 10.0)   # the linear K factor
+    except OverflowError:
+        bad.append(f"rician_k_db: must keep 10 ** (rician_k_db / 10) finite, got {ch.rician_k_db!r}")
 
     positive("learning_rate", tr.learning_rate)
     for name, count, low in (("memory_size", tr.memory_size, 1),

@@ -20,6 +20,7 @@ real plus virtual queue, as the per-slot objective implies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,8 @@ def solve_edge_volume(state: SlotState, edge_mask: np.ndarray,
     s = cfg.system
     w = state.q_local + state.z_local - state.q_edge - state.z_edge
     rate_per_hz = s.slot_length * s.flops_per_cycle_local / s.task_flops_encode
-    with np.errstate(invalid="ignore"):
-        stationary = np.sqrt(rate_per_hz ** 3 * np.maximum(w, 0.0)
-                             / (3.0 * s.lyapunov_v * s.alpha_local))
+    stationary = np.sqrt(rate_per_hz ** 3 * np.maximum(w, 0.0)
+                         / (3.0 * s.lyapunov_v * s.alpha_local))
     cap = np.minimum(state.q_local,
                      np.minimum(power.encode_rate(s.f_local_max, cfg),
                                 power.semantic_volume_cap(state.h2_edge, cfg.bandwidth_edge, cfg)))
@@ -78,8 +78,7 @@ def solve_cloud_volume(state: SlotState, cloud_mask: np.ndarray,
     scale = s.slot_length * b_c / bits_per_task
     arg = (np.maximum(w, 0.0) * s.slot_length * state.h2_cloud
            / (LN2 * s.lyapunov_v * bits_per_task * cfg.channel.noise_psd))
-    with np.errstate(divide="ignore"):
-        stationary = np.where(arg > 0, scale * np.log2(np.maximum(arg, 1e-300)), 0.0)
+    stationary = np.where(arg > 0, scale * np.log2(np.maximum(arg, 1e-300)), 0.0)
     cap = np.minimum(state.q_local - u_edge,
                      power.cloud_offload_cap(state.h2_cloud, b_c, cfg))
     out = np.where(cloud_mask, np.clip(stationary, 0.0, np.maximum(cap, 0.0)), 0.0)
@@ -134,13 +133,13 @@ def check_clocks_and_backlog(sol: Solution, state: SlotState, cfg: SystemConfig)
     plus 1e-9 tasks for the volumes."""
     s, alloc = cfg.system, sol.alloc
     tol = 1 + _REL_TOL
-    if np.any(alloc.f_local + alloc.f_encode > s.f_local_max * tol):
+    if (alloc.f_local + alloc.f_encode > s.f_local_max * tol).any():
         raise FeasibilityError("f_local + f_encode exceeds f_local_max")
-    if np.any(alloc.f_edge > s.f_edge_max * tol):
+    if (alloc.f_edge > s.f_edge_max * tol).any():
         raise FeasibilityError("f_edge exceeds f_edge_max")
-    if np.any(sol.mu_local > state.q_local * tol + _REL_TOL):
+    if (sol.mu_local > state.q_local * tol + _REL_TOL).any():
         raise FeasibilityError("served local volume exceeds local backlog")
-    if np.any(sol.mu_edge > state.q_edge * tol + _REL_TOL):
+    if (sol.mu_edge > state.q_edge * tol + _REL_TOL).any():
         raise FeasibilityError("edge decode volume exceeds edge backlog")
 
 
@@ -232,6 +231,15 @@ def evaluate_policy(policy: Policy, state: SlotState,
 # The per-slot combo solve and the searches that read it
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _combo_policy(n: int) -> Policy:
+    """`device_g_table`'s four combos as one read-only 4n-long policy."""
+    edge = np.repeat(np.array([False, False, True, True]), n)
+    cloud = np.repeat(np.array([False, True, False, True]), n)
+    edge.flags.writeable = cloud.flags.writeable = False
+    return Policy(rho_edge=edge, rho_cloud=cloud)
+
+
 def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Solution]:
     """(4, I) objective contributions for each per-device association combo,
     plus the 4I-long solution (allocation, rates, powers) they came from.
@@ -249,10 +257,9 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
     tiled = SlotState(*(np.concatenate((x, x, x, x)) for x in (
         state.h2_edge, state.h2_cloud, state.q_local, state.q_edge,
         state.z_local, state.z_edge)))
-    e_mask = np.repeat(np.array([False, False, True, True]), n)
-    c_mask = np.repeat(np.array([False, True, False, True]), n)
-    alloc = assemble_allocation(tiled, e_mask, c_mask, cfg)
-    sol = rates_and_powers(alloc, Policy(rho_edge=e_mask, rho_cloud=c_mask), tiled, cfg)
+    combos = _combo_policy(n)
+    alloc = assemble_allocation(tiled, combos.rho_edge, combos.rho_cloud, cfg)
+    sol = rates_and_powers(alloc, combos, tiled, cfg)
     lt, et, pt = g_terms(sol, tiled, cfg)
     return (lt + et + pt).reshape(4, n), sol
 
@@ -275,7 +282,7 @@ def gather(table: np.ndarray, tiled: Solution,
                    mu_edge=tiled.mu_edge[idx], p_local=tiled.p_local[idx],
                    p_edge=tiled.p_edge[idx], p_tx_edge=tiled.p_tx_edge[idx],
                    p_tx_cloud=tiled.p_tx_cloud[idx])
-    return sol, float(np.sum(table.reshape(-1)[idx]))
+    return sol, float(table.reshape(-1)[idx].sum())
 
 
 def _bits(key: int, n: int) -> np.ndarray:
@@ -358,7 +365,7 @@ class PolicyBatch:
         """Objective values for every policy in the batch, given
         `device_g_table`'s (4, I) table."""
         per_device = table.T[self._device_idx, self.combo]  # (P, I)
-        return np.sum(per_device, axis=1)
+        return per_device.sum(axis=1)
 
     def best(self, table: np.ndarray) -> tuple[int, np.ndarray]:
         """Index of the minimum-objective policy (first on ties) plus all values."""

@@ -33,6 +33,8 @@ STREAM_RANDOM_POLICY = 6
 
 INHERIT: Any = object()  # scenario fields left at the base config
 
+BOUND_TOL = 1e-9   # a slot breaks the drift bound when dpp > bound + BOUND_TOL
+
 
 def parse_policy_spec(spec: str) -> tuple[str, int]:
     """Parse 'drlh:N' | 'exhaustive' | 'random' into (kind, candidates)."""
@@ -228,20 +230,21 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
-def step(state: SlotState, sol: critic.Solution, arrivals: np.ndarray,
+def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.ndarray,
          cfg: SystemConfig, caps: queueing.RateCaps
-         ) -> tuple[SlotState, tuple[float, float, float, float, float], float, float]:
+         ) -> tuple[SlotState, float, tuple[float, float, float, float, float], float, float]:
     """One slot's queue transition under a solved allocation.
 
     Checks the clock budgets and the backlog (`critic.check_clocks_and_backlog`),
-    updates the real and then the virtual queues, and returns the next
-    state (the slot's channels carried over), the power sums (local, edge,
-    edge transmit, cloud transmit, total), the realised drift-plus-penalty
-    and its upper bound. Pure: `state` and `sol` are not modified.
+    updates the real and then the virtual queues. Takes and returns the
+    Lyapunov values of `state` and of the next state (the slot's channels
+    carried over); also returns the power sums (local, edge, edge transmit,
+    cloud transmit, total), the realised drift-plus-penalty and its upper
+    bound. Pure: `state` and `sol` are not modified.
     """
     s = cfg.system
     critic.check_clocks_and_backlog(sol, state, cfg)
-    sums = [float(np.sum(p)) for p in (sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud)]
+    sums = [float(p.sum()) for p in (sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud)]
     p_total = sums[0] + sums[1] + sums[2] + sums[3]   # `power.total_power`'s order
     q_local = queueing.update_local_queue(state.q_local, sol.mu_local, arrivals)
     q_edge = queueing.update_edge_queue(state.q_edge, sol.mu_edge, sol.alloc.u_edge)
@@ -251,11 +254,12 @@ def step(state: SlotState, sol: critic.Solution, arrivals: np.ndarray,
                                                           s.q_max_local),
                     z_edge=queueing.update_virtual_queue(state.z_edge, q_edge,
                                                          s.q_max_edge))
-    dpp = queueing.drift_plus_penalty(state, nxt, p_total, s.lyapunov_v)
+    l_nxt = queueing.lyapunov_value(nxt)
+    dpp = queueing.drift_plus_penalty(l_state, l_nxt, p_total, s.lyapunov_v)
     u_cloud_cap = power.cloud_offload_cap(state.h2_cloud, cfg.bandwidth_cloud, cfg)
     bound = queueing.drift_penalty_bound(state, sol.mu_local, sol.mu_edge, sol.alloc.u_edge,
                                          arrivals, p_total, cfg, caps, u_cloud_cap)
-    return nxt, (*sums, p_total), dpp, bound
+    return nxt, l_nxt, (*sums, p_total), dpp, bound
 
 
 class Simulation:
@@ -278,6 +282,7 @@ class Simulation:
         self.q_edge = np.zeros(n)
         self.z_local = np.zeros(n)
         self.z_edge = np.zeros(n)
+        self.lyapunov = 0.0   # `queueing.lyapunov_value` of the queues above
 
         if self.kind == "exhaustive":
             self.n_policies = oracle.count_policies(
@@ -355,10 +360,11 @@ class Simulation:
         arrivals = channel.slot_rng(self.seed, STREAM_ARRIVALS, t).poisson(
             cfg.mean_arrivals_per_slot, cfg.system.num_devices).astype(float)
         try:
-            nxt, powers, dpp, bound = step(state, sol, arrivals, cfg, self.caps)
+            nxt, l_nxt, powers, dpp, bound = step(state, self.lyapunov, sol, arrivals,
+                                                  cfg, self.caps)
         except critic.FeasibilityError as exc:
             raise critic.FeasibilityError(f"slot {t}: {exc}") from exc
-        if dpp > bound + 1e-9:
+        if dpp > bound + BOUND_TOL:
             log.bound_violations += 1
 
         log.arrivals[t] = arrivals
@@ -385,6 +391,7 @@ class Simulation:
         self.q_edge = nxt.q_edge
         self.z_local = nxt.z_local
         self.z_edge = nxt.z_edge
+        self.lyapunov = l_nxt
 
 
 def run_scenario(cfg: SystemConfig, scenario: Scenario,
@@ -476,6 +483,9 @@ def summarize(log: MetricsLog, cfg: SystemConfig, scenario: Scenario) -> dict[st
         "power_tx_cloud_w": log.tail_mean("p_tx_cloud"),
         "g_value": log.tail_mean("g_value"),
     }
+    slack = np.sort(log.bound - log.dpp)
+    n = len(slack)
+    broken = np.flatnonzero(log.dpp > log.bound + BOUND_TOL)
     with np.errstate(invalid="ignore"):
         test_tail = float(np.nanmean(log.test_loss[log.tail_start:])) \
             if np.any(np.isfinite(log.test_loss)) else None
@@ -489,6 +499,10 @@ def summarize(log: MetricsLog, cfg: SystemConfig, scenario: Scenario) -> dict[st
         "tail_start": log.tail_start,
         "tail_means": tail,
         "bound_violations": log.bound_violations,
+        "drift_bound_slack": {   # q01: the lower-rank 1% quantile
+            "min": float(slack[0]), "q01": float(slack[(n - 1) // 100]),
+            "median": float((slack[(n - 1) // 2] + slack[n // 2]) / 2),
+            "first_violation_slot": int(broken[0]) if broken.size else None},
         "train_steps": log.train_steps,
         "tail_mean_test_loss": test_tail,
         "tail_mean_train_loss": train_tail,

@@ -53,25 +53,25 @@ def accuracy_curve(cfg: SystemConfig) -> LogisticAccuracyCurve:
 def local_exec_rate(f_local, cfg: SystemConfig):
     """Tasks/slot finished locally at clock f_local."""
     s = cfg.system
-    return s.slot_length * s.flops_per_cycle_local * np.asarray(f_local) / s.task_flops_total
+    return s.slot_length * s.flops_per_cycle_local * f_local / s.task_flops_total
 
 
 def encode_rate(f_encode, cfg: SystemConfig):
     """Tasks/slot encoded for edge offloading at clock f_encode."""
     s = cfg.system
-    return s.slot_length * s.flops_per_cycle_local * np.asarray(f_encode) / s.task_flops_encode
+    return s.slot_length * s.flops_per_cycle_local * f_encode / s.task_flops_encode
 
 
 def encode_frequency(u_edge, cfg: SystemConfig):
     """Clock needed to encode u_edge tasks within the slot (inverse of encode_rate)."""
     s = cfg.system
-    return np.asarray(u_edge) * s.task_flops_encode / (s.slot_length * s.flops_per_cycle_local)
+    return u_edge * s.task_flops_encode / (s.slot_length * s.flops_per_cycle_local)
 
 
 def edge_exec_rate(f_edge, cfg: SystemConfig):
     """Tasks/slot decoded and finished at the edge server at clock f_edge."""
     s = cfg.system
-    return s.slot_length * s.flops_per_cycle_edge * np.asarray(f_edge) / s.task_flops_decode
+    return s.slot_length * s.flops_per_cycle_edge * f_edge / s.task_flops_decode
 
 
 def local_power(f_local, f_encode, cfg: SystemConfig):
@@ -191,5 +191,5 @@ def total_power(alloc: Allocation, policy: Policy, state: SlotState,
     p_tx_e, p_tx_c = transmit_powers(alloc, state, cfg)
     p_tx_e = np.where(policy.rho_edge, p_tx_e, 0.0)
     p_tx_c = np.where(policy.rho_cloud, p_tx_c, 0.0)
-    total = float(np.sum(p_l) + np.sum(p_e) + np.sum(p_tx_e) + np.sum(p_tx_c))
+    total = float(p_l.sum() + p_e.sum() + p_tx_e.sum() + p_tx_c.sum())
     return p_l, p_e, p_tx_e, p_tx_c, total

@@ -18,23 +18,25 @@ from .config import SlotState, SystemConfig
 from . import power
 
 
-def _require_nonneg(name: str, value) -> None:
-    if np.any(np.asarray(value) < 0):
+def _require_nonneg(**values) -> None:
+    """Raise ValueError naming the first argument with a negative entry. One
+    fused test; fmin skips NaN, so a NaN cannot hide a negative elsewhere."""
+    a, b, c = values.values()
+    if (np.fmin(np.fmin(a, b), c) < 0).any():
+        name = next(k for k, v in values.items() if (np.asarray(v) < 0).any())
         raise ValueError(f"{name} must be >= 0")
 
 
 def update_local_queue(q, mu, arrivals):
     """Next local queue: unserved backlog plus fresh arrivals."""
-    for name, v in (("q", q), ("mu", mu), ("arrivals", arrivals)):
-        _require_nonneg(name, v)
-    return np.maximum(np.asarray(q) - np.asarray(mu), 0.0) + np.asarray(arrivals)
+    _require_nonneg(q=q, mu=mu, arrivals=arrivals)
+    return np.maximum(q - mu, 0.0) + arrivals
 
 
 def update_edge_queue(q, mu_edge, u_edge):
     """Next edge queue: undecoded backlog plus newly offloaded volume."""
-    for name, v in (("q", q), ("mu_edge", mu_edge), ("u_edge", u_edge)):
-        _require_nonneg(name, v)
-    return np.maximum(np.asarray(q) - np.asarray(mu_edge), 0.0) + np.asarray(u_edge)
+    _require_nonneg(q=q, mu_edge=mu_edge, u_edge=u_edge)
+    return np.maximum(q - mu_edge, 0.0) + u_edge
 
 
 def update_virtual_queue(z, q_next, q_max: Optional[float]):
@@ -43,20 +45,19 @@ def update_virtual_queue(z, q_next, q_max: Optional[float]):
     An unbounded cap (None) keeps the virtual queue pinned at zero.
     """
     if q_max is None:
-        return np.zeros_like(np.asarray(z, dtype=float))
-    return np.maximum(np.asarray(z) + np.asarray(q_next) - q_max, 0.0)
+        return np.zeros(np.shape(z))
+    return np.maximum(z + q_next - q_max, 0.0)
 
 
 def lyapunov_value(state: SlotState) -> float:
     """Quadratic energy of the total backlog (real plus virtual queues)."""
-    return 0.5 * float(np.sum(state.q_local ** 2) + np.sum(state.q_edge ** 2)
-                       + np.sum(state.z_local ** 2) + np.sum(state.z_edge ** 2))
+    return 0.5 * float((state.q_local ** 2).sum() + (state.q_edge ** 2).sum()
+                       + (state.z_local ** 2).sum() + (state.z_edge ** 2).sum())
 
 
-def drift_plus_penalty(state_t: SlotState, state_t1: SlotState,
-                       power_w: float, v: float) -> float:
-    """Realised one-slot Lyapunov drift plus the weighted power penalty."""
-    return lyapunov_value(state_t1) - lyapunov_value(state_t) + v * power_w
+def drift_plus_penalty(l_t: float, l_t1: float, power_w: float, v: float) -> float:
+    """Realised one-slot drift plus weighted power, from the two `lyapunov_value`s."""
+    return l_t1 - l_t + v * power_w
 
 
 @dataclass(frozen=True)
@@ -123,18 +124,14 @@ def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
     """
     q_l, z_l = state.q_local, state.z_local
     q_e, z_e = state.q_edge, state.z_edge
-    mu_l = np.asarray(mu_local, dtype=float)
-    mu_e = np.asarray(mu_edge, dtype=float)
-    u_e = np.asarray(u_edge, dtype=float)
-    lam = np.asarray(arrivals, dtype=float)
     v = cfg.system.lyapunov_v
 
-    mu_l_cap = caps.u_local + caps.u_encode + np.asarray(u_cloud_cap, dtype=float)
-    lam_cap = np.maximum(caps.arrivals, lam)
+    mu_l_cap = caps.u_local + caps.u_encode + u_cloud_cap
+    lam_cap = np.maximum(caps.arrivals, arrivals)
     u_e_cap = caps.u_encode
     mu_e_cap = caps.mu_edge
 
-    b1 = 0.5 * np.sum(mu_l_cap ** 2 + lam_cap ** 2)
+    b1 = 0.5 * (mu_l_cap ** 2 + lam_cap ** 2).sum()
     b3 = 0.5 * len(q_e) * (mu_e_cap ** 2 + u_e_cap ** 2)
 
     b2 = 0.0
@@ -143,15 +140,15 @@ def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
     q_max_l = cfg.system.q_max_local
     q_max_e = cfg.system.q_max_edge
     if q_max_l is not None:
-        b2 = float(np.sum(0.5 * (mu_l_cap ** 2 + lam ** 2 + q_l ** 2 + q_max_l ** 2)
-                          + mu_l_cap * q_max_l + lam * q_l))
-        cross += float(np.sum(z_l * (q_l - q_max_l)))
+        b2 = float((0.5 * (mu_l_cap ** 2 + arrivals ** 2 + q_l ** 2 + q_max_l ** 2)
+                    + mu_l_cap * q_max_l + arrivals * q_l).sum())
+        cross += float((z_l * (q_l - q_max_l)).sum())
     if q_max_e is not None:
-        b4 = float(np.sum(0.5 * (mu_e_cap ** 2 + u_e ** 2 + q_e ** 2 + q_max_e ** 2)
-                          + mu_e_cap * q_max_e + u_e_cap * q_e))
-        cross += float(np.sum(z_e * (q_e - q_max_e)))
+        b4 = float((0.5 * (mu_e_cap ** 2 + u_edge ** 2 + q_e ** 2 + q_max_e ** 2)
+                    + mu_e_cap * q_max_e + u_e_cap * q_e).sum())
+        cross += float((z_e * (q_e - q_max_e)).sum())
 
     b_hat = float(b1 + b2 + b3 + b4 + cross)
-    linear = float(np.sum((q_l + z_l) * (mu_l - lam))
-                   + np.sum((q_e + z_e) * (mu_e - u_e)))
+    linear = float(((q_l + z_l) * (mu_local - arrivals)).sum()
+                   + ((q_e + z_e) * (mu_edge - u_edge)).sum())
     return b_hat - linear + v * power_w

@@ -22,13 +22,13 @@ def test_placement_deterministic_given_seed():
     cfg = SystemConfig()
     a = channel.place_devices(cfg, _rng(42))
     b = channel.place_devices(cfg, _rng(42))
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.d_edge, b.d_edge) and np.array_equal(a.d_cloud, b.d_cloud)
 
 
 def test_placement_respects_device_count():
     cfg = SystemConfig(system=SystemParams(num_devices=12))
     geom = channel.place_devices(cfg, _rng(0))
-    assert geom.positions.shape == (12, 2)
+    assert geom.d_edge.shape == geom.d_cloud.shape == geom.g_cloud.shape == (12,)
 
 
 def test_pathloss_at_100m_is_90_5_db():
@@ -44,7 +44,8 @@ def test_rayleigh_small_scale_unit_mean_power():
 
 
 def test_rician_k_factor_recovered_from_moments():
-    p = np.abs(channel._rician(_rng(321), 100_000, SystemConfig().channel.rician_k_db)) ** 2
+    los, diffuse = channel.rician_amplitudes(SystemConfig().channel.rician_k_db)
+    p = np.abs(los + diffuse * channel._rayleigh(_rng(321), 100_000)) ** 2
     # moment estimator: v = Var/mean^2 = (1+2K)/(1+K)^2
     v = np.var(p) / np.mean(p) ** 2
     k_hat = ((1 - v) + np.sqrt(1 - v)) / v
@@ -68,7 +69,8 @@ def _fading(cfg, slot):
     """The slot's small-scale draws, replayed in `draw_channels`' order."""
     rng = channel.slot_rng(5, 4, slot)
     n = cfg.system.num_devices
-    edge = channel._rician(rng, n, cfg.channel.rician_k_db)
+    los, diffuse = channel.rician_amplitudes(cfg.channel.rician_k_db)
+    edge = los + diffuse * channel._rayleigh(rng, n)
     return edge, channel._rayleigh(rng, n), rng
 
 
@@ -108,3 +110,34 @@ def test_cloud_shadowing_redrawn_per_slot():
                                      cfg.system.num_devices) / 10.0)
         assert np.allclose(shadows[-1], expect, rtol=1e-12, atol=0)
     assert not np.allclose(shadows[0], shadows[1])
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_stored_gains_reproduce_the_from_distance_draw(n, seed):
+    # the gains fixed at placement give, bit for bit, what the formulas on
+    # the distances give when recomputed in every slot
+    cfg = SystemConfig(system=SystemParams(num_devices=n, chi_edge=min(4, n),
+                                           chi_cloud=min(2, n)))
+    rng = _rng(seed)
+    geom = channel.place_devices(cfg, rng)
+    replay = _rng(seed)
+    r = np.sqrt(replay.uniform(50.0 ** 2, 150.0 ** 2, n))
+    theta = replay.uniform(0.0, 2.0 * np.pi, n)
+    positions = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    assert np.array_equal(geom.d_edge, r)
+    assert np.array_equal(geom.d_cloud, np.linalg.norm(positions - np.array([500.0, 0.0]),
+                                                       axis=1))
+    g_edge = channel.pathloss_gain(geom.d_edge, cfg)
+    g_cloud = channel.pathloss_gain(geom.d_cloud, cfg)
+    k = 10.0 ** (cfg.channel.rician_k_db / 10.0)
+    for t in range(4):
+        draw = channel.draw_channels(geom, cfg, channel.slot_rng(seed, 4, t))
+        fading = channel.slot_rng(seed, 4, t)
+        scatter = (fading.standard_normal(n) + 1j * fading.standard_normal(n)) / np.sqrt(2.0)
+        h_edge = np.sqrt(k / (k + 1.0)) + np.sqrt(1.0 / (k + 1.0)) * scatter
+        h_cloud = (fading.standard_normal(n) + 1j * fading.standard_normal(n)) / np.sqrt(2.0)
+        shadow = 10.0 ** (fading.normal(0.0, cfg.channel.shadowing_std_db, n) / 10.0)
+        assert draw.h2_edge.tobytes() == (np.abs(np.sqrt(g_edge) * h_edge) ** 2).tobytes()
+        assert draw.h2_cloud.tobytes() == \
+            (np.abs(np.sqrt(g_cloud * shadow) * h_cloud) ** 2).tobytes()

@@ -149,3 +149,14 @@ def test_simulate_reports_bad_scenario_values(tmp_path, capsys, scenario, field)
     err = capsys.readouterr().err
     assert f"error: scenario.{field}: " in err
     assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+
+def test_simulate_reports_rician_factor_out_of_float_range(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"channel": {"rician_k_db": 1e20}}))
+    rc = main(["simulate", "--config", str(path), "--slots", "10",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: rician_k_db: must keep 10 ** (rician_k_db / 10) finite" in err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()

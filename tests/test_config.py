@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -197,3 +198,34 @@ def test_every_field_type_is_checked():
                  "hidden_sizes", "total_slots"):
         assert sum(p.startswith(f"{name}: must be") for p in problems) == 1, (name, problems)
     assert len(problems) == 6
+
+
+@pytest.mark.parametrize("group,name,optional", list(_float_fields()))
+def test_huge_integer_in_any_float_field_runs_or_is_named(group, name, optional):
+    # 10**20 as a JSON integer: an int64 overflow if it reached numpy as an int
+    from semoff import engine
+
+    cfg = config_from_dict({group: {name: 10 ** 20}})
+    assert type(getattr(getattr(cfg, group), name)) is float
+    problems = validate_config(cfg)
+    fields = {f.name for g in ("system", "channel", "semantic", "training")
+              for f in dataclasses.fields(getattr(cfg, g))}
+    if problems:
+        for p in problems:
+            assert re.match(r"\w+", p).group() in fields, p
+        return
+    for policy in ("drlh:4", "exhaustive"):
+        sim = engine.Simulation(cfg, policy, seed=1)
+        log = engine.MetricsLog(3, cfg.system.num_devices)
+        for t in range(3):
+            sim.run_slot(t, log)
+        assert np.all(np.isfinite(sim.q_local)) and np.all(np.isfinite(sim.q_edge))
+
+
+def test_rician_k_factor_beyond_float_range_is_named():
+    for k_db in (1e20, 3083.0):
+        cfg = config_from_dict({"channel": {"rician_k_db": k_db}})
+        assert [p.split(":")[0] for p in validate_config(cfg)] == ["rician_k_db"]
+    # just inside the range: the amplitudes stay finite
+    cfg = config_from_dict({"channel": {"rician_k_db": 3080.0}})
+    assert validate_config(cfg) == []

@@ -461,3 +461,27 @@ def test_solution_within_feasible_intervals():
         res = critic.evaluate_policy(pol, st, CFG)
         # raises on violation, transmit powers within p_tx_max included
         critic.check_allocation(res.alloc, pol, st, CFG)
+
+
+_QUEUE = hs.one_of(hs.just(0.0), hs.floats(1e-3, 1e12))
+_GAIN = hs.one_of(hs.just(0.0), hs.floats(1e-100, 1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data(), n=hs.integers(1, 6))
+def test_volume_stages_raise_no_floating_point_error(data, n):
+    # zero and very large queues, zero and tiny gains: no invalid value,
+    # division by zero, overflow or underflow inside the two volume stages
+    def arr(elements):
+        return np.array(data.draw(hs.lists(elements, min_size=n, max_size=n)))
+    state = SlotState(h2_edge=arr(_GAIN), h2_cloud=arr(_GAIN),
+                      q_local=arr(_QUEUE), q_edge=arr(_QUEUE),
+                      z_local=arr(_QUEUE), z_edge=arr(_QUEUE))
+    edge, cloud = arr(hs.booleans()), arr(hs.booleans())
+    with np.errstate(all="raise"):
+        u_edge = critic.solve_edge_volume(state, edge, CFG)
+        u_cloud = critic.solve_cloud_volume(state, cloud, u_edge, CFG)
+    for u, mask in ((u_edge, edge), (u_cloud, cloud)):
+        assert np.all(np.isfinite(u)) and np.all(u >= 0)
+        assert np.all(u[~mask] == 0)
+    assert np.all(u_edge + u_cloud <= state.q_local * (1 + 1e-12))

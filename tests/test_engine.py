@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,43 @@ def test_run_outputs_written(tmp_path):
     assert n_rows == 60
 
 
+def _slack_from_csv(path):
+    """bound - dpp per slot, as read back from a run's metrics.csv."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    col = {name: i for i, name in enumerate(rows[0])}
+    return (np.array([float(r[col["bound"]]) for r in rows[1:]])
+            - np.array([float(r[col["dpp"]]) for r in rows[1:]]))
+
+
+@pytest.mark.parametrize("policy,scenario", [("drlh:8", 1), ("exhaustive", 2)])
+def test_summary_drift_bound_slack_matches_metrics_csv(policy, scenario, tmp_path):
+    preset = engine.scenario_one if scenario == 1 else engine.scenario_two
+    sc = preset(policy=policy, seed=3, total_slots=200)
+    log = engine.run_scenario(CFG, sc)
+    for out in (tmp_path / "a", tmp_path / "b"):
+        engine.write_run_outputs(out, log, sc.apply(CFG), sc)
+    assert (tmp_path / "a" / "summary.json").read_bytes() == \
+        (tmp_path / "b" / "summary.json").read_bytes()
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    slack = _slack_from_csv(tmp_path / "a" / "metrics.csv")
+    assert summary["drift_bound_slack"] == {
+        "min": float(slack.min()), "q01": float(np.quantile(slack, 0.01, method="lower")),
+        "median": float(np.median(slack)), "first_violation_slot": None}
+    assert np.all(slack >= 0)
+
+
+def test_summary_names_the_first_slot_that_breaks_the_bound():
+    sc = engine.scenario_one(policy="random", seed=3, total_slots=40)
+    log = engine.run_scenario(CFG, sc)
+    # slot 9 within the tolerance, slots 17 and 30 beyond it
+    log.dpp[9] = log.bound[9] + 0.5e-9
+    log.dpp[17] = log.bound[17] + 1e-6
+    log.dpp[30] = log.bound[30] + 5.0
+    slack = engine.summarize(log, sc.apply(CFG), sc)["drift_bound_slack"]
+    assert slack["first_violation_slot"] == 17
+    assert slack["min"] == log.bound[30] - log.dpp[30]
+
+
 def test_invalid_config_refused():
     cfg = SystemConfig(system=SystemParams(chi_edge=9))
     with pytest.raises(ValueError, match="chi_edge"):
@@ -191,14 +229,15 @@ def test_step_guard_tolerates_rounding_only():
                                mu_edge=np.full(n, mu_edge), p_local=zeros, p_edge=zeros,
                                p_tx_edge=zeros, p_tx_cloud=zeros)
 
-    nxt, powers, _, _ = engine.step(state, solution(3.0 + 3.5e-9, 2.0 + 2.5e-9),
-                                    zeros, CFG, caps)
+    l_state = queueing.lyapunov_value(state)
+    nxt, _, powers, _, _ = engine.step(state, l_state, solution(3.0 + 3.5e-9, 2.0 + 2.5e-9),
+                                       zeros, CFG, caps)
     assert np.all(nxt.q_local == 0.0) and np.all(nxt.q_edge == 0.0)
     assert powers == (0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(critic.FeasibilityError, match="local backlog"):
-        engine.step(state, solution(3.0 + 5e-9, 2.0), zeros, CFG, caps)
+        engine.step(state, l_state, solution(3.0 + 5e-9, 2.0), zeros, CFG, caps)
     with pytest.raises(critic.FeasibilityError, match="edge backlog"):
-        engine.step(state, solution(3.0, 2.0 + 4e-9), zeros, CFG, caps)
+        engine.step(state, l_state, solution(3.0, 2.0 + 4e-9), zeros, CFG, caps)
 
 
 def test_run_slot_names_the_slot_of_a_guard_failure(monkeypatch):

@@ -62,9 +62,9 @@ def test_lyapunov_value_examples():
 
 
 def test_drift_plus_penalty_examples():
-    s = _state(2, 1)
-    assert queueing.drift_plus_penalty(s, s, 0.0, 2.0) == 0.0
-    assert queueing.drift_plus_penalty(s, s, 2.0, 2.0) == 4.0
+    l_s = queueing.lyapunov_value(_state(2, 1))
+    assert queueing.drift_plus_penalty(l_s, l_s, 0.0, 2.0) == 0.0
+    assert queueing.drift_plus_penalty(l_s, l_s, 2.0, 2.0) == 4.0
 
 
 def test_drift_plus_penalty_matches_independent_recompute():
@@ -78,7 +78,9 @@ def test_drift_plus_penalty_matches_independent_recompute():
             return 0.5 * (s.q_local[0] ** 2 + s.q_edge[0] ** 2
                           + s.z_local[0] ** 2 + s.z_edge[0] ** 2)
         expected = energy(b) - energy(a) + CFG.system.lyapunov_v * p
-        assert queueing.drift_plus_penalty(a, b, p, CFG.system.lyapunov_v) == \
+        assert queueing.drift_plus_penalty(queueing.lyapunov_value(a),
+                                           queueing.lyapunov_value(b), p,
+                                           CFG.system.lyapunov_v) == \
             pytest.approx(expected, rel=1e-12)
 
 
@@ -146,7 +148,8 @@ def test_bound_trivial_cases():
     mu = np.zeros(8); mu[0] = 1.0
     arr = np.zeros(8); arr[0] = 1.0
     nxt = _state(1, n=8)
-    dpp = queueing.drift_plus_penalty(one, nxt, 0.0, CFG.system.lyapunov_v)
+    dpp = queueing.drift_plus_penalty(queueing.lyapunov_value(one),
+                                      queueing.lyapunov_value(nxt), 0.0, CFG.system.lyapunov_v)
     bound = queueing.drift_penalty_bound(one, mu, np.zeros(8), np.zeros(8),
                                          arr, 0.0, CFG, caps, np.zeros(8))
     assert dpp == 0.0
@@ -162,7 +165,8 @@ def _random_transition(cfg, rng, geom, caps):
     pol = oracle.random_policy(rng, n, cfg.system.chi_edge, cfg.system.chi_cloud)
     sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
     arrivals = rng.poisson(cfg.mean_arrivals_per_slot, n).astype(float)
-    _, _, dpp, bound = engine.step(state, sol, arrivals, cfg, caps)
+    _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state), sol,
+                                      arrivals, cfg, caps)
     return dpp, bound
 
 
@@ -173,3 +177,23 @@ def test_bound_holds_on_random_transitions():
     for _ in range(2000):
         dpp, bound = _random_transition(CFG, rng, geom, caps)
         assert dpp <= bound + 1e-9
+
+
+@pytest.mark.parametrize("update,names", [
+    (queueing.update_local_queue, ("q", "mu", "arrivals")),
+    (queueing.update_edge_queue, ("q", "mu_edge", "u_edge")),
+])
+def test_queue_update_names_the_negative_argument(update, names):
+    fine = np.array([1.0, 2.0, 0.0])
+    for k, name in enumerate(names):
+        args = [fine, fine, fine]
+        args[k] = np.array([1.0, -1e-12, 0.0])
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            update(*args)
+        # a NaN in another argument does not hide the negative entry
+        args[(k + 1) % 3] = np.full(3, np.nan)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            update(*args)
+        args[k] = -2.0     # scalars too
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            update(*args)
