@@ -3,15 +3,19 @@
 Large-scale gains are fixed once device positions are placed; small-scale
 coefficients and cloud-link shadowing are redrawn every slot.
 Slot draws must come from a generator derived per (seed, slot) so that
-replays are order-independent; `slot_rng` builds one.
+replays are order-independent; `slot_rng` builds one, `run_rng` builds the
+per-run streams.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .config import SystemConfig
 
@@ -37,9 +41,70 @@ class ChannelDraw:
     h2_cloud: np.ndarray   # pathloss, log-normal shadowing and Rayleigh fading
 
 
+@dataclass
+class _SeedWords(ISeedSequence):
+    """Hands `np.random.PCG64` its seed words; numpy's PCG64 seeding runs on them."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only 4 uint64 seed words are stored, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+@functools.lru_cache(maxsize=256)
+def _run_words(seed: int, stream: int) -> np.ndarray:
+    words = np.random.SeedSequence((seed, stream)).generate_state(4, np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+def run_rng(seed: int, stream: int) -> np.random.Generator:
+    """Generator keyed by (seed, stream): `default_rng(SeedSequence((seed, stream)))`."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(_run_words(seed, stream))))
+
+
+@functools.lru_cache(maxsize=32)
+def _slot_block_words(seed: int, stream: int, block: int) -> np.ndarray:
+    """(1024, 4) PCG64 seed words of `SeedSequence((seed, stream, t))` for the
+    slots t of one block: numpy's `mix_entropy` into the 4-word pool, then
+    `generate_state(4, np.uint64)`, on uint32 arrays that wrap as its C does."""
+    if min(seed, stream, block) < 0:
+        raise ValueError(f"seed, stream and slot must be >= 0, got ({seed}, {stream}, block {block})")
+    # keys split as SeedSequence splits them; in a block only the slot's low word varies
+    seed_w, stream_w, slot_w = ([k >> s & 0xFFFFFFFF for s in range(0, max(k.bit_length(), 1), 32)]
+                                for k in (seed, stream, block << 10))
+    entropy = [np.full(1024, w, np.uint32) for w in seed_w + stream_w + slot_w]
+    entropy[len(seed_w) + len(stream_w)] += np.arange(1024, dtype=np.uint32)
+    hc = [0x43B0D7E5]   # the running hash constant
+
+    def hashmix(v, mult=0x931E8875):
+        v = v ^ hc[0]
+        hc[0] = hc[0] * mult & 0xFFFFFFFF
+        v = v * hc[0]
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = x * 0xCA01F9DD - y * 0x4973F715
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0 * entropy[0]) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in itertools.product(entropy[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(word))
+    hc[0] = 0x8B51F9DD
+    state = np.stack([hashmix(pool[k % 4], 0x58F38DED) for k in range(8)], axis=1)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return words
+
+
 def slot_rng(seed: int, stream: int, slot: int) -> np.random.Generator:
-    """Counter-style generator keyed by (seed, stream, slot)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, stream, slot)))
+    """Generator keyed by (seed, stream, slot): `default_rng(SeedSequence((seed, stream, slot)))`."""
+    words = _slot_block_words(seed, stream, slot >> 10)[slot & 1023]
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def pathloss_db(distance_m, cfg: SystemConfig):

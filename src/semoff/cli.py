@@ -208,7 +208,7 @@ def cmd_verify(args) -> int:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(np.random.SeedSequence((args.seed or 0, 99)))
+    rng = channel.run_rng(args.seed or 0, 99)
     geom = channel.place_devices(cfg, rng)
     failures = 0
     n_samples = 20 if args.quick else 200
@@ -228,7 +228,7 @@ def cmd_verify(args) -> int:
           f"({'ok' if ok else 'FAIL'})")
 
     # 2. gradient check on a small network
-    grad_rng = np.random.default_rng(np.random.SeedSequence((args.seed or 0, 98)))
+    grad_rng = channel.run_rng(args.seed or 0, 98)
     net = actor.ActorNetwork.create(4, (16, 12), grad_rng)
     x = grad_rng.normal(size=(6, 24))
     y = (grad_rng.random(size=(6, 8)) > 0.5).astype(float)

@@ -245,8 +245,8 @@ def validate_config(cfg: SystemConfig) -> list[str]:
     if not 0 < ch.hotspot_radius_min < ch.hotspot_radius_max < math.inf:
         bad.append("hotspot_radius_min, hotspot_radius_max: need 0 < min < max < inf")
     positive("cloud_distance", ch.cloud_distance)
-    if not 0 <= ch.shadowing_std_db < math.inf:
-        bad.append("shadowing_std_db: must be a finite number >= 0")
+    if not 0 <= ch.shadowing_std_db <= 100.0:   # keeps 10 ** (30 sigma / 10) finite
+        bad.append(f"shadowing_std_db: must lie in [0, 100] dB, got {ch.shadowing_std_db!r}")
     for group, name in ((ch, "pathloss_intercept_db"), (ch, "pathloss_slope_db"),
                         (ch, "rician_k_db"), (sem, "accuracy_midpoint_db"),
                         (tr, "feature_gain_offset_edge_db"), (tr, "feature_gain_offset_cloud_db")):
@@ -256,6 +256,13 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         10.0 ** (ch.rician_k_db / 10.0)   # the linear K factor
     except OverflowError:
         bad.append(f"rician_k_db: must keep 10 ** (rician_k_db / 10) finite, got {ch.rician_k_db!r}")
+    if 0 < sem.epsilon_min < sem.accuracy_ceiling and sem.accuracy_slope_per_db > 0:
+        try:   # the linear SNR at the accuracy floor, as `power.semantic_tx_power` takes it
+            10.0 ** ((sem.accuracy_midpoint_db - math.log(sem.accuracy_ceiling / sem.epsilon_min - 1.0)
+                      / sem.accuracy_slope_per_db) / 10.0)
+        except OverflowError:
+            bad.append("accuracy_midpoint_db: must keep the SNR at epsilon_min finite, "
+                       f"got {sem.accuracy_midpoint_db!r}")
 
     positive("learning_rate", tr.learning_rate)
     for name, count, low in (("memory_size", tr.memory_size, 1),

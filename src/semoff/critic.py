@@ -297,20 +297,22 @@ def best_association(table: np.ndarray, chi_e: int, chi_c: int) -> Policy:
     A forward dynamic program over devices on the state (#edge, #cloud):
     O(I * chi_e * chi_c) steps instead of scoring all C(I, chi_e) *
     C(I, chi_c) policies. Each state keeps its best path's value g (summed
-    device by device) and the path's edge and cloud bit strings E and C,
-    device 0 as the most significant bit, so a path is its own policy.
+    device by device) and its path key K = E * 2**I + C, where E and C are
+    the edge and cloud bit strings, device 0 first, so a path is its own
+    policy; device bits (e, c) extend K to 2K + e * 2**I + c.
 
     Exact ties resolve as a first-index argmin over `oracle.policy_table`
     does: enumeration lists policies with the larger E first, then the
-    larger C, so an exact value tie keeps the larger (E, C). The keys are
-    Python ints and cannot overflow at any I.
+    larger C, so an exact value tie keeps the larger K (C < 2**I). The keys
+    are Python ints and cannot overflow at any I.
     """
     n = table.shape[1]
     ke, kc = min(chi_e, n), min(chi_c, n)
     w = kc + 1
     size = (ke + 1) * w
+    edge = 1 << n   # an edge bit's term in the key extension
     inf = float("inf")
-    g_old, e_old, c_old = [inf] * size, [0] * size, [0] * size
+    g_old, k_old = [inf] * size, [0] * size
     g_old[0] = 0.0
     for i, (t0, t1, t2, t3) in enumerate(table.T.tolist()):
         # states (a, b) reachable after device i that can still end feasible
@@ -318,35 +320,35 @@ def best_association(table: np.ndarray, chi_e: int, chi_c: int) -> Policy:
         lo_e = max(ke - left, 0)
         lo_c = max(kc - left, 0)
         hi_e, hi_c = min(ke, i + 1), min(kc, i + 1)
-        g_new, e_new, c_new = [inf] * size, [0] * size, [0] * size
+        g_new, k_new = [inf] * size, [0] * size
         for a in range(lo_e, hi_e + 1):
             row = a * w
             for s in range(row + lo_c, row + hi_c + 1):
                 # predecessors: s (no server), s - 1 (cloud), s - w (edge),
                 # s - w - 1 (both); unrolled, as this loop is the hot path
-                g, e, c = g_old[s] + t0, 2 * e_old[s], 2 * c_old[s]
+                g, k = g_old[s] + t0, 2 * k_old[s]
                 if s > row:
                     x = g_old[s - 1] + t1
                     if x <= g:
-                        xe, xc = 2 * e_old[s - 1], 2 * c_old[s - 1] + 1
-                        if x < g or xe > e or (xe == e and xc > c):
-                            g, e, c = x, xe, xc
+                        xk = 2 * k_old[s - 1] + 1
+                        if x < g or xk > k:
+                            g, k = x, xk
                 if a:
                     r = s - w
                     x = g_old[r] + t2
                     if x <= g:
-                        xe, xc = 2 * e_old[r] + 1, 2 * c_old[r]
-                        if x < g or xe > e or (xe == e and xc > c):
-                            g, e, c = x, xe, xc
+                        xk = 2 * k_old[r] + edge
+                        if x < g or xk > k:
+                            g, k = x, xk
                     if s > row:
                         x = g_old[r - 1] + t3
                         if x <= g:
-                            xe, xc = 2 * e_old[r - 1] + 1, 2 * c_old[r - 1] + 1
-                            if x < g or xe > e or (xe == e and xc > c):
-                                g, e, c = x, xe, xc
-                g_new[s], e_new[s], c_new[s] = g, e, c
-        g_old, e_old, c_old = g_new, e_new, c_new
-    return Policy(rho_edge=_bits(e_old[-1], n), rho_cloud=_bits(c_old[-1], n))
+                            xk = 2 * k_old[r - 1] + edge + 1
+                            if x < g or xk > k:
+                                g, k = x, xk
+                g_new[s], k_new[s] = g, k
+        g_old, k_old = g_new, k_new
+    return Policy(rho_edge=_bits(k_old[-1] >> n, n), rho_cloud=_bits(k_old[-1] & (edge - 1), n))
 
 
 class PolicyBatch:

@@ -226,10 +226,6 @@ def _write_columns(path: str | Path, header: list[str], cols: list[np.ndarray]) 
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, stream)))
-
-
 def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.ndarray,
          cfg: SystemConfig, caps: queueing.RateCaps
          ) -> tuple[SlotState, float, tuple[float, float, float, float, float], float, float]:
@@ -275,7 +271,7 @@ class Simulation:
         self.kind, self.n_candidates = parse_policy_spec(policy_spec)
         n = cfg.system.num_devices
 
-        self.geometry = channel.place_devices(cfg, _rng(seed, STREAM_PLACEMENT))
+        self.geometry = channel.place_devices(cfg, channel.run_rng(seed, STREAM_PLACEMENT))
         self.caps = queueing.rate_caps(cfg)
 
         self.q_local = np.zeros(n)
@@ -289,11 +285,11 @@ class Simulation:
                 n, cfg.system.chi_edge, cfg.system.chi_cloud)
         elif self.kind == "drlh":
             self.net = actor.ActorNetwork.create(n, cfg.training.hidden_sizes,
-                                                 _rng(seed, STREAM_ACTOR_INIT))
+                                                 channel.run_rng(seed, STREAM_ACTOR_INIT))
             self.opt = actor.AdaptiveMomentState()
             self.memory = actor.ReplayMemory(cfg.training.memory_size, 6 * n, 2 * n)
-            self.noise_rng = _rng(seed, STREAM_ACTOR_NOISE)
-            self.memory_rng = _rng(seed, STREAM_MEMORY)
+            self.noise_rng = channel.run_rng(seed, STREAM_ACTOR_NOISE)
+            self.memory_rng = channel.run_rng(seed, STREAM_MEMORY)
 
     def run(self, progress: Optional[Callable[[int, int], None]] = None) -> MetricsLog:
         total = self.cfg.training.total_slots

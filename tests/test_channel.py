@@ -95,6 +95,56 @@ def test_slot_rng_is_replayable_and_slot_keyed():
     assert np.array_equal(once.h2_cloud, again.h2_cloud)
 
 
+def _numpy_rng(*key):
+    """The oracle: numpy's own seeding of the same key."""
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def _same_stream(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+    assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
+    assert np.array_equal(a.poisson(3.5, 5), b.poisson(3.5, 5))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 40 + 3, 2 ** 70 + 9])
+def test_seeded_streams_match_numpy_seed_sequence(seed):
+    # one- to three-word seeds, blocks on both sides of 2**32 (where the slot
+    # takes two words) and keys longer than the 4-word pool
+    for stream in (*range(7), 98, 99):
+        _same_stream(channel.run_rng(seed, stream), _numpy_rng(seed, stream))
+        for slot in (0, 1023, 1024, 2 ** 32 - 1, 2 ** 32 + 5):
+            _same_stream(channel.slot_rng(seed, stream, slot), _numpy_rng(seed, stream, slot))
+
+
+def test_every_slot_of_a_block_matches_numpy():
+    for slot in range(2048, 3072):
+        assert (channel.slot_rng(3, 5, slot).bit_generator.state
+                == _numpy_rng(3, 5, slot).bit_generator.state)
+
+
+def test_memoised_seed_words_are_read_only():
+    for words in (channel._run_words(1, 0), channel._slot_block_words(1, 4, 0)):
+        with pytest.raises(ValueError):
+            words[0] = 0
+
+
+@pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                           (8, np.uint64), (4, np.int64), (4, np.float64)])
+def test_seed_words_serve_only_pcg64s_request(n_words, dtype):
+    words = channel._run_words(1, 4)
+    assert channel._SeedWords(words).generate_state(4, np.uint64) is words
+    with pytest.raises(ValueError, match="only 4 uint64 seed words"):
+        channel._SeedWords(words).generate_state(n_words, dtype)
+
+
+@pytest.mark.parametrize("key", [(-1, 4), (1, -4), (-1, 4, 0), (1, -4, 0), (1, 4, -1)])
+def test_negative_key_is_refused_as_numpy_refuses_it(key):
+    with pytest.raises(ValueError):
+        _numpy_rng(*key)
+    with pytest.raises(ValueError):
+        (channel.run_rng if len(key) == 2 else channel.slot_rng)(*key)
+
+
 def test_cloud_shadowing_redrawn_per_slot():
     # the cloud gain over pathloss and fading is the shadowing: a fresh
     # log-normal draw each slot, after the fading in the slot's stream

@@ -160,3 +160,16 @@ def test_simulate_reports_rician_factor_out_of_float_range(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: rician_k_db: must keep 10 ** (rician_k_db / 10) finite" in err
     assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("group,name", [("channel", "shadowing_std_db"),
+                                        ("semantic", "accuracy_midpoint_db")])
+def test_simulate_reports_overflowing_shadowing_and_midpoint(group, name, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({group: {name: 1e20}}))
+    rc = main(["simulate", "--config", str(path), "--slots", "10",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {name}:" in err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()

@@ -229,3 +229,29 @@ def test_rician_k_factor_beyond_float_range_is_named():
     # just inside the range: the amplitudes stay finite
     cfg = config_from_dict({"channel": {"rician_k_db": 3080.0}})
     assert validate_config(cfg) == []
+
+
+@pytest.mark.parametrize("group,name,value", [("channel", "shadowing_std_db", 100.0),
+                                              ("semantic", "accuracy_midpoint_db", 3000.0),
+                                              ("semantic", "accuracy_midpoint_db", -3000.0)])
+def test_extreme_shadowing_and_midpoint_run_without_float_errors(group, name, value):
+    from semoff import engine
+
+    cfg = config_from_dict({group: {name: value}})
+    assert validate_config(cfg) == []
+    for policy in ("exhaustive", "drlh:4"):
+        with np.errstate(over="raise", invalid="raise"):
+            sim = engine.Simulation(cfg, policy, seed=1)
+            log = engine.MetricsLog(50, cfg.system.num_devices)
+            for t in range(50):
+                sim.run_slot(t, log)
+        assert np.all(np.isfinite(sim.q_local)) and np.all(np.isfinite(sim.q_edge))
+
+
+@pytest.mark.parametrize("group,name,value", [("channel", "shadowing_std_db", 1e20),
+                                              ("channel", "shadowing_std_db", 100.5),
+                                              ("semantic", "accuracy_midpoint_db", 1e20),
+                                              ("semantic", "accuracy_midpoint_db", 3100.0)])
+def test_shadowing_and_midpoint_beyond_float_range_are_named(group, name, value):
+    cfg = config_from_dict({group: {name: value}})
+    assert [p.split(":")[0] for p in validate_config(cfg)] == [name]

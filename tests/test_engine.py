@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from semoff import critic, engine, oracle, queueing
+from semoff import channel, critic, engine, oracle, queueing
 from semoff.config import (Allocation, SlotState, SystemConfig, SystemParams,
                            TrainingParams, validate_config)
 
@@ -313,6 +313,24 @@ def test_metrics_csv_bytes_pinned(policy, devices, scenario, tmp_path):
     log.to_csv(tmp_path / "metrics.csv")
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == PINNED_METRICS_SHA256[policy, devices, scenario]
+
+
+def test_metrics_csv_independent_of_the_seed_word_caches(tmp_path):
+    # a drlh:8 run whose seed-word caches are emptied before every slot, past
+    # the first 1,024-slot block, writes the bytes of a run that reuses them
+    resolved = engine.scenario_one(policy="drlh:8", seed=3, total_slots=1100).apply(CFG)
+    for name, clear in (("kept", False), ("cleared", True)):
+        if clear:
+            channel._run_words.cache_clear()
+        sim = engine.Simulation(resolved, "drlh:8", 3)
+        log = engine.MetricsLog(1100, resolved.system.num_devices)
+        for t in range(1100):
+            if clear:
+                channel._run_words.cache_clear()
+                channel._slot_block_words.cache_clear()
+            sim.run_slot(t, log)
+        log.to_csv(tmp_path / f"{name}.csv")
+    assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "cleared.csv").read_bytes()
 
 
 @hs.composite
