@@ -13,11 +13,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .config import SystemConfig
+from . import power
+from .config import SlotState, SystemConfig
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,13 @@ class LinkGeometry:
 
 @dataclass
 class ChannelDraw:
-    """One slot's channel gains |h|^2 for all devices."""
+    """Channel gains |h|^2 and the link volume caps they allow, one row per
+    slot and one column per device."""
 
     h2_edge: np.ndarray    # pathloss times unit-mean-power Rician fading
     h2_cloud: np.ndarray   # pathloss, log-normal shadowing and Rayleigh fading
+    edge_cap: np.ndarray   # `power.semantic_volume_cap` of h2_edge
+    cloud_cap: np.ndarray  # `power.cloud_offload_cap` of h2_cloud
 
 
 @dataclass
@@ -145,16 +150,34 @@ def place_devices(cfg: SystemConfig, rng: np.random.Generator) -> LinkGeometry:
                         *rician_amplitudes(ch.rician_k_db))
 
 
-def _rayleigh(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+def link_caps(h2_edge, h2_cloud, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Semantic-link and cloud offload volume caps of gains of any shape."""
+    return (power.semantic_volume_cap(h2_edge, cfg.bandwidth_edge, cfg),
+            power.cloud_offload_cap(h2_cloud, cfg.bandwidth_cloud, cfg))
+
+
+def slot_state(cfg: SystemConfig, h2_edge, h2_cloud, q_local, q_edge,
+               z_local, z_edge) -> SlotState:
+    """A slot's state on bare gains, carrying the link caps they allow."""
+    return SlotState(h2_edge, h2_cloud, *link_caps(h2_edge, h2_cloud, cfg),
+                     q_local, q_edge, z_local, z_edge)
+
+
+def _rayleigh(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return (re + 1j * im) / math.sqrt(2.0)
 
 
 def draw_channels(geom: LinkGeometry, cfg: SystemConfig,
-                  rng: np.random.Generator) -> ChannelDraw:
-    """Draw one slot of fading (Rician edge, Rayleigh cloud) and cloud shadowing."""
-    n = len(geom.d_edge)
-    htilde_edge = geom.rician_los + geom.rician_diffuse * _rayleigh(rng, n)
-    htilde_cloud = _rayleigh(rng, n)
-    shadow = 10.0 ** (rng.normal(0.0, cfg.channel.shadowing_std_db, n) / 10.0)
-    return ChannelDraw(h2_edge=np.abs(geom.sqrt_g_edge * htilde_edge) ** 2,
-                       h2_cloud=np.abs(np.sqrt(geom.g_cloud * shadow) * htilde_cloud) ** 2)
+                  rngs: Iterable[np.random.Generator], slots: int = 1) -> ChannelDraw:
+    """Draw `slots` slots of fading (Rician edge, Rayleigh cloud) and cloud
+    shadowing, each slot's 5 I standard normals from the next of `rngs`, and
+    compute the gains and link caps of all of them at once."""
+    z = np.empty((slots, 5, len(geom.d_edge)))
+    for rng, row in zip(rngs, z, strict=True):
+        rng.standard_normal(out=row)
+    h2_edge = np.abs(geom.sqrt_g_edge * (geom.rician_los + geom.rician_diffuse
+                                         * _rayleigh(z[:, 0], z[:, 1]))) ** 2
+    # `normal(0, std, n)` draws 0 + std * (a standard normal), bit for bit
+    shadow = 10.0 ** (cfg.channel.shadowing_std_db * z[:, 4] / 10.0)
+    h2_cloud = np.abs(np.sqrt(geom.g_cloud * shadow) * _rayleigh(z[:, 2], z[:, 3])) ** 2
+    return ChannelDraw(h2_edge, h2_cloud, *link_caps(h2_edge, h2_cloud, cfg))

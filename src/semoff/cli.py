@@ -115,12 +115,12 @@ def cmd_enumerate(args) -> int:
 def _random_state(cfg: SystemConfig, rng: np.random.Generator,
                   geom: channel.LinkGeometry) -> SlotState:
     n = cfg.system.num_devices
-    draw = channel.draw_channels(geom, cfg, rng)
-    return SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
-                     q_local=rng.uniform(0.0, 15.0, n),
-                     q_edge=rng.uniform(0.0, 5.0, n),
-                     z_local=rng.uniform(0.0, 5.0, n),
-                     z_edge=rng.uniform(0.0, 3.0, n))
+    draw = channel.draw_channels(geom, cfg, [rng])
+    return channel.slot_state(cfg, draw.h2_edge[0], draw.h2_cloud[0],
+                              q_local=rng.uniform(0.0, 15.0, n),
+                              q_edge=rng.uniform(0.0, 5.0, n),
+                              z_local=rng.uniform(0.0, 5.0, n),
+                              z_edge=rng.uniform(0.0, 3.0, n))
 
 
 def _stage_grid_rows(cfg: SystemConfig, state: SlotState, sample: int,

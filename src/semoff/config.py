@@ -252,6 +252,21 @@ def validate_config(cfg: SystemConfig) -> list[str]:
                         (tr, "feature_gain_offset_edge_db"), (tr, "feature_gain_offset_cloud_db")):
         if not -math.inf < getattr(group, name) < math.inf:
             bad.append(f"{name}: must be finite")
+    r_min, r_max, d_c = ch.hotspot_radius_min, ch.hotspot_radius_max, ch.cloud_distance
+    a, b = ch.pathloss_intercept_db, ch.pathloss_slope_db
+    if (0 < r_min < r_max < math.inf and 0 < d_c < math.inf
+            and math.isfinite(a) and math.isfinite(b)):
+        # `channel.pathloss_gain` (monotone) at the nearest and farthest device distances
+        near = max(r_min - d_c, d_c - r_max)
+        reach = (min(r_min, near) if near > 0 else r_min, d_c + r_max)
+        try:
+            ok = all(0 < 10.0 ** (-(a + b * math.log10(d / 1000.0)) / 10.0) < math.inf
+                     for d in reach)
+        except OverflowError:
+            ok = False
+        if not ok:
+            bad.append("pathloss_intercept_db, pathloss_slope_db: must keep the pathloss gain "
+                       f"finite and > 0 from {reach[0]:g} to {reach[1]:g} m, got {a!r} and {b!r}")
     try:
         10.0 ** (ch.rician_k_db / 10.0)   # the linear K factor
     except OverflowError:
@@ -298,21 +313,17 @@ class SlotState:
 
     h2_edge: np.ndarray   # channel gains |h|^2, edge links
     h2_cloud: np.ndarray  # channel gains |h|^2, cloud links
+    edge_cap: np.ndarray  # tasks/slot the links carry at the power ceiling:
+    cloud_cap: np.ndarray  # `channel.link_caps` of the gains
     q_local: np.ndarray  # tasks
     q_edge: np.ndarray   # tasks
     z_local: np.ndarray  # virtual queue enforcing the mean local-queue cap
     z_edge: np.ndarray   # virtual queue enforcing the mean edge-queue cap
 
-    @classmethod
-    def initial(cls, num_devices: int) -> "SlotState":
-        zeros = np.zeros(num_devices)
-        return cls(h2_edge=np.ones(num_devices), h2_cloud=np.ones(num_devices),
-                   q_local=zeros.copy(), q_edge=zeros.copy(),
-                   z_local=zeros.copy(), z_edge=zeros.copy())
-
     def check(self) -> None:
         n = len(self.h2_edge)
-        for name in ("h2_cloud", "q_local", "q_edge", "z_local", "z_edge"):
+        for name in ("h2_cloud", "edge_cap", "cloud_cap", "q_local", "q_edge",
+                     "z_local", "z_edge"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"SlotState.{name}: expected length {n}")
         q = np.concatenate((self.q_local, self.q_edge, self.z_local, self.z_edge))

@@ -62,8 +62,7 @@ def solve_edge_volume(state: SlotState, edge_mask: np.ndarray,
     stationary = np.sqrt(rate_per_hz ** 3 * np.maximum(w, 0.0)
                          / (3.0 * s.lyapunov_v * s.alpha_local))
     cap = np.minimum(state.q_local,
-                     np.minimum(power.encode_rate(s.f_local_max, cfg),
-                                power.semantic_volume_cap(state.h2_edge, cfg.bandwidth_edge, cfg)))
+                     np.minimum(power.encode_rate(s.f_local_max, cfg), state.edge_cap))
     out = np.where((w > 0) & edge_mask, np.minimum(stationary, cap), 0.0)
     return np.maximum(out, 0.0)
 
@@ -79,8 +78,7 @@ def solve_cloud_volume(state: SlotState, cloud_mask: np.ndarray,
     arg = (np.maximum(w, 0.0) * s.slot_length * state.h2_cloud
            / (LN2 * s.lyapunov_v * bits_per_task * cfg.channel.noise_psd))
     stationary = np.where(arg > 0, scale * np.log2(np.maximum(arg, 1e-300)), 0.0)
-    cap = np.minimum(state.q_local - u_edge,
-                     power.cloud_offload_cap(state.h2_cloud, b_c, cfg))
+    cap = np.minimum(state.q_local - u_edge, state.cloud_cap)
     out = np.where(cloud_mask, np.clip(stationary, 0.0, np.maximum(cap, 0.0)), 0.0)
     return out
 
@@ -255,8 +253,8 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
     """
     n = cfg.system.num_devices
     tiled = SlotState(*(np.concatenate((x, x, x, x)) for x in (
-        state.h2_edge, state.h2_cloud, state.q_local, state.q_edge,
-        state.z_local, state.z_edge)))
+        state.h2_edge, state.h2_cloud, state.edge_cap, state.cloud_cap,
+        state.q_local, state.q_edge, state.z_local, state.z_edge)))
     combos = _combo_policy(n)
     alloc = assemble_allocation(tiled, combos.rho_edge, combos.rho_cloud, cfg)
     sol = rates_and_powers(alloc, combos, tiled, cfg)

@@ -4,7 +4,8 @@ queue updates, training, and metric collection.
 RNG discipline: every random ingredient draws from its own named stream
 derived from the master seed, and the per-slot streams (channel, arrivals,
 random policy) are keyed by slot index, so replays are order-independent
-and toggling one feature never perturbs another stream.
+and toggling one feature never perturbs another stream. Gains and link caps
+are drawn per block of slots (`Simulation.channels`), one stream per slot.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from . import actor, channel, critic, oracle, power, queueing
+from . import actor, channel, critic, oracle, queueing
 from .config import (ConfigError, Policy, SlotState, SystemConfig, config_to_dict,
                      validate_config)
 
@@ -245,6 +246,7 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
     q_local = queueing.update_local_queue(state.q_local, sol.mu_local, arrivals)
     q_edge = queueing.update_edge_queue(state.q_edge, sol.mu_edge, sol.alloc.u_edge)
     nxt = SlotState(h2_edge=state.h2_edge, h2_cloud=state.h2_cloud,
+                    edge_cap=state.edge_cap, cloud_cap=state.cloud_cap,
                     q_local=q_local, q_edge=q_edge,
                     z_local=queueing.update_virtual_queue(state.z_local, q_local,
                                                           s.q_max_local),
@@ -252,9 +254,8 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
                                                          s.q_max_edge))
     l_nxt = queueing.lyapunov_value(nxt)
     dpp = queueing.drift_plus_penalty(l_state, l_nxt, p_total, s.lyapunov_v)
-    u_cloud_cap = power.cloud_offload_cap(state.h2_cloud, cfg.bandwidth_cloud, cfg)
     bound = queueing.drift_penalty_bound(state, sol.mu_local, sol.mu_edge, sol.alloc.u_edge,
-                                         arrivals, p_total, cfg, caps, u_cloud_cap)
+                                         arrivals, p_total, cfg, caps)
     return nxt, l_nxt, (*sums, p_total), dpp, bound
 
 
@@ -279,6 +280,8 @@ class Simulation:
         self.z_local = np.zeros(n)
         self.z_edge = np.zeros(n)
         self.lyapunov = 0.0   # `queueing.lyapunov_value` of the queues above
+        self.block: Optional[channel.ChannelDraw] = None   # see `channels`
+        self.block_start = 0
 
         if self.kind == "exhaustive":
             self.n_policies = oracle.count_policies(
@@ -342,12 +345,26 @@ class Simulation:
         sol, g_value = critic.gather(table, tiled, chosen)
         return chosen, sol, g_value
 
+    def channels(self, t: int) -> tuple[channel.ChannelDraw, int]:
+        """The channel block holding slot t, and t's row in it. Block b holds
+        slots [1024 b, 1024 (b + 1)) cut at the run's end (past it, at t + 1),
+        each from its own stream; drawn on first use, one kept at a time."""
+        start = t - t % 1024
+        if self.block is None or start != self.block_start or t - start >= len(self.block.h2_edge):
+            stop = max(min(start + 1024, self.cfg.training.total_slots), t + 1)
+            self.block = None   # freed before its successor is drawn
+            self.block = channel.draw_channels(self.geometry, self.cfg, (
+                channel.slot_rng(self.seed, STREAM_CHANNEL, u) for u in range(start, stop)),
+                stop - start)
+            self.block_start = start
+        return self.block, t - start
+
     def run_slot(self, t: int, log: MetricsLog) -> None:
-        """Advance one slot: draw channels, decide, execute, update queues."""
+        """Advance one slot: read channels, decide, execute, update queues."""
         cfg = self.cfg
-        draw = channel.draw_channels(self.geometry, cfg,
-                                     channel.slot_rng(self.seed, STREAM_CHANNEL, t))
-        state = SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
+        block, k = self.channels(t)
+        state = SlotState(h2_edge=block.h2_edge[k], h2_cloud=block.h2_cloud[k],
+                          edge_cap=block.edge_cap[k], cloud_cap=block.cloud_cap[k],
                           q_local=self.q_local, q_edge=self.q_edge,
                           z_local=self.z_local, z_edge=self.z_edge)
         state.check()

@@ -108,7 +108,7 @@ def rate_caps(cfg: SystemConfig, quantile: float = 0.9999) -> RateCaps:
 
 def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
                         arrivals, power_w: float, cfg: SystemConfig,
-                        caps: RateCaps, u_cloud_cap) -> float:
+                        caps: RateCaps) -> float:
     """Upper bound on the realised drift-plus-penalty for one transition.
 
     Assembled from the four per-queue drift bounds: the squared-rate
@@ -120,13 +120,13 @@ def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
     Poisson arrivals have no a-priori maximum, so the arrival cap is the
     configured high quantile, widened to the realised draw whenever a slot
     exceeds it; the cloud-offload cap depends on the slot's channel and is
-    supplied by the caller.
+    read from the state.
     """
     q_l, z_l = state.q_local, state.z_local
     q_e, z_e = state.q_edge, state.z_edge
     v = cfg.system.lyapunov_v
 
-    mu_l_cap = caps.u_local + caps.u_encode + u_cloud_cap
+    mu_l_cap = caps.u_local + caps.u_encode + state.cloud_cap
     lam_cap = np.maximum(caps.arrivals, arrivals)
     u_e_cap = caps.u_encode
     mu_e_cap = caps.mu_edge

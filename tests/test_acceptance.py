@@ -12,7 +12,7 @@ import pytest
 
 from semoff import actor, channel, critic, engine, oracle
 from semoff.cli import main as cli_main
-from semoff.config import Policy, SlotState, SystemConfig, SystemParams
+from semoff.config import Policy, SystemConfig, SystemParams
 
 CFG = SystemConfig()
 
@@ -75,10 +75,10 @@ def test_criterion_01_enumeration_counts(capsys):
 
 def _random_state(rng, cfg, geom):
     n = cfg.system.num_devices
-    draw = channel.draw_channels(geom, cfg, rng)
-    return SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
-                     q_local=rng.uniform(0, 15, n), q_edge=rng.uniform(0, 5, n),
-                     z_local=rng.uniform(0, 5, n), z_edge=rng.uniform(0, 3, n))
+    draw = channel.draw_channels(geom, cfg, [rng])
+    return channel.slot_state(cfg, draw.h2_edge[0], draw.h2_cloud[0],
+                              q_local=rng.uniform(0, 15, n), q_edge=rng.uniform(0, 5, n),
+                              z_local=rng.uniform(0, 5, n), z_edge=rng.uniform(0, 3, n))
 
 
 def _stage_specs(st, i, u_edge, u_cloud):

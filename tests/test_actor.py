@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semoff import actor
-from semoff.config import RelaxedPolicy, SlotState, SystemConfig
+from semoff import actor, channel
+from semoff.config import RelaxedPolicy, SystemConfig
 from semoff.config import SystemParams, TrainingParams
 
 CFG = SystemConfig()
@@ -14,9 +14,9 @@ CFG = SystemConfig()
 
 def _state(n=8, q=0.0):
     z = np.zeros(n)
-    return SlotState(h2_edge=np.full(n, 1e-5 ** 2), h2_cloud=np.full(n, 1e-6 ** 2),
-                     q_local=np.full(n, float(q)), q_edge=z.copy(),
-                     z_local=z.copy(), z_edge=z.copy())
+    return channel.slot_state(CFG, np.full(n, 1e-5 ** 2), np.full(n, 1e-6 ** 2),
+                              q_local=np.full(n, float(q)), q_edge=z.copy(),
+                              z_local=z.copy(), z_edge=z.copy())
 
 
 def test_featurize_length_and_zero_queues():

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semoff import critic, engine, oracle
-from semoff.config import SlotState, SystemConfig, TrainingParams
+from semoff import channel, critic, engine, oracle
+from semoff.config import SystemConfig, TrainingParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,7 +44,8 @@ def test_benchmark_spans_resolve_and_record(bench, tmp_path):
         log.to_csv(tmp_path / "metrics.csv")
         net.loss(np.zeros(6 * 8), np.zeros(2 * 8))
         critic.evaluate_policy(oracle.random_policy(np.random.default_rng(0), 8, 4, 2),
-                               SlotState.initial(8), cfg)
+                               channel.slot_state(cfg, *np.ones((2, 8)), *np.zeros((4, 8))),
+                               cfg)
         oracle.policy_table(4, 2, 1)
     finally:
         tracer.unwrap_all()

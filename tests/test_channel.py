@@ -39,13 +39,13 @@ def test_pathloss_at_100m_is_90_5_db():
 
 
 def test_rayleigh_small_scale_unit_mean_power():
-    p = np.abs(channel._rayleigh(_rng(123), 100_000)) ** 2
+    p = np.abs(channel._rayleigh(*_rng(123).standard_normal((2, 100_000)))) ** 2
     assert np.mean(p) == pytest.approx(1.0, abs=0.02)
 
 
 def test_rician_k_factor_recovered_from_moments():
     los, diffuse = channel.rician_amplitudes(SystemConfig().channel.rician_k_db)
-    p = np.abs(los + diffuse * channel._rayleigh(_rng(321), 100_000)) ** 2
+    p = np.abs(los + diffuse * channel._rayleigh(*_rng(321).standard_normal((2, 100_000)))) ** 2
     # moment estimator: v = Var/mean^2 = (1+2K)/(1+K)^2
     v = np.var(p) / np.mean(p) ** 2
     k_hat = ((1 - v) + np.sqrt(1 - v)) / v
@@ -57,12 +57,9 @@ def test_composite_edge_power_matches_large_scale_gain():
     cfg = SystemConfig()
     geom = channel.place_devices(cfg, _rng(3))
     rng = _rng(7)
-    acc = np.zeros(cfg.system.num_devices)
-    n = 20000
-    for _ in range(n):
-        acc += channel.draw_channels(geom, cfg, rng).h2_edge
+    h2_edge = channel.draw_channels(geom, cfg, [rng] * 20000, 20000).h2_edge
     g = channel.pathloss_gain(geom.d_edge, cfg)
-    assert np.allclose(acc / n, g, rtol=0.05)
+    assert np.allclose(h2_edge.mean(axis=0), g, rtol=0.05)
 
 
 def _fading(cfg, slot):
@@ -70,8 +67,8 @@ def _fading(cfg, slot):
     rng = channel.slot_rng(5, 4, slot)
     n = cfg.system.num_devices
     los, diffuse = channel.rician_amplitudes(cfg.channel.rician_k_db)
-    edge = los + diffuse * channel._rayleigh(rng, n)
-    return edge, channel._rayleigh(rng, n), rng
+    edge = los + diffuse * channel._rayleigh(*rng.standard_normal((2, n)))
+    return edge, channel._rayleigh(*rng.standard_normal((2, n))), rng
 
 
 def test_large_scale_fixed_small_scale_redrawn():
@@ -79,20 +76,43 @@ def test_large_scale_fixed_small_scale_redrawn():
     cfg = SystemConfig()
     geom = channel.place_devices(cfg, _rng(4))
     g_edge = channel.pathloss_gain(geom.d_edge, cfg)
-    draws = [channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, t)) for t in (0, 1)]
-    for t, draw in enumerate(draws):
+    h2_edge = channel.draw_channels(geom, cfg, [channel.slot_rng(5, 4, t) for t in (0, 1)],
+                                    2).h2_edge
+    for t in (0, 1):
         edge, _, _ = _fading(cfg, t)
-        assert np.allclose(draw.h2_edge / np.abs(edge) ** 2, g_edge, rtol=1e-12, atol=0)
-    assert not np.array_equal(draws[0].h2_edge, draws[1].h2_edge)
+        assert np.allclose(h2_edge[t] / np.abs(edge) ** 2, g_edge, rtol=1e-12, atol=0)
+    assert not np.array_equal(h2_edge[0], h2_edge[1])
+
+
+def test_draw_refuses_a_generator_count_other_than_its_slots():
+    cfg = SystemConfig()
+    geom = channel.place_devices(cfg, _rng(4))
+    for rngs, slots in (([_rng(1)] * 3, 2), ([_rng(1)], 2), ([], 1)):
+        with pytest.raises(ValueError):
+            channel.draw_channels(geom, cfg, rngs, slots)
 
 
 def test_slot_rng_is_replayable_and_slot_keyed():
     cfg = SystemConfig()
     geom = channel.place_devices(cfg, _rng(4))
-    again = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, 17))
-    once = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, 17))
+    again = channel.draw_channels(geom, cfg, [channel.slot_rng(5, 4, 17)])
+    once = channel.draw_channels(geom, cfg, [channel.slot_rng(5, 4, 17)])
     assert np.array_equal(once.h2_edge, again.h2_edge)
     assert np.array_equal(once.h2_cloud, again.h2_cloud)
+
+
+@pytest.mark.parametrize("n", [1, 8, 12, 64])
+def test_one_normal_call_equals_the_five_draws_it_replaces(n):
+    # `draw_channels` draws a slot's 5n normals in one call: the four fading
+    # draws, then the shadowing exponents as std * z, as `normal(0, std)` does
+    std = SystemConfig().channel.shadowing_std_db
+    for t in range(0, 3000, 3):
+        z = channel.slot_rng(2, 4, t).standard_normal(5 * n)
+        rng = channel.slot_rng(2, 4, t)
+        five = [rng.standard_normal(n) for _ in range(4)] + [rng.normal(0.0, std, n)]
+        assert np.concatenate(five[:4]).tobytes() == z[:4 * n].tobytes()
+        assert five[4].tobytes() == (0.0 + std * z[4 * n:]).tobytes()
+        assert (10.0 ** (five[4] / 10.0)).tobytes() == (10.0 ** (std * z[4 * n:] / 10.0)).tobytes()
 
 
 def _numpy_rng(*key):
@@ -153,9 +173,9 @@ def test_cloud_shadowing_redrawn_per_slot():
     g_cloud = channel.pathloss_gain(geom.d_cloud, cfg)
     shadows = []
     for t in (0, 1):
-        draw = channel.draw_channels(geom, cfg, channel.slot_rng(5, 4, t))
+        h2_cloud = channel.draw_channels(geom, cfg, [channel.slot_rng(5, 4, t)]).h2_cloud[0]
         _, cloud, rng = _fading(cfg, t)
-        shadows.append(draw.h2_cloud / (g_cloud * np.abs(cloud) ** 2))
+        shadows.append(h2_cloud / (g_cloud * np.abs(cloud) ** 2))
         expect = 10.0 ** (rng.normal(0.0, cfg.channel.shadowing_std_db,
                                      cfg.system.num_devices) / 10.0)
         assert np.allclose(shadows[-1], expect, rtol=1e-12, atol=0)
@@ -181,13 +201,13 @@ def test_stored_gains_reproduce_the_from_distance_draw(n, seed):
     g_edge = channel.pathloss_gain(geom.d_edge, cfg)
     g_cloud = channel.pathloss_gain(geom.d_cloud, cfg)
     k = 10.0 ** (cfg.channel.rician_k_db / 10.0)
+    draw = channel.draw_channels(geom, cfg, [channel.slot_rng(seed, 4, t) for t in range(4)], 4)
     for t in range(4):
-        draw = channel.draw_channels(geom, cfg, channel.slot_rng(seed, 4, t))
         fading = channel.slot_rng(seed, 4, t)
         scatter = (fading.standard_normal(n) + 1j * fading.standard_normal(n)) / np.sqrt(2.0)
         h_edge = np.sqrt(k / (k + 1.0)) + np.sqrt(1.0 / (k + 1.0)) * scatter
         h_cloud = (fading.standard_normal(n) + 1j * fading.standard_normal(n)) / np.sqrt(2.0)
         shadow = 10.0 ** (fading.normal(0.0, cfg.channel.shadowing_std_db, n) / 10.0)
-        assert draw.h2_edge.tobytes() == (np.abs(np.sqrt(g_edge) * h_edge) ** 2).tobytes()
-        assert draw.h2_cloud.tobytes() == \
+        assert draw.h2_edge[t].tobytes() == (np.abs(np.sqrt(g_edge) * h_edge) ** 2).tobytes()
+        assert draw.h2_cloud[t].tobytes() == \
             (np.abs(np.sqrt(g_cloud * shadow) * h_cloud) ** 2).tobytes()

@@ -162,6 +162,19 @@ def test_simulate_reports_rician_factor_out_of_float_range(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("name", ["pathloss_intercept_db", "pathloss_slope_db"])
+def test_simulate_reports_pathloss_gain_out_of_float_range(name, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"channel": {name: 10 ** 20}}))
+    rc = main(["simulate", "--config", str(path), "--slots", "10",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("config error: pathloss_intercept_db, pathloss_slope_db: must keep the "
+            "pathloss gain finite and > 0 from 50 to 650 m") in err
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("group,name", [("channel", "shadowing_std_db"),
                                         ("semantic", "accuracy_midpoint_db")])
 def test_simulate_reports_overflowing_shadowing_and_midpoint(group, name, tmp_path, capsys):

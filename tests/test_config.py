@@ -105,21 +105,26 @@ def test_dict_roundtrip_field_by_field(devices, v, arrival, unbounded):
 def test_slot_state_check():
     import numpy as np
 
-    from semoff.config import SlotState
+    from semoff import channel
 
-    state = SlotState.initial(4)
+    def initial():
+        return channel.slot_state(SystemConfig(), np.ones(4), np.ones(4),
+                                  *(np.zeros(4) for _ in range(4)))
+
+    state = initial()
     state.check()
     state.q_local = state.q_local.copy()
     state.q_local[1] = -0.5
     with pytest.raises(ValueError, match="q_local"):
         state.check()
-    short = SlotState.initial(4)
-    short.z_edge = short.z_edge[:3]
-    with pytest.raises(ValueError, match="z_edge"):
-        short.check()
+    for name in ("z_edge", "edge_cap", "cloud_cap"):
+        short = initial()
+        setattr(short, name, getattr(short, name)[:3])
+        with pytest.raises(ValueError, match=name):
+            short.check()
     for name, value in (("q_edge", np.nan), ("z_local", -1e-12),
                         ("z_edge", np.inf), ("q_local", -np.inf)):
-        state = SlotState.initial(4)
+        state = initial()
         getattr(state, name)[2] = value
         with pytest.raises(ValueError, match=f"SlotState.{name}:"):
             state.check()
@@ -200,9 +205,11 @@ def test_every_field_type_is_checked():
     assert len(problems) == 6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("group,name,optional", list(_float_fields()))
 def test_huge_integer_in_any_float_field_runs_or_is_named(group, name, optional):
-    # 10**20 as a JSON integer: an int64 overflow if it reached numpy as an int
+    # 10**20 as a JSON integer: an int64 overflow if it reached numpy as an
+    # int; a run that passes validation meets no overflow or invalid value
     from semoff import engine
 
     cfg = config_from_dict({group: {name: 10 ** 20}})
@@ -220,6 +227,51 @@ def test_huge_integer_in_any_float_field_runs_or_is_named(group, name, optional)
         for t in range(3):
             sim.run_slot(t, log)
         assert np.all(np.isfinite(sim.q_local)) and np.all(np.isfinite(sim.q_edge))
+
+
+@pytest.mark.parametrize("name", ["pathloss_intercept_db", "pathloss_slope_db"])
+def test_pathloss_gain_beyond_float_range_is_named(name):
+    for value in (1e20, -1e20):
+        cfg = config_from_dict({"channel": {name: value}})
+        assert [p.split(":")[0] for p in validate_config(cfg)] == \
+            ["pathloss_intercept_db, pathloss_slope_db"]
+    # inside the range at every device distance, near and far; the cloud
+    # station inside the hotspot is never exactly on a device
+    for channel in ({"pathloss_intercept_db": 3000.0}, {"pathloss_intercept_db": -3000.0},
+                    {"pathloss_slope_db": -37.6}, {"cloud_distance": 100.0}):
+        assert validate_config(config_from_dict({"channel": channel})) == []
+    # the nearest cloud distance decides (10 m here; 50 m, the edge's, at 200 m) ...
+    for cloud_distance, ok in ((160.0, False), (200.0, True)):
+        cfg = config_from_dict({"channel": {"cloud_distance": cloud_distance,
+                                            "pathloss_slope_db": 2000.0}})
+        assert (validate_config(cfg) == []) == ok
+    # ... or the farthest, 6 km from the cloud station
+    for slope, ok in ((4500.0, False), (3500.0, True)):
+        cfg = config_from_dict({"channel": {"hotspot_radius_min": 900.0,
+                                            "hotspot_radius_max": 1000.0,
+                                            "cloud_distance": 5000.0,
+                                            "pathloss_slope_db": slope}})
+        assert (validate_config(cfg) == []) == ok
+
+
+def test_pathloss_rule_is_the_gain_at_every_device_distance():
+    # the rule accepts a config exactly when `channel.pathloss_gain` is finite
+    # and > 0 on the hotspot's inner and outer rims, seen from either server
+    from semoff import channel
+
+    rims = np.concatenate([r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
+                           for r in (50.0, 150.0)])
+    for cloud_distance in (100.0, 160.0, 500.0, 5000.0):
+        distances = np.abs(np.concatenate([rims, rims - cloud_distance]))
+        for a in np.linspace(-4000.0, 4000.0, 21).tolist():
+            for b in np.linspace(-6000.0, 6000.0, 31).tolist():
+                cfg = config_from_dict({"channel": {"cloud_distance": cloud_distance,
+                                                    "pathloss_intercept_db": a,
+                                                    "pathloss_slope_db": b}})
+                with np.errstate(all="ignore"):
+                    gain = channel.pathloss_gain(distances, cfg)
+                ok = bool(np.all((gain > 0) & (gain < np.inf)))
+                assert (validate_config(cfg) == []) == ok, (cloud_distance, a, b)
 
 
 def test_rician_k_factor_beyond_float_range_is_named():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from semoff import channel, critic, oracle, power
-from semoff.config import Allocation, Policy, SlotState, SystemConfig
+from semoff.config import Allocation, Policy, SystemConfig
 
 CFG = SystemConfig()
 TAU = 0.01
@@ -23,19 +23,19 @@ NOISE = CFG.channel.noise_psd
 def _state(q_l, q_e=0.0, z_l=0.0, z_e=0.0, n=8, pl_edge_db=90.5, pl_cloud_db=116.8):
     h2e = np.full(n, (10 ** (-pl_edge_db / 20)) ** 2)
     h2c = np.full(n, (10 ** (-pl_cloud_db / 20)) ** 2)
-    return SlotState(h2_edge=h2e, h2_cloud=h2c,
-                     q_local=np.full(n, float(q_l)), q_edge=np.full(n, float(q_e)),
-                     z_local=np.full(n, float(z_l)), z_edge=np.full(n, float(z_e)))
+    return channel.slot_state(CFG, h2e, h2c,
+                              q_local=np.full(n, float(q_l)), q_edge=np.full(n, float(q_e)),
+                              z_local=np.full(n, float(z_l)), z_edge=np.full(n, float(z_e)))
 
 
 def _random_state(rng, cfg=CFG, geom=None):
     n = cfg.system.num_devices
     if geom is None:
         geom = channel.place_devices(cfg, rng)
-    draw = channel.draw_channels(geom, cfg, rng)
-    return SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
-                     q_local=rng.uniform(0, 15, n), q_edge=rng.uniform(0, 5, n),
-                     z_local=rng.uniform(0, 5, n), z_edge=rng.uniform(0, 3, n))
+    draw = channel.draw_channels(geom, cfg, [rng])
+    return channel.slot_state(cfg, draw.h2_edge[0], draw.h2_cloud[0],
+                              q_local=rng.uniform(0, 15, n), q_edge=rng.uniform(0, 5, n),
+                              z_local=rng.uniform(0, 5, n), z_edge=rng.uniform(0, 3, n))
 
 
 ALL = np.ones(8, dtype=bool)
@@ -474,11 +474,11 @@ def test_volume_stages_raise_no_floating_point_error(data, n):
     # division by zero, overflow or underflow inside the two volume stages
     def arr(elements):
         return np.array(data.draw(hs.lists(elements, min_size=n, max_size=n)))
-    state = SlotState(h2_edge=arr(_GAIN), h2_cloud=arr(_GAIN),
-                      q_local=arr(_QUEUE), q_edge=arr(_QUEUE),
-                      z_local=arr(_QUEUE), z_edge=arr(_QUEUE))
+    h2_edge, h2_cloud = arr(_GAIN), arr(_GAIN)
+    queues = [arr(_QUEUE) for _ in range(4)]
     edge, cloud = arr(hs.booleans()), arr(hs.booleans())
     with np.errstate(all="raise"):
+        state = channel.slot_state(CFG, h2_edge, h2_cloud, *queues)
         u_edge = critic.solve_edge_volume(state, edge, CFG)
         u_cloud = critic.solve_cloud_volume(state, cloud, u_edge, CFG)
     for u, mask in ((u_edge, edge), (u_cloud, cloud)):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from semoff import channel, critic, engine, oracle, queueing
-from semoff.config import (Allocation, SlotState, SystemConfig, SystemParams,
+from semoff import channel, critic, engine, oracle, power, queueing
+from semoff.config import (Allocation, SystemConfig, SystemParams,
                            TrainingParams, validate_config)
 
 
@@ -216,10 +216,9 @@ def test_run_slot_outcome_consistent():
 def test_step_guard_tolerates_rounding_only():
     # served volumes may pass the backlog by 1e-9 relative plus 1e-9 tasks
     n = 2
-    state = SlotState.initial(n)
-    state.q_local[:] = 3.0
-    state.q_edge[:] = 2.0
     zeros = np.zeros(n)
+    state = channel.slot_state(CFG, np.ones(n), np.ones(n), np.full(n, 3.0), np.full(n, 2.0),
+                               zeros, zeros)
     caps = queueing.rate_caps(CFG)
 
     def solution(mu_local, mu_edge):
@@ -313,6 +312,75 @@ def test_metrics_csv_bytes_pinned(policy, devices, scenario, tmp_path):
     log.to_csv(tmp_path / "metrics.csv")
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == PINNED_METRICS_SHA256[policy, devices, scenario]
+
+
+# sha256 of metrics.csv after 1,100 slots, seed 1, past the first 1,024-slot
+# channel block; recorded, like the hashes above, before channels were drawn
+# a block at a time.
+PINNED_BLOCK_METRICS_SHA256 = {
+    ("exhaustive", 12, 2): "4460c76558b1eafc1130ba2b912672f9a719950a6f773ba8feae8b5d3016a071",
+    ("drlh:8", 8, 1): "7f705a128bbe58a31733a326c036fe78e7561de706dfd9d8ed1fd3cb07bc66d4",
+}
+
+
+@pytest.mark.parametrize("policy,devices,scenario", sorted(PINNED_BLOCK_METRICS_SHA256))
+def test_metrics_csv_bytes_pinned_across_a_block_boundary(policy, devices, scenario, tmp_path):
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=devices))
+    preset = engine.scenario_one if scenario == 1 else engine.scenario_two
+    log = engine.run_scenario(cfg, preset(policy=policy, seed=1, total_slots=1100))
+    log.to_csv(tmp_path / "metrics.csv")
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_BLOCK_METRICS_SHA256[policy, devices, scenario]
+
+
+def _single_slot_draw(sim, t):
+    return channel.draw_channels(sim.geometry, sim.cfg,
+                                 [channel.slot_rng(sim.seed, engine.STREAM_CHANNEL, t)])
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_channel_block_rows_equal_single_slot_draws(n):
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=n, chi_edge=min(4, n),
+                                      chi_cloud=min(2, n)),
+                  training=replace(CFG.training, total_slots=1500))
+    sim = engine.Simulation(cfg, "random", seed=9)
+    assert sim.block is None   # drawn in the first slot, not at set-up
+    log = sim.run()
+    # every slot of a 1,500-slot run, across the block boundary at 1,024
+    for t in range(1500):
+        single = _single_slot_draw(sim, t)
+        assert log.h2_edge[t].tobytes() == single.h2_edge[0].tobytes()
+        assert log.h2_cloud[t].tobytes() == single.h2_cloud[0].tobytes()
+    # slots in any order; a block is cut at the run's end, extended to a slot
+    # past it, and kept while it holds the slot asked for
+    order = [(t, 1024 if t < 1024 else 476) for t in range(1020, 1031)]
+    order += [(1499, 476), (3, 1024), (1500, 477), (1024, 477), (1023, 1024),
+              (1502, 479), (2048, 1), (0, 1024)]
+    for t, rows in order:
+        block, k = sim.channels(t)
+        assert (sim.block_start, k, len(block.h2_edge)) == (t - t % 1024, t % 1024, rows)
+        single = _single_slot_draw(sim, t)
+        for name in ("h2_edge", "h2_cloud", "edge_cap", "cloud_cap"):
+            assert getattr(block, name)[k].tobytes() == getattr(single, name)[0].tobytes(), name
+        # the carried caps are the link caps of the row's gains
+        assert block.edge_cap[k].tobytes() == power.semantic_volume_cap(
+            single.h2_edge[0], cfg.bandwidth_edge, cfg).tobytes()
+        assert block.cloud_cap[k].tobytes() == power.cloud_offload_cap(
+            single.h2_cloud[0], cfg.bandwidth_cloud, cfg).tobytes()
+
+
+def test_run_slot_reads_its_slot_of_the_block_in_any_order():
+    # slots run out of order and past the end log the channels of a
+    # single-slot draw; a 200-slot run draws 200 slots, not 1,024
+    cfg = replace(CFG, training=replace(CFG.training, total_slots=200))
+    sim = engine.Simulation(cfg, "exhaustive", seed=4)
+    log = engine.MetricsLog(1100, 8)
+    for t in (150, 7, 199, 200, 1030, 1029, 0):
+        sim.run_slot(t, log)
+        single = _single_slot_draw(sim, t)
+        assert log.h2_edge[t].tobytes() == single.h2_edge[0].tobytes()
+        assert log.h2_cloud[t].tobytes() == single.h2_cloud[0].tobytes()
+    assert len(sim.block.h2_edge) == 200 and sim.block_start == 0
 
 
 def test_metrics_csv_independent_of_the_seed_word_caches(tmp_path):

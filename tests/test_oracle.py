@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semoff import channel, critic, oracle
-from semoff.config import Policy, SlotState, SystemConfig
+from semoff.config import Policy, SystemConfig
 from semoff.config import SystemParams
 
 CFG = SystemConfig()
@@ -57,10 +57,10 @@ def test_enumeration_is_lexicographic_and_streaming():
 def _state(rng, cfg=CFG):
     n = cfg.system.num_devices
     geom = channel.place_devices(cfg, rng)
-    draw = channel.draw_channels(geom, cfg, rng)
-    return SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
-                     q_local=rng.uniform(0, 10, n), q_edge=rng.uniform(0, 3, n),
-                     z_local=rng.uniform(0, 3, n), z_edge=rng.uniform(0, 2, n))
+    draw = channel.draw_channels(geom, cfg, [rng])
+    return channel.slot_state(cfg, draw.h2_edge[0], draw.h2_cloud[0],
+                              q_local=rng.uniform(0, 10, n), q_edge=rng.uniform(0, 3, n),
+                              z_local=rng.uniform(0, 3, n), z_edge=rng.uniform(0, 2, n))
 
 
 def _exhaustive_best(state, cfg=CFG):
@@ -72,9 +72,9 @@ def _exhaustive_best(state, cfg=CFG):
 
 def test_exhaustive_best_zero_state_returns_first_policy():
     n = 8
-    state = SlotState(h2_edge=np.full(n, 1e-10), h2_cloud=np.full(n, 1e-12),
-                      q_local=np.zeros(n), q_edge=np.zeros(n),
-                      z_local=np.zeros(n), z_edge=np.zeros(n))
+    state = channel.slot_state(CFG, np.full(n, 1e-10), np.full(n, 1e-12),
+                               q_local=np.zeros(n), q_edge=np.zeros(n),
+                               z_local=np.zeros(n), z_edge=np.zeros(n))
     pol, res = _exhaustive_best(state)
     first = next(oracle.enumerate_policies(8, 4, 2))
     assert np.array_equal(pol.rho_edge, first.rho_edge)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semoff import power
-from semoff.config import Allocation, Policy, SlotState, SystemConfig
+from semoff import channel, power
+from semoff.config import Allocation, Policy, SystemConfig
 from semoff.config import SemanticParams
 
 CFG = SystemConfig()
@@ -212,9 +212,8 @@ def test_semantic_volume_cap_weak_channel_power_binds():
 # --- slot power assembly -----------------------------------------------------
 
 def _random_feasible(rng, n=4):
-    state = SlotState(
-        h2_edge=np.full(n, (10 ** (-90.5 / 20)) ** 2),
-        h2_cloud=np.full(n, (10 ** (-116.8 / 20)) ** 2),
+    state = channel.slot_state(
+        CFG, np.full(n, (10 ** (-90.5 / 20)) ** 2), np.full(n, (10 ** (-116.8 / 20)) ** 2),
         q_local=rng.uniform(0, 10, n), q_edge=rng.uniform(0, 4, n),
         z_local=np.zeros(n), z_edge=np.zeros(n))
     rho_e = rng.random(n) < 0.5

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semoff import channel, critic, engine, oracle, queueing
-from semoff.config import SlotState, SystemConfig
+from semoff.config import SystemConfig
 
 CFG = SystemConfig()
 
@@ -50,9 +50,9 @@ def test_virtual_queue_examples():
 
 def _state(q_l, q_e=0.0, z_l=0.0, z_e=0.0, n=1):
     ones = np.ones(n)
-    return SlotState(h2_edge=ones, h2_cloud=ones,
-                     q_local=np.full(n, float(q_l)), q_edge=np.full(n, float(q_e)),
-                     z_local=np.full(n, float(z_l)), z_edge=np.full(n, float(z_e)))
+    return channel.slot_state(CFG, ones, ones,
+                              q_local=np.full(n, float(q_l)), q_edge=np.full(n, float(q_e)),
+                              z_local=np.full(n, float(z_l)), z_edge=np.full(n, float(z_e)))
 
 
 def test_lyapunov_value_examples():
@@ -141,7 +141,7 @@ def test_bound_trivial_cases():
     caps = queueing.rate_caps(CFG)
     zero = _state(0, n=8)
     b = queueing.drift_penalty_bound(zero, np.zeros(8), np.zeros(8), np.zeros(8),
-                                     np.zeros(8), 0.0, CFG, caps, np.zeros(8))
+                                     np.zeros(8), 0.0, CFG, caps)
     assert b >= 0.0
     # one-device hand case: q=1, mu=1, arrivals=1 -> drift 0 <= bound
     one = _state(1, n=8)
@@ -151,17 +151,17 @@ def test_bound_trivial_cases():
     dpp = queueing.drift_plus_penalty(queueing.lyapunov_value(one),
                                       queueing.lyapunov_value(nxt), 0.0, CFG.system.lyapunov_v)
     bound = queueing.drift_penalty_bound(one, mu, np.zeros(8), np.zeros(8),
-                                         arr, 0.0, CFG, caps, np.zeros(8))
+                                         arr, 0.0, CFG, caps)
     assert dpp == 0.0
     assert bound >= dpp
 
 
 def _random_transition(cfg, rng, geom, caps):
     n = cfg.system.num_devices
-    draw = channel.draw_channels(geom, cfg, rng)
-    state = SlotState(h2_edge=draw.h2_edge, h2_cloud=draw.h2_cloud,
-                      q_local=rng.uniform(0, 15, n), q_edge=rng.uniform(0, 5, n),
-                      z_local=rng.uniform(0, 5, n), z_edge=rng.uniform(0, 3, n))
+    draw = channel.draw_channels(geom, cfg, [rng])
+    state = channel.slot_state(cfg, draw.h2_edge[0], draw.h2_cloud[0],
+                               q_local=rng.uniform(0, 15, n), q_edge=rng.uniform(0, 5, n),
+                               z_local=rng.uniform(0, 5, n), z_edge=rng.uniform(0, 3, n))
     pol = oracle.random_policy(rng, n, cfg.system.chi_edge, cfg.system.chi_cloud)
     sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
     arrivals = rng.poisson(cfg.mean_arrivals_per_slot, n).astype(float)
