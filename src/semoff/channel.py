@@ -1,10 +1,9 @@
 """Per-slot channel generation: pathloss, shadowing, and small-scale fading.
 
 Large-scale gains are fixed once device positions are placed; small-scale
-coefficients and cloud-link shadowing are redrawn every slot.
-Slot draws must come from a generator derived per (seed, slot) so that
-replays are order-independent; `slot_rng` builds one, `run_rng` builds the
-per-run streams.
+coefficients and cloud-link shadowing are redrawn every slot, from a
+generator derived per (seed, slot) (`slot_rng`) so that replays are
+order-independent; `run_rng` builds the per-run streams.
 """
 
 from __future__ import annotations

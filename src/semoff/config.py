@@ -256,17 +256,19 @@ def validate_config(cfg: SystemConfig) -> list[str]:
     a, b = ch.pathloss_intercept_db, ch.pathloss_slope_db
     if (0 < r_min < r_max < math.inf and 0 < d_c < math.inf
             and math.isfinite(a) and math.isfinite(b)):
-        # `channel.pathloss_gain` (monotone) at the nearest and farthest device distances
-        near = max(r_min - d_c, d_c - r_max)
-        reach = (min(r_min, near) if near > 0 else r_min, d_c + r_max)
-        try:
-            ok = all(0 < 10.0 ** (-(a + b * math.log10(d / 1000.0)) / 10.0) < math.inf
-                     for d in reach)
-        except OverflowError:
-            ok = False
-        if not ok:
-            bad.append("pathloss_intercept_db, pathloss_slope_db: must keep the pathloss gain "
-                       f"finite and > 0 from {reach[0]:g} to {reach[1]:g} m, got {a!r} and {b!r}")
+        if r_min <= d_c <= r_max:   # devices come arbitrarily close to the cloud station
+            bad.append(f"cloud_distance: must lie outside the hotspot ({r_min:g} to {r_max:g} m), "
+                       f"where the pathloss gain has no bound, got {d_c!r}")
+        else:   # `channel.pathloss_gain` (monotone) at the nearest and farthest device distances
+            near, far = min(r_min, d_c - r_max if d_c > r_max else r_min - d_c), d_c + r_max
+            try:
+                ok = (0 < 10.0 ** (-(a + b * math.log10(near / 1000.0)) / 10.0) < math.inf
+                      and 0 < 10.0 ** (-(a + b * math.log10(far / 1000.0)) / 10.0) < math.inf)
+            except OverflowError:
+                ok = False
+            if not ok:
+                bad.append("pathloss_intercept_db, pathloss_slope_db: must keep the pathloss "
+                           f"gain finite and > 0 from {near:g} to {far:g} m, got {a!r} and {b!r}")
     try:
         10.0 ** (ch.rician_k_db / 10.0)   # the linear K factor
     except OverflowError:

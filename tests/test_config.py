@@ -235,11 +235,15 @@ def test_pathloss_gain_beyond_float_range_is_named(name):
         cfg = config_from_dict({"channel": {name: value}})
         assert [p.split(":")[0] for p in validate_config(cfg)] == \
             ["pathloss_intercept_db, pathloss_slope_db"]
-    # inside the range at every device distance, near and far; the cloud
-    # station inside the hotspot is never exactly on a device
+    # inside the range at every device distance, near and far
     for channel in ({"pathloss_intercept_db": 3000.0}, {"pathloss_intercept_db": -3000.0},
-                    {"pathloss_slope_db": -37.6}, {"cloud_distance": 100.0}):
+                    {"pathloss_slope_db": -37.6}, {"cloud_distance": 49.0}):
         assert validate_config(config_from_dict({"channel": channel})) == []
+    # a cloud station on or between the rims can have a device next to it,
+    # where no slope or intercept keeps the gain finite and > 0
+    for cloud_distance in (50.0, 100.0, 150.0):
+        cfg = config_from_dict({"channel": {"cloud_distance": cloud_distance}})
+        assert [p.split(":")[0] for p in validate_config(cfg)] == ["cloud_distance"]
     # the nearest cloud distance decides (10 m here; 50 m, the edge's, at 200 m) ...
     for cloud_distance, ok in ((160.0, False), (200.0, True)):
         cfg = config_from_dict({"channel": {"cloud_distance": cloud_distance,
@@ -256,13 +260,14 @@ def test_pathloss_gain_beyond_float_range_is_named(name):
 
 def test_pathloss_rule_is_the_gain_at_every_device_distance():
     # the rule accepts a config exactly when `channel.pathloss_gain` is finite
-    # and > 0 on the hotspot's inner and outer rims, seen from either server
+    # and > 0 on the hotspot's inner and outer rims and along the x axis
+    # between them (through the cloud station at 100 m), seen from either server
     from semoff import channel
 
-    rims = np.concatenate([r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
-                           for r in (50.0, 150.0)])
+    points = np.concatenate([r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
+                           for r in (50.0, 150.0)] + [np.linspace(50.0, 150.0, 101)])
     for cloud_distance in (100.0, 160.0, 500.0, 5000.0):
-        distances = np.abs(np.concatenate([rims, rims - cloud_distance]))
+        distances = np.abs(np.concatenate([points, points - cloud_distance]))
         for a in np.linspace(-4000.0, 4000.0, 21).tolist():
             for b in np.linspace(-6000.0, 6000.0, 31).tolist():
                 cfg = config_from_dict({"channel": {"cloud_distance": cloud_distance,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -139,12 +140,13 @@ def test_poisson_quantile_rejects_bad_arguments():
 
 def test_bound_trivial_cases():
     caps = queueing.rate_caps(CFG)
-    zero = _state(0, n=8)
+    # a zero cloud offload cap gives the smallest bound
+    zero = dataclasses.replace(_state(0, n=8), cloud_cap=np.zeros(8))
     b = queueing.drift_penalty_bound(zero, np.zeros(8), np.zeros(8), np.zeros(8),
                                      np.zeros(8), 0.0, CFG, caps)
     assert b >= 0.0
     # one-device hand case: q=1, mu=1, arrivals=1 -> drift 0 <= bound
-    one = _state(1, n=8)
+    one = dataclasses.replace(_state(1, n=8), cloud_cap=np.zeros(8))
     mu = np.zeros(8); mu[0] = 1.0
     arr = np.zeros(8); arr[0] = 1.0
     nxt = _state(1, n=8)
