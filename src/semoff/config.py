@@ -15,13 +15,17 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .power import Coefficients
 
 
 class ConfigError(ValueError):
@@ -162,6 +166,13 @@ class SystemConfig:
     def mean_arrivals_per_slot(self) -> float:
         return self.system.arrival_rate_per_sec * self.system.slot_length
 
+    @functools.cached_property
+    def coefficients(self) -> Coefficients:
+        """The `power.Coefficients` of this config, built on first use and
+        kept on the object (outside its fields), as a config never changes."""
+        from .power import Coefficients   # power imports this module
+        return Coefficients(self)
+
 
 _NUMBER = frozenset({int, float})
 
@@ -215,8 +226,10 @@ def validate_config(cfg: SystemConfig) -> list[str]:
                  "flops_per_cycle_edge", "alpha_local", "alpha_edge_weighted",
                  "task_flops_encode", "task_flops_decode"):
         positive(name, getattr(sys_, name))
+    reported = len(bad)
     for name in ("bw_edge_total", "bw_cloud_total", "noise_psd", "p_tx_max"):
         positive(name, getattr(ch, name))
+    links_ok = len(bad) == reported
     for name in ("sentence_len", "symbols_per_word", "bits_per_word"):
         positive(name, getattr(sem, name))
 
@@ -262,13 +275,26 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         else:   # `channel.pathloss_gain` (monotone) at the nearest and farthest device distances
             near, far = min(r_min, d_c - r_max if d_c > r_max else r_min - d_c), d_c + r_max
             try:
-                ok = (0 < 10.0 ** (-(a + b * math.log10(near / 1000.0)) / 10.0) < math.inf
-                      and 0 < 10.0 ** (-(a + b * math.log10(far / 1000.0)) / 10.0) < math.inf)
+                g_near = 10.0 ** (-(a + b * math.log10(near / 1000.0)) / 10.0)
+                g_far = 10.0 ** (-(a + b * math.log10(far / 1000.0)) / 10.0)
             except OverflowError:
-                ok = False
-            if not ok:
+                g_near = g_far = math.inf
+            if not (0 < g_near < math.inf and 0 < g_far < math.inf):
                 bad.append("pathloss_intercept_db, pathloss_slope_db: must keep the pathloss "
                            f"gain finite and > 0 from {near:g} to {far:g} m, got {a!r} and {b!r}")
+            elif links_ok:
+                # the SNR at the power ceiling on each link, as `power.semantic_volume_cap`
+                # and `power.cloud_offload_cap` divide it (a zero divisor is an inf SNR)
+                p = ch.p_tx_max
+                for link, bandwidth in (("edge", cfg.bandwidth_edge), ("cloud", cfg.bandwidth_cloud)):
+                    noise = bandwidth * ch.noise_psd
+                    if not (noise > 0 and 0 < p * g_near / noise < math.inf
+                            and 0 < p * g_far / noise < math.inf):
+                        snr = [p * g / noise if noise > 0 else math.inf for g in (g_near, g_far)]
+                        bad.append(f"bw_{link}_total, p_tx_max, noise_psd, pathloss_intercept_db, "
+                                   f"pathloss_slope_db: must keep the {link} link's SNR at p_tx_max "
+                                   f"finite and > 0 from {near:g} to {far:g} m, got {snr[0]!r} "
+                                   f"and {snr[1]!r}")
     try:
         10.0 ** (ch.rician_k_db / 10.0)   # the linear K factor
     except OverflowError:

@@ -16,6 +16,15 @@ orders of magnitude below the compute power it trades against. The
 assembled allocation is then scored with the full per-slot objective,
 transmit powers included. Every stationary point weighs the backlog by its
 real plus virtual queue, as the per-slot objective implies.
+
+Each slot solves all four per-device association combos at once
+(`device_g_table`): the stages run on the untiled (I,) state against
+(4, 1) combo masks, and numpy broadcasts each term only as far as it
+depends on the combo. `gather` reads one policy's solution from that solve,
+and `best_association` finds the best policy with a dynamic program that
+walks a plan computed once per shape (I, chi_e, chi_c). The stages and the
+power formulas take their scalar operands from `cfg.coefficients`
+(`power.Coefficients`), built once per config.
 """
 
 from __future__ import annotations
@@ -27,9 +36,7 @@ import numpy as np
 
 from .config import Allocation, Policy, SlotState, SystemConfig
 from . import power
-
-
-LN2 = float(np.log(2.0))
+from .power import TINY, ZERO
 
 
 class FeasibilityError(ValueError):
@@ -56,57 +63,51 @@ def solve_edge_volume(state: SlotState, edge_mask: np.ndarray,
     upper clamp is the tightest of the local backlog, the full-clock encode
     rate, and the semantic-link volume reachable at the power ceiling.
     """
-    s = cfg.system
+    k = cfg.coefficients
     w = state.q_local + state.z_local - state.q_edge - state.z_edge
-    rate_per_hz = s.slot_length * s.flops_per_cycle_local / s.task_flops_encode
-    stationary = np.sqrt(rate_per_hz ** 3 * np.maximum(w, 0.0)
-                         / (3.0 * s.lyapunov_v * s.alpha_local))
-    cap = np.minimum(state.q_local,
-                     np.minimum(power.encode_rate(s.f_local_max, cfg), state.edge_cap))
-    out = np.where((w > 0) & edge_mask, np.minimum(stationary, cap), 0.0)
-    return np.maximum(out, 0.0)
+    stationary = np.sqrt(k.edge_volume_num * np.maximum(w, ZERO) / k.edge_volume_den)
+    cap = np.minimum(state.q_local, np.minimum(k.encode_rate_max, state.edge_cap))
+    out = np.where((w > ZERO) & edge_mask, np.minimum(stationary, cap), ZERO)
+    return np.maximum(out, ZERO)
 
 
 def solve_cloud_volume(state: SlotState, cloud_mask: np.ndarray,
                        u_edge: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Cloud offload volume: clamped stationary point of the Shannon-power tradeoff."""
-    s, sem = cfg.system, cfg.semantic
+    """Cloud offload volume: clamped stationary point of the Shannon-power
+    tradeoff, clipped to [0, max(cap, 0)] (with `np.clip`'s values)."""
+    k = cfg.coefficients
     w = state.q_local + state.z_local
-    b_c = cfg.bandwidth_cloud
-    bits_per_task = sem.sentence_len * sem.bits_per_word
-    scale = s.slot_length * b_c / bits_per_task
-    arg = (np.maximum(w, 0.0) * s.slot_length * state.h2_cloud
-           / (LN2 * s.lyapunov_v * bits_per_task * cfg.channel.noise_psd))
-    stationary = np.where(arg > 0, scale * np.log2(np.maximum(arg, 1e-300)), 0.0)
+    arg = np.maximum(w, ZERO) * k.slot_length * state.h2_cloud / k.cloud_volume_den
+    stationary = np.where(arg > ZERO, k.cloud_volume_scale * np.log2(np.maximum(arg, TINY)), ZERO)
     cap = np.minimum(state.q_local - u_edge, state.cloud_cap)
-    out = np.where(cloud_mask, np.clip(stationary, 0.0, np.maximum(cap, 0.0)), 0.0)
-    return out
+    return np.where(cloud_mask, np.minimum(np.maximum(stationary, ZERO), np.maximum(cap, ZERO)),
+                    ZERO)
 
 
 def solve_local_frequency(state: SlotState, u_edge: np.ndarray,
                           u_cloud: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Local execution clock: cubic-power stationary point under the clock
     budget left by encoding and the backlog left by offloading."""
-    s = cfg.system
+    k = cfg.coefficients
     w_local = state.q_local + state.z_local
-    stationary = np.sqrt(s.slot_length * np.maximum(w_local, 0.0) * s.flops_per_cycle_local
-                         / (3.0 * s.lyapunov_v * s.task_flops_total * s.alpha_local))
+    stationary = np.sqrt(k.slot_length * np.maximum(w_local, ZERO) * k.flops_per_cycle_local
+                         / k.local_clock_den)
     f_encode = power.encode_frequency(u_edge, cfg)
-    budget = np.maximum(s.f_local_max - f_encode, 0.0)
-    left = np.maximum(state.q_local - u_edge - u_cloud, 0.0)
-    queue_clamp = left * s.task_flops_total / (s.slot_length * s.flops_per_cycle_local)
+    budget = np.maximum(k.f_local_max - f_encode, ZERO)
+    left = np.maximum(state.q_local - u_edge - u_cloud, ZERO)
+    queue_clamp = left * k.task_flops_total / k.slot_flops_local
     return np.minimum(stationary, np.minimum(budget, queue_clamp))
 
 
 def solve_edge_frequency(state: SlotState, cfg: SystemConfig) -> np.ndarray:
     """Edge decode clock; solved for every device with edge backlog, since
     the edge queue drains regardless of the current slot's association."""
-    s = cfg.system
+    k = cfg.coefficients
     w = state.q_edge + state.z_edge
-    stationary = np.sqrt(s.slot_length * np.maximum(w, 0.0) * s.flops_per_cycle_edge
-                         / (3.0 * s.lyapunov_v * s.task_flops_decode * s.alpha_edge_weighted))
-    queue_clamp = state.q_edge * s.task_flops_decode / (s.slot_length * s.flops_per_cycle_edge)
-    return np.minimum(stationary, np.minimum(s.f_edge_max, queue_clamp))
+    stationary = np.sqrt(k.slot_length * np.maximum(w, ZERO) * k.flops_per_cycle_edge
+                         / k.edge_clock_den)
+    queue_clamp = state.q_edge * k.task_flops_decode / k.slot_flops_edge
+    return np.minimum(stationary, np.minimum(k.f_edge_max, queue_clamp))
 
 
 def assemble_allocation(state: SlotState, edge_mask: np.ndarray,
@@ -166,7 +167,8 @@ def check_allocation(alloc: Allocation, policy: Policy, state: SlotState,
 @dataclass
 class Solution:
     """A solved allocation with the execution rates and the four power
-    components it implies, per device (or per device and combo)."""
+    components it implies, per device; from `device_g_table`, the fields
+    that depend on the association are per combo and device, (4, I)."""
 
     alloc: Allocation
     mu_local: np.ndarray    # tasks served locally: executed plus offloaded
@@ -196,11 +198,10 @@ def g_terms(sol: Solution, state: SlotState,
     The arrival term uses the distribution mean (arrivals are not observed
     at decision time).
     """
-    v = cfg.system.lyapunov_v
-    lam = cfg.mean_arrivals_per_slot
-    local_terms = -(state.q_local + state.z_local) * (sol.mu_local - lam)
+    k = cfg.coefficients
+    local_terms = -(state.q_local + state.z_local) * (sol.mu_local - k.mean_arrivals)
     edge_terms = -(state.q_edge + state.z_edge) * (sol.mu_edge - sol.alloc.u_edge)
-    power_terms = v * (sol.p_local + sol.p_edge + sol.p_tx_edge + sol.p_tx_cloud)
+    power_terms = k.lyapunov_v * (sol.p_local + sol.p_edge + sol.p_tx_edge + sol.p_tx_cloud)
     return local_terms, edge_terms, power_terms
 
 
@@ -229,64 +230,108 @@ def evaluate_policy(policy: Policy, state: SlotState,
 # The per-slot combo solve and the searches that read it
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _combo_policy(n: int) -> Policy:
-    """`device_g_table`'s four combos as one read-only 4n-long policy."""
-    edge = np.repeat(np.array([False, False, True, True]), n)
-    cloud = np.repeat(np.array([False, True, False, True]), n)
-    edge.flags.writeable = cloud.flags.writeable = False
-    return Policy(rho_edge=edge, rho_cloud=cloud)
+# combo c = 2 * edge bit + cloud bit, as (4, 1) columns against (I,) devices
+_EDGE = np.array([[False], [False], [True], [True]])
+_CLOUD = np.array([[False], [True], [False], [True]])
+_EDGE.flags.writeable = _CLOUD.flags.writeable = False
 
 
 def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Solution]:
     """(4, I) objective contributions for each per-device association combo,
-    plus the 4I-long solution (allocation, rates, powers) they came from.
+    plus the solution (allocation, rates, powers) they came from.
 
-    Combo index is 2*edge_bit + cloud_bit; entry `combo * I + i` of each
-    solution array belongs to device i under that combo. Valid because
-    the per-slot objective decomposes across devices once the bandwidth
-    split is fixed, which the equal split by the association cap
-    guarantees. All four combos are solved in one pass over a 4x-tiled
-    state; elementwise results are identical to solving each combo
-    separately, so `gather` reproduces `evaluate_policy` and
-    `power.total_power` bit for bit.
+    Row c of the table, combo c = 2*edge_bit + cloud_bit, holds each
+    device's contribution under that combo. Valid because the per-slot
+    objective decomposes across devices once the bandwidth split is fixed,
+    which the equal split by the association cap guarantees.
+
+    The stages run once on the untiled (I,) state against (4, 1) combo
+    masks, so numpy broadcasts each term only as far as it depends on the
+    combo. The solution's `u_edge`, `u_cloud`, `f_local`, `f_encode`,
+    `mu_local`, `p_local`, `p_tx_edge` and `p_tx_cloud` are (4, I);
+    `f_edge`, `mu_edge` and `p_edge` depend on no association and are (I,).
+    Every combo-free term is computed once per device: the edge-volume
+    candidate (rows 2 and 3 of `u_edge`), the edge clock, rate and power,
+    and the semantic transmit power of the candidate. The rates and powers
+    are `power.total_power`'s without its slot total and its re-masking by
+    the policy, which changes nothing: the stages zero each volume off its
+    combo's mask, and a transmit power is zero where its volume is.
+    Elementwise the values are those of solving each combo separately, so
+    `gather` reproduces `evaluate_policy` and `power.total_power` bit for bit.
     """
-    n = cfg.system.num_devices
-    tiled = SlotState(*(np.concatenate((x, x, x, x)) for x in (
-        state.h2_edge, state.h2_cloud, state.edge_cap, state.cloud_cap,
-        state.q_local, state.q_edge, state.z_local, state.z_edge)))
-    combos = _combo_policy(n)
-    alloc = assemble_allocation(tiled, combos.rho_edge, combos.rho_cloud, cfg)
-    sol = rates_and_powers(alloc, combos, tiled, cfg)
-    lt, et, pt = g_terms(sol, tiled, cfg)
-    return (lt + et + pt).reshape(4, n), sol
+    b_e, b_c = cfg.bandwidth_edge, cfg.bandwidth_cloud
+    u_edge = solve_edge_volume(state, _EDGE, cfg)
+    u_cloud = solve_cloud_volume(state, _CLOUD, u_edge, cfg)
+    f_local = solve_local_frequency(state, u_edge, u_cloud, cfg)
+    f_edge = solve_edge_frequency(state, cfg)
+    f_encode = power.encode_frequency(u_edge, cfg)
+    u_dev = u_edge[2]   # the edge-volume candidate: each device's volume when edge-associated
+    p_tx_dev = power.semantic_tx_power(power.required_accuracy(u_dev, b_e, cfg),
+                                       state.h2_edge, b_e, cfg)
+    sol = Solution(
+        alloc=Allocation(u_edge=u_edge, u_cloud=u_cloud, f_local=f_local,
+                         f_encode=f_encode, f_edge=f_edge),
+        mu_local=power.local_exec_rate(f_local, cfg) + u_edge + u_cloud,
+        mu_edge=power.edge_exec_rate(f_edge, cfg),
+        p_local=power.local_power(f_local, f_encode, cfg),
+        p_edge=power.edge_power(f_edge, cfg),
+        p_tx_edge=np.where(u_edge > ZERO, p_tx_dev, ZERO),
+        p_tx_cloud=np.where(u_cloud > ZERO,
+                            power.shannon_tx_power(u_cloud, state.h2_cloud, b_c, cfg), ZERO))
+    lt, et, pt = g_terms(sol, state, cfg)
+    return lt + et + pt, sol
 
 
-def gather(table: np.ndarray, tiled: Solution,
+def gather(table: np.ndarray, combos: Solution,
            policy: Policy) -> tuple[Solution, float]:
-    """A policy's solution and objective value, read from the combo solve.
+    """A policy's solution and objective value, read from the combo solve
+    (`device_g_table`): each (4, I) field at every device's combo, and the
+    per-device (I,) fields `f_edge`, `mu_edge` and `p_edge` as they are.
 
     Equal to `evaluate_policy(policy, ...)`'s `alloc` and `g_value`, and to
     `power.total_power` and the execution rates on that allocation, bit for
     bit: the same elementwise values, summed in the same order.
     """
     n = table.shape[1]
-    idx = (2 * policy.rho_edge.astype(np.intp) + policy.rho_cloud) * n + np.arange(n)
-    a = tiled.alloc
-    alloc = Allocation(u_edge=a.u_edge[idx], u_cloud=a.u_cloud[idx],
-                       f_local=a.f_local[idx], f_encode=a.f_encode[idx],
-                       f_edge=a.f_edge[idx])
-    sol = Solution(alloc=alloc, mu_local=tiled.mu_local[idx],
-                   mu_edge=tiled.mu_edge[idx], p_local=tiled.p_local[idx],
-                   p_edge=tiled.p_edge[idx], p_tx_edge=tiled.p_tx_edge[idx],
-                   p_tx_cloud=tiled.p_tx_cloud[idx])
-    return sol, float(table.reshape(-1)[idx].sum())
+    idx = policy.rho_edge * (2 * n) + policy.rho_cloud * n + np.arange(n)
+    a = combos.alloc
+    alloc = Allocation(u_edge=a.u_edge.ravel()[idx], u_cloud=a.u_cloud.ravel()[idx],
+                       f_local=a.f_local.ravel()[idx], f_encode=a.f_encode.ravel()[idx],
+                       f_edge=a.f_edge)
+    sol = Solution(alloc=alloc, mu_local=combos.mu_local.ravel()[idx],
+                   mu_edge=combos.mu_edge, p_local=combos.p_local.ravel()[idx],
+                   p_edge=combos.p_edge, p_tx_edge=combos.p_tx_edge.ravel()[idx],
+                   p_tx_cloud=combos.p_tx_cloud.ravel()[idx])
+    return sol, float(table.ravel()[idx].sum())
 
 
 def _bits(key: int, n: int) -> np.ndarray:
     """The n low bits of `key` as a bool mask, most significant bit first."""
     raw = np.frombuffer(key.to_bytes((n + 7) // 8, "big"), dtype=np.uint8)
     return np.unpackbits(raw)[raw.size * 8 - n:].astype(bool)
+
+
+@functools.lru_cache(maxsize=8)
+def _dp_plan(n: int, ke: int, kc: int) -> tuple[tuple[bool, tuple[int, ...], tuple[int, ...],
+                                                      tuple[int, ...]], ...]:
+    """`best_association`'s walk for one shape: per device i, the states
+    s = a * (kc + 1) + b it updates, namely every (a, b) reachable after
+    device i that can still end at (ke, kc), split by which predecessors
+    they have: (a, b) = (0, 0) or not, then a = 0 < b (none and cloud), then
+    b = 0 < a (none and edge), then both > 0 (all four)."""
+    w = kc + 1
+    plan = []
+    for i in range(n):
+        left = n - 1 - i
+        lo_e, lo_c = max(ke - left, 0), max(kc - left, 0)
+        hi_e, hi_c = min(ke, i + 1), min(kc, i + 1)
+        edges = range(max(lo_e, 1), hi_e + 1)
+        clouds = range(max(lo_c, 1), hi_c + 1)
+        plan.append((lo_e == lo_c == 0,
+                     tuple(clouds) if lo_e == 0 else (),
+                     tuple(a * w for a in edges) if lo_c == 0 else (),
+                     tuple(a * w + b for a in edges for b in clouds)))
+    return tuple(plan)
 
 
 def best_association(table: np.ndarray, chi_e: int, chi_c: int) -> Policy:
@@ -297,7 +342,12 @@ def best_association(table: np.ndarray, chi_e: int, chi_c: int) -> Policy:
     C(I, chi_c) policies. Each state keeps its best path's value g (summed
     device by device) and its path key K = E * 2**I + C, where E and C are
     the edge and cloud bit strings, device 0 first, so a path is its own
-    policy; device bits (e, c) extend K to 2K + e * 2**I + c.
+    policy; device bits (e, c) extend K to 2K + e * 2**I + c. The states
+    each device updates come from `_dp_plan`, computed once per shape.
+    Every state compares its predecessors in one order: none, cloud, edge,
+    both. Two lists per value swap roles each device; a state a device
+    reads was written by the device before it or by none (inf), as the
+    window only gains states at its top and loses them at its bottom.
 
     Exact ties resolve as a first-index argmin over `oracle.policy_table`
     does: enumeration lists policies with the larger E first, then the
@@ -310,43 +360,53 @@ def best_association(table: np.ndarray, chi_e: int, chi_c: int) -> Policy:
     size = (ke + 1) * w
     edge = 1 << n   # an edge bit's term in the key extension
     inf = float("inf")
-    g_old, k_old = [inf] * size, [0] * size
+    g_old, k_old, g_new, k_new = [inf] * size, [0] * size, [inf] * size, [0] * size
     g_old[0] = 0.0
-    for i, (t0, t1, t2, t3) in enumerate(table.T.tolist()):
-        # states (a, b) reachable after device i that can still end feasible
-        left = n - 1 - i
-        lo_e = max(ke - left, 0)
-        lo_c = max(kc - left, 0)
-        hi_e, hi_c = min(ke, i + 1), min(kc, i + 1)
-        g_new, k_new = [inf] * size, [0] * size
-        for a in range(lo_e, hi_e + 1):
-            row = a * w
-            for s in range(row + lo_c, row + hi_c + 1):
-                # predecessors: s (no server), s - 1 (cloud), s - w (edge),
-                # s - w - 1 (both); unrolled, as this loop is the hot path
-                g, k = g_old[s] + t0, 2 * k_old[s]
-                if s > row:
-                    x = g_old[s - 1] + t1
-                    if x <= g:
-                        xk = 2 * k_old[s - 1] + 1
-                        if x < g or xk > k:
-                            g, k = x, xk
-                if a:
-                    r = s - w
-                    x = g_old[r] + t2
-                    if x <= g:
-                        xk = 2 * k_old[r] + edge
-                        if x < g or xk > k:
-                            g, k = x, xk
-                    if s > row:
-                        x = g_old[r - 1] + t3
-                        if x <= g:
-                            xk = 2 * k_old[r - 1] + edge + 1
-                            if x < g or xk > k:
-                                g, k = x, xk
-                g_new[s], k_new[s] = g, k
-        g_old, k_old = g_new, k_new
-    return Policy(rho_edge=_bits(k_old[-1] >> n, n), rho_cloud=_bits(k_old[-1] & (edge - 1), n))
+    for (t0, t1, t2, t3), (origin, cloud_only, edge_only, both) in zip(
+            table.T.tolist(), _dp_plan(n, ke, kc)):
+        # predecessors of s: s (no server), s - 1 (cloud), s - w (edge),
+        # s - w - 1 (both); unrolled per kind, as these loops are the hot path
+        if origin:
+            g_new[0], k_new[0] = g_old[0] + t0, 2 * k_old[0]
+        for s in cloud_only:
+            g, k = g_old[s] + t0, 2 * k_old[s]
+            x = g_old[s - 1] + t1
+            if x <= g:
+                xk = 2 * k_old[s - 1] + 1
+                if x < g or xk > k:
+                    g, k = x, xk
+            g_new[s], k_new[s] = g, k
+        for s in edge_only:
+            g, k = g_old[s] + t0, 2 * k_old[s]
+            r = s - w
+            x = g_old[r] + t2
+            if x <= g:
+                xk = 2 * k_old[r] + edge
+                if x < g or xk > k:
+                    g, k = x, xk
+            g_new[s], k_new[s] = g, k
+        for s in both:
+            g, k = g_old[s] + t0, 2 * k_old[s]
+            x = g_old[s - 1] + t1
+            if x <= g:
+                xk = 2 * k_old[s - 1] + 1
+                if x < g or xk > k:
+                    g, k = x, xk
+            r = s - w
+            x = g_old[r] + t2
+            if x <= g:
+                xk = 2 * k_old[r] + edge
+                if x < g or xk > k:
+                    g, k = x, xk
+            x = g_old[r - 1] + t3
+            if x <= g:
+                xk = 2 * k_old[r - 1] + edge + 1
+                if x < g or xk > k:
+                    g, k = x, xk
+            g_new[s], k_new[s] = g, k
+        g_old, k_old, g_new, k_new = g_new, k_new, g_old, k_old
+    bits = _bits(k_old[-1], 2 * n)
+    return Policy(rho_edge=bits[:n], rho_cloud=bits[n:])
 
 
 class PolicyBatch:

@@ -151,10 +151,11 @@ class MetricsLog:
             setattr(self, name, np.zeros((total_slots, num_devices)))
         for name in _SCALAR_SERIES:
             setattr(self, name, np.full(total_slots, np.nan))
-        # Python ints: the masks need I bits, more than int64 holds at I >= 64
+        # Python ints: the masks need I bits, more than int64 holds at I >= 64,
+        # and C(I, chi_e) * C(I, chi_c) candidates pass 2**63 at I = 40, chi = (20, 10)
         self.policy_edge = np.zeros(total_slots, dtype=object)
         self.policy_cloud = np.zeros(total_slots, dtype=object)
-        self.num_candidates = np.zeros(total_slots, dtype=np.int64)
+        self.num_candidates = np.zeros(total_slots, dtype=object)
         self.bound_violations = 0
         self.train_steps = 0
 
@@ -170,10 +171,12 @@ class MetricsLog:
 
     @property
     def tail_start(self) -> int:
-        return self.total_slots - self.total_slots // 3
+        """First slot of the stabilized tail: the final third of the run, and
+        at least the last slot."""
+        return self.total_slots - max(self.total_slots // 3, 1)
 
     def tail_mean(self, name: str) -> float:
-        """Mean over the stabilized tail (final third of the run)."""
+        """Mean over the stabilized tail (see `tail_start`)."""
         return float(np.nanmean(getattr(self, name)[self.tail_start:]))
 
     def tail_mean_per_device(self, name: str) -> np.ndarray:
@@ -499,11 +502,10 @@ def summarize(log: MetricsLog, cfg: SystemConfig, scenario: Scenario) -> dict[st
     slack = np.sort(log.bound - log.dpp)
     n = len(slack)
     broken = np.flatnonzero(log.dpp > log.bound + BOUND_TOL)
-    with np.errstate(invalid="ignore"):
-        test_tail = float(np.nanmean(log.test_loss[log.tail_start:])) \
-            if np.any(np.isfinite(log.test_loss)) else None
-        train_tail = float(np.nanmean(log.train_loss[log.tail_start:])) \
-            if np.any(np.isfinite(log.train_loss)) else None
+    # null where the tail holds no loss (no actor, or no training step in it)
+    test_tail, train_tail = (float(np.nanmean(tail)) if np.any(np.isfinite(tail)) else None
+                             for tail in (log.test_loss[log.tail_start:],
+                                          log.train_loss[log.tail_start:]))
     return {
         "scenario": scenario.to_dict(),
         "seed": scenario.seed,

@@ -1,7 +1,11 @@
 """Execution rates, computation power, the accuracy curve, and transmit power.
 
 All functions are pure and accept scalars or numpy arrays. Rates are in
-tasks/slot, frequencies in Hz, powers in W.
+tasks/slot, frequencies in Hz, powers in W. Most formulas the slot's combo
+solve runs take their scalar operands from `Coefficients`, built once per
+config on first use; the execution rates keep Python floats, as
+`queueing.rate_caps` calls them on scalars while a run is set up, before
+any slot needs the coefficients.
 """
 
 from __future__ import annotations
@@ -11,6 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Allocation, Policy, SlotState, SystemConfig
+
+
+def operand(x: float) -> np.ndarray:
+    """`x` as a read-only 0-d float64 array. numpy combines an array with a
+    0-d array faster than with a Python float, which it wraps anew on every
+    call (about 0.4 of 1.7 us per ufunc call on 12 elements, numpy 2.4 on a
+    2-vCPU x86-64 guest); the arithmetic, and so every result bit, is the same."""
+    a = np.array(float(x))
+    a.flags.writeable = False
+    return a
+
+
+ZERO, ONE, TWO, THREE, TEN, INF, TINY = map(operand, (0.0, 1.0, 2.0, 3.0, 10.0, np.inf, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +51,7 @@ class LogisticAccuracyCurve:
     def snr_db_for(self, epsilon):
         """Inverse curve; epsilon must lie strictly inside (0, ceiling)."""
         eps = np.asarray(epsilon, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.midpoint_db - np.log(self.ceiling / eps - 1.0) / self.slope_per_db
+        out = self.midpoint_db - np.log(self.ceiling / eps - ONE) / self.slope_per_db
         return out if out.ndim else float(out)
 
 
@@ -64,8 +80,8 @@ def encode_rate(f_encode, cfg: SystemConfig):
 
 def encode_frequency(u_edge, cfg: SystemConfig):
     """Clock needed to encode u_edge tasks within the slot (inverse of encode_rate)."""
-    s = cfg.system
-    return u_edge * s.task_flops_encode / (s.slot_length * s.flops_per_cycle_local)
+    k = cfg.coefficients
+    return u_edge * k.task_flops_encode / k.slot_flops_local
 
 
 def edge_exec_rate(f_edge, cfg: SystemConfig):
@@ -76,13 +92,12 @@ def edge_exec_rate(f_edge, cfg: SystemConfig):
 
 def local_power(f_local, f_encode, cfg: SystemConfig):
     """Cubic dynamic power of the device GPU split across execute and encode."""
-    a = cfg.system.alpha_local
-    return a * (np.asarray(f_local, dtype=float) ** 3 + np.asarray(f_encode, dtype=float) ** 3)
+    return cfg.coefficients.alpha_local * (f_local ** THREE + f_encode ** THREE)
 
 
 def edge_power(f_edge, cfg: SystemConfig):
     """Weighted cubic dynamic power of the edge server GPU."""
-    return cfg.system.alpha_edge_weighted * np.asarray(f_edge, dtype=float) ** 3
+    return cfg.coefficients.alpha_edge_weighted * f_edge ** THREE
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +111,8 @@ def required_accuracy(u_edge, bandwidth, cfg: SystemConfig):
     the volume with `semantic_volume_cap` (or treat the resulting transmit
     power, which is infinite, as a link-infeasible marker).
     """
-    sem = cfg.semantic
-    return (np.asarray(u_edge, dtype=float) * sem.sentence_len * sem.symbols_per_word
-            / (cfg.system.slot_length * bandwidth))
+    k = cfg.coefficients
+    return u_edge * k.sentence_len * k.symbols_per_word / (cfg.system.slot_length * bandwidth)
 
 
 def semantic_tx_power(eps_required, h2_edge, bandwidth, cfg: SystemConfig):
@@ -108,23 +122,20 @@ def semantic_tx_power(eps_required, h2_edge, bandwidth, cfg: SystemConfig):
     beyond the curve ceiling return inf (link-infeasible). Compare against
     p_tx_max to detect infeasible links.
     """
-    sem = cfg.semantic
-    curve = accuracy_curve(cfg)
-    eps_eff = np.maximum(np.asarray(eps_required, dtype=float), sem.epsilon_min)
-    snr_db = np.where(eps_eff >= curve.ceiling, np.inf, curve.snr_db_for(
-        np.minimum(eps_eff, curve.ceiling * (1 - 1e-15))))
-    snr = 10.0 ** (np.asarray(snr_db) / 10.0)
-    p = snr * cfg.channel.noise_psd * bandwidth / np.asarray(h2_edge, dtype=float)
+    k = cfg.coefficients
+    eps_eff = np.maximum(eps_required, k.epsilon_min)
+    snr_db = np.where(eps_eff >= k.curve.ceiling, INF,
+                      k.curve.snr_db_for(np.minimum(eps_eff, k.epsilon_invertible)))
+    snr = TEN ** (snr_db / TEN)
+    p = snr * k.noise_psd * bandwidth / np.asarray(h2_edge, dtype=float)
     return p if np.ndim(p) else float(p)
 
 
 def shannon_tx_power(u_cloud, h2_cloud, bandwidth, cfg: SystemConfig):
     """Transmit power to push u_cloud tasks/slot of source bits to the cloud."""
-    sem = cfg.semantic
-    bits_per_task = sem.sentence_len * sem.bits_per_word
-    exponent = np.asarray(u_cloud, dtype=float) * bits_per_task / (cfg.system.slot_length * bandwidth)
-    p = ((2.0 ** exponent - 1.0) * cfg.channel.noise_psd * bandwidth
-         / np.asarray(h2_cloud, dtype=float))
+    k = cfg.coefficients
+    exponent = u_cloud * k.bits_per_task / (cfg.system.slot_length * bandwidth)
+    p = (TWO ** exponent - ONE) * k.noise_psd * bandwidth / np.asarray(h2_cloud, dtype=float)
     return p if np.ndim(p) else float(p)
 
 
@@ -161,6 +172,68 @@ def semantic_volume_cap(h2_edge, bandwidth, cfg: SystemConfig):
                          curve.ceiling * (1.0 - _CEILING_BACKOFF))
     cap = (cfg.system.slot_length * bandwidth / (sem.sentence_len * sem.symbols_per_word)) * eps_cap
     return cap if np.ndim(cap) else float(cap)
+
+
+# ---------------------------------------------------------------------------
+# Scalar operands of the formulas the combo solve runs
+# ---------------------------------------------------------------------------
+
+_LN2 = float(np.log(2.0))
+
+
+class Coefficients:
+    """The scalar operands of the rate and power formulas above and of the
+    solver stages in `critic`, for one config, each an `operand` computed as
+    the formula computed it inline (the same float64 operations in the same
+    order), so every result keeps its bits. `SystemConfig.coefficients`
+    builds one per config object, on first use."""
+
+    def __init__(self, cfg: SystemConfig):
+        s, ch, sem = cfg.system, cfg.channel, cfg.semantic
+        v = s.lyapunov_v
+        bits_per_task = sem.sentence_len * sem.bits_per_word
+        # config fields
+        self.lyapunov_v = operand(v)
+        self.slot_length = operand(s.slot_length)
+        self.flops_per_cycle_local = operand(s.flops_per_cycle_local)
+        self.flops_per_cycle_edge = operand(s.flops_per_cycle_edge)
+        self.task_flops_encode = operand(s.task_flops_encode)
+        self.task_flops_decode = operand(s.task_flops_decode)
+        self.task_flops_total = operand(s.task_flops_total)
+        self.f_local_max = operand(s.f_local_max)
+        self.f_edge_max = operand(s.f_edge_max)
+        self.alpha_local = operand(s.alpha_local)
+        self.alpha_edge_weighted = operand(s.alpha_edge_weighted)
+        self.sentence_len = operand(sem.sentence_len)
+        self.symbols_per_word = operand(sem.symbols_per_word)
+        self.epsilon_min = operand(sem.epsilon_min)
+        self.noise_psd = operand(ch.noise_psd)
+        self.mean_arrivals = operand(cfg.mean_arrivals_per_slot)
+        # the accuracy curve with operand parameters, and the largest
+        # accuracy `semantic_tx_power` inverts
+        self.curve = LogisticAccuracyCurve(ceiling=operand(sem.accuracy_ceiling),
+                                           slope_per_db=operand(sem.accuracy_slope_per_db),
+                                           midpoint_db=operand(sem.accuracy_midpoint_db))
+        self.epsilon_invertible = operand(sem.accuracy_ceiling * (1 - 1e-15))
+        # FLOP per Hz of clock in one slot; bits per task sent to the cloud
+        self.slot_flops_local = operand(s.slot_length * s.flops_per_cycle_local)
+        self.slot_flops_edge = operand(s.slot_length * s.flops_per_cycle_edge)
+        self.bits_per_task = operand(bits_per_task)
+        # `critic.solve_edge_volume`: the stationary point's numerator
+        # factor (encode rate per Hz, cubed) and denominator, and the cap
+        # of the full-clock encode rate
+        self.edge_volume_num = operand((s.slot_length * s.flops_per_cycle_local
+                                        / s.task_flops_encode) ** 3)
+        self.edge_volume_den = operand(3.0 * v * s.alpha_local)
+        self.encode_rate_max = operand(encode_rate(s.f_local_max, cfg))
+        # `critic.solve_cloud_volume`: tasks per bit/s/Hz, and the
+        # denominator of the log's argument
+        self.cloud_volume_scale = operand(s.slot_length * cfg.bandwidth_cloud / bits_per_task)
+        self.cloud_volume_den = operand(_LN2 * v * bits_per_task * ch.noise_psd)
+        # `critic.solve_local_frequency` and `solve_edge_frequency`:
+        # the stationary points' denominators
+        self.local_clock_den = operand(3.0 * v * s.task_flops_total * s.alpha_local)
+        self.edge_clock_den = operand(3.0 * v * s.task_flops_decode * s.alpha_edge_weighted)
 
 
 # ---------------------------------------------------------------------------

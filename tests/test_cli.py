@@ -50,6 +50,21 @@ def test_simulate_writes_run_directory(tmp_path, capsys):
     assert summary["bound_violations"] == 0
 
 
+@pytest.mark.parametrize("slots", [1, 2])
+def test_one_and_two_slot_runs_write_strict_json(tmp_path, capsys, slots):
+    # the stabilized tail holds at least the last slot, so no mean is NaN
+    def no_constant(name):
+        raise ValueError(f"summary.json holds {name}")
+
+    for policy in ("exhaustive", "drlh:8"):
+        out = tmp_path / policy.replace(":", "_")
+        assert main(["simulate", "--scenario", "1", "--policy", policy,
+                     "--slots", str(slots), "--out", str(out)]) == 0
+        assert "nan" not in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=no_constant)
+        assert summary["tail_start"] == slots - 1
+
+
 def test_simulate_rerun_is_bit_identical(tmp_path):
     args = ["simulate", "--scenario", "1", "--policy", "drlh:8",
             "--seed", "11", "--slots", "40"]

@@ -235,8 +235,9 @@ def test_pathloss_gain_beyond_float_range_is_named(name):
         cfg = config_from_dict({"channel": {name: value}})
         assert [p.split(":")[0] for p in validate_config(cfg)] == \
             ["pathloss_intercept_db, pathloss_slope_db"]
-    # inside the range at every device distance, near and far
-    for channel in ({"pathloss_intercept_db": 3000.0}, {"pathloss_intercept_db": -3000.0},
+    # inside the range at every device distance, near and far (a gain of
+    # 1e300 at -3000 dB is named by the link-SNR rule instead)
+    for channel in ({"pathloss_intercept_db": 3000.0}, {"pathloss_intercept_db": -2800.0},
                     {"pathloss_slope_db": -37.6}, {"cloud_distance": 49.0}):
         assert validate_config(config_from_dict({"channel": channel})) == []
     # a cloud station on or between the rims can have a device next to it,
@@ -259,9 +260,11 @@ def test_pathloss_gain_beyond_float_range_is_named(name):
 
 
 def test_pathloss_rule_is_the_gain_at_every_device_distance():
-    # the rule accepts a config exactly when `channel.pathloss_gain` is finite
-    # and > 0 on the hotspot's inner and outer rims and along the x axis
-    # between them (through the cloud station at 100 m), seen from either server
+    # the rule accepts a config exactly when `channel.pathloss_gain`, and the
+    # SNR it gives at p_tx_max over either link's per-device bandwidth, are
+    # finite and > 0 on the hotspot's inner and outer rims and along the x
+    # axis between them (through the cloud station at 100 m), seen from
+    # either server
     from semoff import channel
 
     points = np.concatenate([r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 721))
@@ -275,8 +278,21 @@ def test_pathloss_rule_is_the_gain_at_every_device_distance():
                                                     "pathloss_slope_db": b}})
                 with np.errstate(all="ignore"):
                     gain = channel.pathloss_gain(distances, cfg)
-                ok = bool(np.all((gain > 0) & (gain < np.inf)))
+                    snr = [cfg.channel.p_tx_max * gain / (bandwidth * cfg.channel.noise_psd)
+                           for bandwidth in (cfg.bandwidth_edge, cfg.bandwidth_cloud)]
+                ok = all(np.all((x > 0) & (x < np.inf)) for x in [gain] + snr)
                 assert (validate_config(cfg) == []) == ok, (cloud_distance, a, b)
+
+
+@pytest.mark.parametrize("name,value,links", [("pathloss_intercept_db", -3000.0, ["edge", "cloud"]),
+                                              ("bw_cloud_total", 1e-300, ["cloud"]),
+                                              ("bw_edge_total", 1e-300, ["edge"])])
+def test_link_snr_beyond_float_range_is_named(name, value, links):
+    # each passed the pathloss rule and overflowed in the first slot's link
+    # caps (`power.semantic_volume_cap`, `power.cloud_offload_cap`)
+    problems = validate_config(config_from_dict({"channel": {name: value}}))
+    assert [p.split(",")[0] for p in problems] == [f"bw_{link}_total" for link in links]
+    assert all("SNR at p_tx_max" in p for p in problems)
 
 
 def test_rician_k_factor_beyond_float_range_is_named():

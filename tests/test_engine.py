@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from dataclasses import replace
@@ -279,6 +280,37 @@ def test_exhaustive_at_256_devices_keeps_the_bound():
     assert np.all(log.num_candidates == oracle.count_policies(256, 4, 2))
 
 
+def test_candidate_count_past_int64_is_written_exactly(tmp_path):
+    # C(40, 20) * C(40, 10) policies: more than an int64 holds
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=40, chi_edge=20, chi_cloud=10))
+    count = oracle.count_policies(40, 20, 10)
+    assert count >= 1 << 63
+    log = engine.run_scenario(cfg, engine.scenario_one(policy="exhaustive", seed=1,
+                                                       total_slots=3))
+    log.to_csv(tmp_path / "metrics.csv")
+    with open(tmp_path / "metrics.csv", newline="", encoding="utf-8") as fh:
+        cells = [row["num_candidates"] for row in csv.DictReader(fh)]
+    assert cells == [str(count)] * 3
+
+
+@pytest.mark.parametrize("slots,tail", [(1, [0]), (2, [1]), (3, [2]), (5, [4]), (6, [4, 5])])
+def test_tail_holds_at_least_one_slot(slots, tail):
+    log = engine.MetricsLog(slots, 2)
+    assert list(range(slots))[log.tail_start:] == tail
+
+
+def test_summary_loss_is_null_when_no_training_step_falls_in_the_tail(tmp_path):
+    # one training step, at slot 256, before the tail that starts at 267
+    cfg = replace(CFG, training=replace(CFG.training, train_interval=1000))
+    sc = engine.scenario_one(policy="drlh:8", seed=1, total_slots=400)
+    log = engine.run_scenario(cfg, sc)
+    assert log.train_steps == 1 and log.tail_start == 267
+    engine.write_run_outputs(tmp_path, log, sc.apply(cfg), sc)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["tail_mean_train_loss"] is None
+    assert summary["tail_mean_test_loss"] == log.tail_mean("test_loss")
+
+
 def test_sweep_config_sets_one_field():
     for parameter, field, value in (("arrival", "arrival_rate_per_sec", 200.0),
                                     ("v", "lyapunov_v", 4.0),
@@ -331,6 +363,26 @@ def test_metrics_csv_bytes_pinned_across_a_block_boundary(policy, devices, scena
     log.to_csv(tmp_path / "metrics.csv")
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == PINNED_BLOCK_METRICS_SHA256[policy, devices, scenario]
+
+
+# sha256 of metrics.csv after 300 slots, seed 1, scenario 1, at shapes whose
+# association DP walks wider windows than the defaults (chi = (16, 8) at
+# I=40) or an odd device count (drlh:64 at I=13); recorded before the DP
+# walked a per-shape plan and the combos were solved untiled.
+PINNED_SHAPE_METRICS_SHA256 = {
+    ("exhaustive", 40, 16, 8): "0954b7bc6b768e42c189a8fda00194b1e658d9d035821c0588509ca11fede623",
+    ("drlh:64", 13, 4, 2): "65df37f069f960b6e4dbe97ec0ee7889ef6fdccf0631edff261eda2850e76972",
+}
+
+
+@pytest.mark.parametrize("policy,devices,chi_e,chi_c", sorted(PINNED_SHAPE_METRICS_SHA256))
+def test_metrics_csv_bytes_pinned_at_other_shapes(policy, devices, chi_e, chi_c, tmp_path):
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=devices,
+                                      chi_edge=chi_e, chi_cloud=chi_c))
+    log = engine.run_scenario(cfg, engine.scenario_one(policy=policy, seed=1, total_slots=300))
+    log.to_csv(tmp_path / "metrics.csv")
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_SHAPE_METRICS_SHA256[policy, devices, chi_e, chi_c]
 
 
 def _single_slot_draw(sim, t):
