@@ -10,6 +10,7 @@ adaptive-moment update (squared-gradient running average).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,21 +20,22 @@ from .config import Policy, RelaxedPolicy, SlotState, SystemConfig
 _LOG_CLIP = 1e-7
 
 
-def featurize(state: SlotState, cfg: SystemConfig) -> np.ndarray:
-    """Per-device block of six normalised features, concatenated.
-
-    Channel gains enter in dB (shifted and scaled per config); queue values
-    are scaled by a fixed reference length.
-    """
+def gain_features(h2_edge, h2_cloud, cfg: SystemConfig) -> np.ndarray:
+    """`featurize`'s two channel-gain features of (slots, I) gains, as
+    (slots, I, 2): each gain in dB, shifted and scaled per config."""
     tr = cfg.training
-    h2_edge = np.maximum(state.h2_edge, 1e-30)
-    h2_cloud = np.maximum(state.h2_cloud, 1e-30)
-    ge = (10.0 * np.log10(h2_edge) - tr.feature_gain_offset_edge_db) / tr.feature_gain_scale_db
-    gc = (10.0 * np.log10(h2_cloud) - tr.feature_gain_offset_cloud_db) / tr.feature_gain_scale_db
-    q = tr.feature_queue_ref
-    blocks = np.stack([ge, gc, state.q_local / q, state.q_edge / q,
-                       state.z_local / q, state.z_edge / q], axis=1)
-    return blocks.reshape(-1)
+    ge = 10.0 * np.log10(np.maximum(h2_edge, 1e-30)) - tr.feature_gain_offset_edge_db
+    gc = 10.0 * np.log10(np.maximum(h2_cloud, 1e-30)) - tr.feature_gain_offset_cloud_db
+    return np.stack([ge / tr.feature_gain_scale_db, gc / tr.feature_gain_scale_db], axis=2)
+
+
+def featurize(gains: np.ndarray, state: SlotState, cfg: SystemConfig) -> np.ndarray:
+    """Per-device block of six normalised features, concatenated: the slot's
+    (I, 2) row of `gain_features`, which a run computes once per block of
+    slots (a row of the block's `log10` has the bits of the call on the
+    row), then the four queues scaled by a fixed reference length."""
+    queues = np.stack([state.q_local, state.q_edge, state.z_local, state.z_edge], axis=1)
+    return np.concatenate((gains, queues / cfg.training.feature_queue_ref), axis=1).reshape(-1)
 
 
 def cross_entropy(out: np.ndarray, y: np.ndarray) -> float:
@@ -186,7 +188,7 @@ def relaxed_policy(net: ActorNetwork, features: np.ndarray,
                    num_devices: int) -> RelaxedPolicy:
     out = net.forward(features)
     return RelaxedPolicy(rho_hat_edge=out[:num_devices],
-                         rho_hat_cloud=out[num_devices:])
+                         rho_hat_cloud=out[num_devices:], scores=out)
 
 
 def top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
@@ -204,39 +206,44 @@ def quantize(relaxed: RelaxedPolicy, cfg: SystemConfig) -> Policy:
                   rho_cloud=top_k_mask(relaxed.rho_hat_cloud, cfg.chi_cloud_eff))
 
 
-def _top_k_rows(values: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise top-k masks, lowest index on ties."""
-    masks = np.zeros(values.shape, dtype=bool)
-    if k > 0:
-        order = np.argsort(-values, axis=1, kind="stable")
-        masks[np.arange(values.shape[0])[:, None], order[:, :k]] = True
-    return masks
+@functools.lru_cache(maxsize=16)
+def _candidate_grids(rows: int, n: int, k_edge: int, k_cloud: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only: each (row, half)'s flat offset in (rows, 2, n) masks, and
+    per half whether rank j < k."""
+    return (np.broadcast_to(np.arange(0, 2 * rows * n, n).reshape(rows, 2, 1), (rows, 2, 1)),
+            np.broadcast_to(np.arange(n) < np.array([[k_edge], [k_cloud]]), (2, n)))
 
 
 def generate_candidates(relaxed: RelaxedPolicy, num_candidates: int,
                         rng: np.random.Generator, cfg: SystemConfig
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Up to `num_candidates` distinct policies as (P, I) mask arrays.
+    """Up to `num_candidates` distinct policies as read-only (P, I) mask arrays.
 
     The noiseless quantization always comes first; the rest quantize
     Gaussian-perturbed scores. Duplicates keep their first occurrence, and
     the noise stream advances a fixed number of draws regardless of
     deduplication so replays are stable.
+
+    One stable argsort ranks all (P, 2, I) negated scores (-(s + z) is
+    (-s) - z bit for bit), one scatter marks ranks below k, and a dict keeps
+    each mask row's first occurrence, read back from its bytes.
     """
-    scores = np.concatenate([relaxed.rho_hat_edge, relaxed.rho_hat_cloud])
     n = len(relaxed.rho_hat_edge)
-    noisy = scores[None]
+    neg = np.empty((num_candidates, 2, n))
+    np.negative(relaxed.rho_hat_edge, out=neg[0, 0])
+    np.negative(relaxed.rho_hat_cloud, out=neg[0, 1])
     if num_candidates > 1:
-        noisy = np.concatenate((noisy, scores + rng.normal(
-            0.0, cfg.training.candidate_noise_std, size=(num_candidates - 1, 2 * n))))
-    edge_masks = _top_k_rows(noisy[:, :n], cfg.chi_edge_eff)
-    cloud_masks = _top_k_rows(noisy[:, n:], cfg.chi_cloud_eff)
-    # one fixed-width byte key per candidate: its packed edge and cloud bits
-    packed = np.packbits(np.concatenate((edge_masks, cloud_masks), axis=1), axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    _, first = np.unique(keys, return_index=True)
-    keep = np.sort(first)
-    return edge_masks[keep], cloud_masks[keep]
+        np.subtract(neg[0], rng.normal(0.0, cfg.training.candidate_noise_std,
+                                       size=(num_candidates - 1, 2, n)), out=neg[1:])
+    offsets, top = _candidate_grids(num_candidates, n, cfg.chi_edge_eff, cfg.chi_cloud_eff)
+    order = np.argsort(neg, axis=2, kind="stable")
+    order += offsets
+    masks = np.empty(neg.shape, dtype=bool)
+    masks.reshape(-1)[order] = top
+    rows = masks.reshape(num_candidates, 2 * n).view(np.dtype((np.void, 2 * n)))
+    kept = np.frombuffer(b"".join(dict.fromkeys(rows.reshape(-1).tolist())), dtype=bool)
+    kept = kept.reshape(-1, 2, n)
+    return kept[:, 0], kept[:, 1]
 
 
 def train_step(net: ActorNetwork, opt: AdaptiveMomentState, memory: ReplayMemory,

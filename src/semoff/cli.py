@@ -265,8 +265,9 @@ def cmd_verify(args) -> int:
         sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
         arrivals = rng.poisson(cfg.mean_arrivals_per_slot,
                                cfg.system.num_devices).astype(float)
+        terms = queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg, caps)
         _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state), sol,
-                                          arrivals, cfg, caps)
+                                          arrivals, cfg, caps, terms, 0)
         if dpp > bound + engine.BOUND_TOL:
             violations += 1
     ok = violations == 0

@@ -389,6 +389,7 @@ class RelaxedPolicy:
 
     rho_hat_edge: np.ndarray
     rho_hat_cloud: np.ndarray
+    scores: Optional[np.ndarray] = None   # the network output both halves are views of
 
 
 @dataclass

@@ -4,8 +4,10 @@ queue updates, training, and metric collection.
 RNG discipline: every random ingredient draws from its own named stream
 derived from the master seed, and the per-slot streams (channel, arrivals,
 random policy) are keyed by slot index, so replays are order-independent
-and toggling one feature never perturbs another stream. Gains and link caps
-are drawn per block of slots (`Simulation.channels`), one stream per slot.
+and toggling one feature never perturbs another stream. Gains, link caps and
+arrivals are drawn per block of slots (`Simulation.channels`), one stream per
+slot, with what needs no queue: the drift bound's queue-free terms and the
+actor's gain features, whose rows have the bits of per-slot calls.
 """
 
 from __future__ import annotations
@@ -159,16 +161,6 @@ class MetricsLog:
         self.bound_violations = 0
         self.train_steps = 0
 
-    def window_means(self, name: str, width: int = 1000) -> np.ndarray:
-        """Means of consecutive full windows; device series average devices too."""
-        series = getattr(self, name)
-        n_windows = len(series) // width
-        out = np.empty(n_windows)
-        for w in range(n_windows):
-            chunk = series[w * width:(w + 1) * width]
-            out[w] = np.nanmean(chunk)
-        return out
-
     @property
     def tail_start(self) -> int:
         """First slot of the stabilized tail: the final third of the run, and
@@ -231,16 +223,17 @@ def _write_columns(path: str | Path, header: list[str], cols: list[np.ndarray]) 
 # ---------------------------------------------------------------------------
 
 def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.ndarray,
-         cfg: SystemConfig, caps: queueing.RateCaps
+         cfg: SystemConfig, caps: queueing.RateCaps, terms: tuple, k: int
          ) -> tuple[SlotState, float, tuple[float, float, float, float, float], float, float]:
     """One slot's queue transition under a solved allocation.
 
     Checks the clock budgets and the backlog (`critic.check_clocks_and_backlog`),
     updates the real and then the virtual queues. Takes and returns the
     Lyapunov values of `state` and of the next state (the slot's channels
-    carried over); also returns the power sums (local, edge, edge transmit,
-    cloud transmit, total), the realised drift-plus-penalty and its upper
-    bound. Pure: `state` and `sol` are not modified.
+    carried over; the slot is row k of its block's `queueing.bound_terms`);
+    also returns the power sums (local, edge, edge transmit, cloud transmit,
+    total), the realised drift-plus-penalty and its upper bound. Pure:
+    `state` and `sol` are not modified.
     """
     s = cfg.system
     critic.check_clocks_and_backlog(sol, state, cfg)
@@ -258,8 +251,18 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
     l_nxt = queueing.lyapunov_value(nxt)
     dpp = queueing.drift_plus_penalty(l_state, l_nxt, p_total, s.lyapunov_v)
     bound = queueing.drift_penalty_bound(state, sol.mu_local, sol.mu_edge, sol.alloc.u_edge,
-                                         arrivals, p_total, cfg, caps)
+                                         arrivals, p_total, cfg, caps, terms, k)
     return nxt, l_nxt, (*sums, p_total), dpp, bound
+
+
+@dataclass
+class SlotBlock(channel.ChannelDraw):
+    """A block of slots' channels plus what each slot draws or computes
+    before any queue is known, one row per slot."""
+
+    arrivals: np.ndarray          # Poisson arrivals, as floats
+    bound_terms: tuple            # `queueing.bound_terms`
+    gains: Optional[np.ndarray]   # `actor.gain_features`, for drlh only
 
 
 class Simulation:
@@ -283,7 +286,7 @@ class Simulation:
         self.z_local = np.zeros(n)
         self.z_edge = np.zeros(n)
         self.lyapunov = 0.0   # `queueing.lyapunov_value` of the queues above
-        self.block: Optional[channel.ChannelDraw] = None   # see `channels`
+        self.block: Optional[SlotBlock] = None   # see `channels`
         self.block_start = 0
 
         if self.kind == "exhaustive":
@@ -306,7 +309,7 @@ class Simulation:
                 progress(t + 1, total)
         return log
 
-    def _choose(self, t: int, state: SlotState,
+    def _choose(self, t: int, state: SlotState, gains: Optional[np.ndarray],
                 log: MetricsLog) -> tuple[Policy, critic.Solution, float]:
         """The slot's policy plus its solution and objective value, all read
         from the slot's one combo solve (`critic.device_g_table`)."""
@@ -322,7 +325,7 @@ class Simulation:
                                              cfg.system.chi_cloud)
             log.num_candidates[t] = self.n_policies
         else:
-            feats = actor.featurize(state, cfg)
+            feats = actor.featurize(gains, state, cfg)
             relaxed = actor.relaxed_policy(self.net, feats, cfg.system.num_devices)
             edge_masks, cloud_masks = actor.generate_candidates(
                 relaxed, self.n_candidates, self.noise_rng, cfg)
@@ -333,8 +336,7 @@ class Simulation:
 
             label = np.concatenate([chosen.rho_edge, chosen.rho_cloud]).astype(float)
             # the relaxed scores are this slot's forward pass on `feats`
-            log.test_loss[t] = actor.cross_entropy(
-                np.concatenate([relaxed.rho_hat_edge, relaxed.rho_hat_cloud]), label)
+            log.test_loss[t] = actor.cross_entropy(relaxed.scores, label)
             self.memory.add(feats, label)
             tr = cfg.training
             if (t >= tr.train_start_slot
@@ -348,17 +350,26 @@ class Simulation:
         sol, g_value = critic.gather(table, tiled, chosen)
         return chosen, sol, g_value
 
-    def channels(self, t: int) -> tuple[channel.ChannelDraw, int]:
-        """The channel block holding slot t, and t's row in it. Block b holds
+    def channels(self, t: int) -> tuple[SlotBlock, int]:
+        """The block of slots holding slot t, and t's row in it. Block b holds
         slots [1024 b, 1024 (b + 1)) cut at the run's end (past it, at t + 1),
-        each from its own stream; drawn on first use, one kept at a time."""
+        each slot's channels and arrivals from its own streams; drawn on first
+        use, one kept at a time."""
         start = t - t % 1024
         if self.block is None or start != self.block_start or t - start >= len(self.block.h2_edge):
-            stop = max(min(start + 1024, self.cfg.training.total_slots), t + 1)
+            slots = range(start, max(min(start + 1024, self.cfg.training.total_slots), t + 1))
             self.block = None   # freed before its successor is drawn
-            self.block = channel.draw_channels(self.geometry, self.cfg, (
-                channel.slot_rng(self.seed, STREAM_CHANNEL, u) for u in range(start, stop)),
-                stop - start)
+            draw = channel.draw_channels(self.geometry, self.cfg, (
+                channel.slot_rng(self.seed, STREAM_CHANNEL, u) for u in slots), len(slots))
+            arrivals = np.empty(draw.h2_edge.shape)
+            for u, row in zip(slots, arrivals):
+                row[:] = channel.slot_rng(self.seed, STREAM_ARRIVALS, u).poisson(
+                    self.cfg.mean_arrivals_per_slot, len(row))
+            self.block = SlotBlock(
+                **vars(draw), arrivals=arrivals,
+                bound_terms=queueing.bound_terms(draw.cloud_cap, arrivals, self.cfg, self.caps),
+                gains=actor.gain_features(draw.h2_edge, draw.h2_cloud, self.cfg)
+                if self.kind == "drlh" else None)
             self.block_start = start
         return self.block, t - start
 
@@ -372,12 +383,12 @@ class Simulation:
                           z_local=self.z_local, z_edge=self.z_edge)
         state.check()
 
-        chosen, sol, g_value = self._choose(t, state, log)
-        arrivals = channel.slot_rng(self.seed, STREAM_ARRIVALS, t).poisson(
-            cfg.mean_arrivals_per_slot, cfg.system.num_devices).astype(float)
+        chosen, sol, g_value = self._choose(
+            t, state, None if block.gains is None else block.gains[k], log)
+        arrivals = block.arrivals[k]
         try:
             nxt, l_nxt, powers, dpp, bound = step(state, self.lyapunov, sol, arrivals,
-                                                  cfg, self.caps)
+                                                  cfg, self.caps, block.bound_terms, k)
         except critic.FeasibilityError as exc:
             raise critic.FeasibilityError(f"slot {t}: {exc}") from exc
         if dpp > bound + BOUND_TOL:

@@ -28,6 +28,9 @@ def operand(x: float) -> np.ndarray:
 
 
 ZERO, ONE, TWO, THREE, TEN, INF, TINY = map(operand, (0.0, 1.0, 2.0, 3.0, 10.0, np.inf, 1e-300))
+# Link SNRs at the power ceiling saturate at the largest float: `validate_config`
+# keeps them finite at the pathloss gain, but a fading peak can still pass it.
+_SNR_MAX = np.finfo(float).max
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +143,13 @@ def shannon_tx_power(u_cloud, h2_cloud, bandwidth, cfg: SystemConfig):
 
 
 def cloud_offload_cap(h2_cloud, bandwidth, cfg: SystemConfig):
-    """Largest cloud offload volume reachable at the transmit-power ceiling."""
+    """Largest cloud offload volume reachable at the transmit-power ceiling
+    (at most 1,024 bits per second per hertz: the SNR saturates)."""
     sem = cfg.semantic
     bits_per_task = sem.sentence_len * sem.bits_per_word
-    snr = cfg.channel.p_tx_max * np.asarray(h2_cloud, dtype=float) / (bandwidth * cfg.channel.noise_psd)
+    with np.errstate(over="ignore"):   # a fading peak may pass the float range: see `_SNR_MAX`
+        snr = np.minimum(cfg.channel.p_tx_max * np.asarray(h2_cloud, dtype=float)
+                         / (bandwidth * cfg.channel.noise_psd), _SNR_MAX)
     cap = (cfg.system.slot_length * bandwidth / bits_per_task) * np.log2(1.0 + snr)
     return cap if np.ndim(cap) else float(cap)
 
@@ -165,9 +171,10 @@ def semantic_volume_cap(h2_edge, bandwidth, cfg: SystemConfig):
     """
     sem = cfg.semantic
     curve = accuracy_curve(cfg)
-    snr_cap = cfg.channel.p_tx_max * np.asarray(h2_edge, dtype=float) / (bandwidth * cfg.channel.noise_psd)
-    with np.errstate(divide="ignore"):
-        snr_cap_db = 10.0 * np.log10(snr_cap)
+    with np.errstate(divide="ignore", over="ignore"):
+        snr_cap = (cfg.channel.p_tx_max * np.asarray(h2_edge, dtype=float)
+                   / (bandwidth * cfg.channel.noise_psd))
+        snr_cap_db = 10.0 * np.log10(np.minimum(snr_cap, _SNR_MAX))
     eps_cap = np.minimum(curve.accuracy(snr_cap_db),
                          curve.ceiling * (1.0 - _CEILING_BACKOFF))
     cap = (cfg.system.slot_length * bandwidth / (sem.sentence_len * sem.symbols_per_word)) * eps_cap

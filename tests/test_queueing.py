@@ -138,12 +138,18 @@ def test_poisson_quantile_rejects_bad_arguments():
         queueing.poisson_quantile(0.9, float("inf"))
 
 
+def _one_slot_terms(state, arrivals, cfg, caps):
+    """`queueing.bound_terms` of a block of one slot."""
+    return queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg, caps)
+
+
 def test_bound_trivial_cases():
     caps = queueing.rate_caps(CFG)
     # a zero cloud offload cap gives the smallest bound
     zero = dataclasses.replace(_state(0, n=8), cloud_cap=np.zeros(8))
     b = queueing.drift_penalty_bound(zero, np.zeros(8), np.zeros(8), np.zeros(8),
-                                     np.zeros(8), 0.0, CFG, caps)
+                                     np.zeros(8), 0.0, CFG, caps,
+                                     _one_slot_terms(zero, np.zeros(8), CFG, caps), 0)
     assert b >= 0.0
     # one-device hand case: q=1, mu=1, arrivals=1 -> drift 0 <= bound
     one = dataclasses.replace(_state(1, n=8), cloud_cap=np.zeros(8))
@@ -153,7 +159,7 @@ def test_bound_trivial_cases():
     dpp = queueing.drift_plus_penalty(queueing.lyapunov_value(one),
                                       queueing.lyapunov_value(nxt), 0.0, CFG.system.lyapunov_v)
     bound = queueing.drift_penalty_bound(one, mu, np.zeros(8), np.zeros(8),
-                                         arr, 0.0, CFG, caps)
+                                         arr, 0.0, CFG, caps, _one_slot_terms(one, arr, CFG, caps), 0)
     assert dpp == 0.0
     assert bound >= dpp
 
@@ -167,8 +173,8 @@ def _random_transition(cfg, rng, geom, caps):
     pol = oracle.random_policy(rng, n, cfg.system.chi_edge, cfg.system.chi_cloud)
     sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
     arrivals = rng.poisson(cfg.mean_arrivals_per_slot, n).astype(float)
-    _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state), sol,
-                                      arrivals, cfg, caps)
+    _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state), sol, arrivals,
+                                      cfg, caps, _one_slot_terms(state, arrivals, cfg, caps), 0)
     return dpp, bound
 
 
@@ -199,3 +205,62 @@ def test_queue_update_names_the_negative_argument(update, names):
         args[k] = -2.0     # scalars too
         with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
             update(*args)
+
+
+def _reference_drift_penalty_bound(state, mu_local, mu_edge, u_edge,
+                                   arrivals, power_w, cfg, caps):
+    """`queueing.drift_penalty_bound` as it was before its queue-free terms
+    moved to `queueing.bound_terms`, verbatim: every term from the slot's
+    own state."""
+    q_l, z_l = state.q_local, state.z_local
+    q_e, z_e = state.q_edge, state.z_edge
+    v = cfg.system.lyapunov_v
+
+    mu_l_cap = caps.u_local + caps.u_encode + state.cloud_cap
+    lam_cap = np.maximum(caps.arrivals, arrivals)
+    u_e_cap = caps.u_encode
+    mu_e_cap = caps.mu_edge
+
+    b1 = 0.5 * (mu_l_cap ** 2 + lam_cap ** 2).sum()
+    b3 = 0.5 * len(q_e) * (mu_e_cap ** 2 + u_e_cap ** 2)
+
+    b2 = 0.0
+    b4 = 0.0
+    cross = 0.0
+    q_max_l = cfg.system.q_max_local
+    q_max_e = cfg.system.q_max_edge
+    if q_max_l is not None:
+        b2 = float((0.5 * (mu_l_cap ** 2 + arrivals ** 2 + q_l ** 2 + q_max_l ** 2)
+                    + mu_l_cap * q_max_l + arrivals * q_l).sum())
+        cross += float((z_l * (q_l - q_max_l)).sum())
+    if q_max_e is not None:
+        b4 = float((0.5 * (mu_e_cap ** 2 + u_edge ** 2 + q_e ** 2 + q_max_e ** 2)
+                    + mu_e_cap * q_max_e + u_e_cap * q_e).sum())
+        cross += float((z_e * (q_e - q_max_e)).sum())
+
+    b_hat = float(b1 + b2 + b3 + b4 + cross)
+    linear = float(((q_l + z_l) * (mu_local - arrivals)).sum()
+                   + ((q_e + z_e) * (mu_edge - u_edge)).sum())
+    return b_hat - linear + v * power_w
+
+
+@pytest.mark.parametrize("n", [1, 8, 13])
+@pytest.mark.parametrize("preset", [engine.scenario_one, engine.scenario_two])
+def test_block_bound_terms_give_the_per_slot_bound_bit_for_bit(preset, n):
+    # 1,100 slots cross the first 1,024-slot block boundary; every logged
+    # bound equals the reference's on the slot's logged inputs, bit for bit
+    cfg = dataclasses.replace(CFG, system=dataclasses.replace(
+        CFG.system, num_devices=n, chi_edge=min(4, n), chi_cloud=min(2, n)))
+    resolved = preset(policy="random", seed=3, total_slots=1100).apply(cfg)
+    sim = engine.Simulation(resolved, "random", 3)
+    log = sim.run()
+    caps = queueing.rate_caps(resolved)
+    for t in range(1100):
+        block, k = sim.channels(t)
+        state = dataclasses.replace(_state(0, n=n), cloud_cap=block.cloud_cap[k],
+                                    q_local=log.q_local[t], q_edge=log.q_edge[t],
+                                    z_local=log.z_local[t], z_edge=log.z_edge[t])
+        ref = _reference_drift_penalty_bound(state, log.mu_local[t], log.mu_edge[t],
+                                             log.u_edge[t], log.arrivals[t],
+                                             log.p_total[t], resolved, caps)
+        assert log.bound[t].tobytes() == np.float64(ref).tobytes(), t
