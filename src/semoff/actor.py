@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Policy, RelaxedPolicy, SlotState, SystemConfig
+from .config import RelaxedPolicy, SlotState, SystemConfig
 
 _LOG_CLIP = 1e-7
 
@@ -189,21 +189,6 @@ def relaxed_policy(net: ActorNetwork, features: np.ndarray,
     out = net.forward(features)
     return RelaxedPolicy(rho_hat_edge=out[:num_devices],
                          rho_hat_cloud=out[num_devices:], scores=out)
-
-
-def top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask selecting the k largest entries, lowest index on ties."""
-    mask = np.zeros(len(values), dtype=bool)
-    if k > 0:
-        order = np.argsort(-values, kind="stable")
-        mask[order[:k]] = True
-    return mask
-
-
-def quantize(relaxed: RelaxedPolicy, cfg: SystemConfig) -> Policy:
-    """Order-preserving quantization: top-chi scores per server become ones."""
-    return Policy(rho_edge=top_k_mask(relaxed.rho_hat_edge, cfg.chi_edge_eff),
-                  rho_cloud=top_k_mask(relaxed.rho_hat_cloud, cfg.chi_cloud_eff))
 
 
 @functools.lru_cache(maxsize=16)

@@ -262,7 +262,7 @@ def cmd_verify(args) -> int:
         state = _random_state(cfg, rng, geom)
         pol = oracle.random_policy(rng, cfg.system.num_devices,
                                    cfg.system.chi_edge, cfg.system.chi_cloud)
-        sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
+        sol, _ = critic.evaluate_policy(pol, state, cfg)
         arrivals = rng.poisson(cfg.mean_arrivals_per_slot,
                                cfg.system.num_devices).astype(float)
         terms = queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg, caps)

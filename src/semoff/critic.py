@@ -1,9 +1,9 @@
 """Model-based per-slot optimizer.
 
-Given a binary association policy and the observed state, the continuous
-allocation is solved by a fixed sequence of four one-dimensional convex
-subproblems, each admitting a closed-form stationary point clamped into its
-feasible interval:
+Each slot solves the continuous allocation once, for all four per-device
+association combos at once (`device_g_table`), by a fixed sequence of four
+one-dimensional convex subproblems, each admitting a closed-form stationary
+point clamped into its feasible interval:
 
 1. edge offload volume,
 2. cloud offload volume (given the edge volume),
@@ -12,19 +12,19 @@ feasible interval:
 
 Each subproblem drops the coupling terms the sequence has not fixed yet;
 notably the edge-volume stage ignores the semantic transmit power, which is
-orders of magnitude below the compute power it trades against. The
-assembled allocation is then scored with the full per-slot objective,
+orders of magnitude below the compute power it trades against. Each
+combo's allocation is then scored with the full per-slot objective,
 transmit powers included. Every stationary point weighs the backlog by its
 real plus virtual queue, as the per-slot objective implies.
 
-Each slot solves all four per-device association combos at once
-(`device_g_table`): the stages run on the untiled (I,) state against
-(4, 1) combo masks, and numpy broadcasts each term only as far as it
-depends on the combo. `gather` reads one policy's solution from that solve,
-and `best_association` finds the best policy with a dynamic program that
-walks a plan computed once per shape (I, chi_e, chi_c). The stages and the
-power formulas take their scalar operands from `cfg.coefficients`
-(`power.Coefficients`), built once per config.
+The stages run on the untiled (I,) state against (4, 1) combo masks, and
+numpy broadcasts each term only as far as it depends on the combo. Every
+policy is read from that one solve: `gather` (and `evaluate_policy`, which
+solves and gathers) reads one policy's solution, `best_association` finds
+the best policy with a dynamic program that walks a plan computed once per
+shape (I, chi_e, chi_c), and `best_policy` scores a candidate set. The
+stages and the power formulas take their scalar operands from
+`cfg.coefficients` (`power.Coefficients`), built once per config.
 """
 
 from __future__ import annotations
@@ -41,17 +41,6 @@ from .power import TINY, ZERO
 
 class FeasibilityError(ValueError):
     """An allocation violates one of the per-slot constraints."""
-
-
-@dataclass
-class CriticResult:
-    """Solved allocation plus its objective value and per-device breakdown."""
-
-    alloc: Allocation
-    g_value: float
-    local_terms: np.ndarray   # -(q_l + z_l) * (mu_local - mean arrivals)
-    edge_terms: np.ndarray    # -(q_e + z_e) * (mu_edge - u_edge)
-    power_terms: np.ndarray   # v * (all four power components)
 
 
 def solve_edge_volume(state: SlotState, edge_mask: np.ndarray,
@@ -110,18 +99,6 @@ def solve_edge_frequency(state: SlotState, cfg: SystemConfig) -> np.ndarray:
     return np.minimum(stationary, np.minimum(k.f_edge_max, queue_clamp))
 
 
-def assemble_allocation(state: SlotState, edge_mask: np.ndarray,
-                        cloud_mask: np.ndarray, cfg: SystemConfig) -> Allocation:
-    """Run the four solver stages in sequence for one policy."""
-    u_edge = solve_edge_volume(state, edge_mask, cfg)
-    u_cloud = solve_cloud_volume(state, cloud_mask, u_edge, cfg)
-    f_local = solve_local_frequency(state, u_edge, u_cloud, cfg)
-    f_edge = solve_edge_frequency(state, cfg)
-    return Allocation(u_edge=u_edge, u_cloud=u_cloud, f_local=f_local,
-                      f_encode=np.asarray(power.encode_frequency(u_edge, cfg)),
-                      f_edge=f_edge)
-
-
 _REL_TOL = 1e-9
 
 
@@ -156,18 +133,6 @@ class Solution:
     p_tx_cloud: np.ndarray
 
 
-def rates_and_powers(alloc: Allocation, policy: Policy, state: SlotState,
-                     cfg: SystemConfig) -> Solution:
-    """Rates and powers of an allocation under a policy."""
-    mu_local = (np.asarray(power.local_exec_rate(alloc.f_local, cfg))
-                + alloc.u_edge + alloc.u_cloud)
-    mu_edge = np.asarray(power.edge_exec_rate(alloc.f_edge, cfg))
-    p_l, p_e, p_tx_e, p_tx_c, _ = power.total_power(alloc, policy, state, cfg)
-    return Solution(alloc=alloc, mu_local=mu_local, mu_edge=mu_edge,
-                    p_local=np.asarray(p_l), p_edge=np.asarray(p_e),
-                    p_tx_edge=p_tx_e, p_tx_cloud=p_tx_c)
-
-
 def g_terms(sol: Solution, state: SlotState,
             cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-device contributions to the per-slot objective.
@@ -180,18 +145,6 @@ def g_terms(sol: Solution, state: SlotState,
     edge_terms = -(state.q_edge + state.z_edge) * (sol.mu_edge - sol.alloc.u_edge)
     power_terms = k.lyapunov_v * (sol.p_local + sol.p_edge + sol.p_tx_edge + sol.p_tx_cloud)
     return local_terms, edge_terms, power_terms
-
-
-def evaluate_policy(policy: Policy, state: SlotState,
-                    cfg: SystemConfig) -> CriticResult:
-    """Solve the continuous allocation for one policy and score it."""
-    alloc = assemble_allocation(state, policy.rho_edge.astype(bool),
-                                policy.rho_cloud.astype(bool), cfg)
-    local_terms, edge_terms, power_terms = g_terms(
-        rates_and_powers(alloc, policy, state, cfg), state, cfg)
-    g_value = float(np.sum(local_terms + edge_terms + power_terms))
-    return CriticResult(alloc=alloc, g_value=g_value, local_terms=local_terms,
-                        edge_terms=edge_terms, power_terms=power_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +173,12 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
     `f_edge`, `mu_edge` and `p_edge` depend on no association and are (I,).
     Every combo-free term is computed once per device: the edge-volume
     candidate (rows 2 and 3 of `u_edge`), the edge clock, rate and power,
-    and the semantic transmit power of the candidate. The rates and powers
-    are `power.total_power`'s without its slot total and its re-masking by
-    the policy, which changes nothing: the stages zero each volume off its
-    combo's mask, and a transmit power is zero where its volume is.
-    Elementwise the values are those of solving each combo separately, so
-    `gather` reproduces `evaluate_policy` and `power.total_power` bit for bit.
+    and the semantic transmit power of the candidate. A transmit power is
+    zero where its volume is, and the stages zero each volume off its
+    combo's mask. Elementwise the values are those of solving each combo
+    separately, so a policy's solution gathered from this one solve is its
+    per-policy solution bit for bit (the tests keep that solve as their
+    reference).
     """
     b_e, b_c = cfg.bandwidth_edge, cfg.bandwidth_cloud
     u_edge = solve_edge_volume(state, _EDGE, cfg)
@@ -255,10 +208,7 @@ def gather(table: np.ndarray, combos: Solution,
     """A policy's solution and objective value, read from the combo solve
     (`device_g_table`): each (4, I) field at every device's combo, and the
     per-device (I,) fields `f_edge`, `mu_edge` and `p_edge` as they are.
-
-    Equal to `evaluate_policy(policy, ...)`'s `alloc` and `g_value`, and to
-    `power.total_power` and the execution rates on that allocation, bit for
-    bit: the same elementwise values, summed in the same order.
+    The value sums the policy's table entries in device order.
     """
     n = table.shape[1]
     idx = policy.rho_edge * (2 * n) + policy.rho_cloud * n + np.arange(n)
@@ -271,6 +221,13 @@ def gather(table: np.ndarray, combos: Solution,
                    p_edge=combos.p_edge, p_tx_edge=combos.p_tx_edge.ravel()[idx],
                    p_tx_cloud=combos.p_tx_cloud.ravel()[idx])
     return sol, float(table.ravel()[idx].sum())
+
+
+def evaluate_policy(policy: Policy, state: SlotState,
+                    cfg: SystemConfig) -> tuple[Solution, float]:
+    """One policy's solution and objective value: the slot's combo solve
+    (`device_g_table`), gathered at the policy (`gather`)."""
+    return gather(*device_g_table(state, cfg), policy)
 
 
 def _bits(key: int, n: int) -> np.ndarray:
@@ -386,8 +343,6 @@ class PolicyBatch:
     """A fixed set of candidate policies scored against combo tables."""
 
     def __init__(self, edge_masks: np.ndarray, cloud_masks: np.ndarray):
-        self.edge_masks = edge_masks
-        self.cloud_masks = cloud_masks
         self.combo = 2 * edge_masks + cloud_masks   # int64
         self._device_idx = _device_index(self.combo.shape[1])
 

@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from . import actor, channel, critic, oracle, queueing
+from . import actor, channel, critic, oracle, power, queueing
 from .config import (ConfigError, Policy, SlotState, SystemConfig, config_to_dict,
                      validate_config)
 
@@ -171,9 +171,6 @@ class MetricsLog:
         """Mean over the stabilized tail (see `tail_start`)."""
         return float(np.nanmean(getattr(self, name)[self.tail_start:]))
 
-    def tail_mean_per_device(self, name: str) -> np.ndarray:
-        return np.asarray(getattr(self, name)[self.tail_start:]).mean(axis=0)
-
     def sum_queue(self) -> np.ndarray:
         """System total backlog (local plus edge) per slot."""
         return self.q_local.sum(axis=1) + self.q_edge.sum(axis=1)
@@ -225,20 +222,22 @@ def _write_columns(path: str | Path, header: list[str], cols: list[np.ndarray]) 
 def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.ndarray,
          cfg: SystemConfig, caps: queueing.RateCaps, terms: tuple, k: int
          ) -> tuple[SlotState, float, tuple[float, float, float, float, float], float, float]:
-    """One slot's queue transition under a solved allocation.
+    """One slot's queue transition under the chosen policy's solution, as
+    `critic.gather` reads it from the slot's combo solve.
 
     Checks the clock budgets and the backlog (`critic.check_clocks_and_backlog`),
-    updates the real and then the virtual queues. Takes and returns the
-    Lyapunov values of `state` and of the next state (the slot's channels
-    carried over; the slot is row k of its block's `queueing.bound_terms`);
-    also returns the power sums (local, edge, edge transmit, cloud transmit,
-    total), the realised drift-plus-penalty and its upper bound. Pure:
-    `state` and `sol` are not modified.
+    sums the powers (`power.total_power`), updates the real and then the
+    virtual queues. Takes and returns the Lyapunov values of `state` and of
+    the next state (the slot's channels carried over; the slot is row k of
+    its block's `queueing.bound_terms`); also returns the power sums (local,
+    edge, edge transmit, cloud transmit, total), the realised
+    drift-plus-penalty and its upper bound. Pure: `state` and `sol` are not
+    modified.
     """
     s = cfg.system
     critic.check_clocks_and_backlog(sol, state, cfg)
-    sums = [float(p.sum()) for p in (sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud)]
-    p_total = sums[0] + sums[1] + sums[2] + sums[3]   # `power.total_power`'s order
+    powers = power.total_power(sol)
+    p_total = powers[4]
     q_local = queueing.update_local_queue(state.q_local, sol.mu_local, arrivals)
     q_edge = queueing.update_edge_queue(state.q_edge, sol.mu_edge, sol.alloc.u_edge)
     nxt = SlotState(h2_edge=state.h2_edge, h2_cloud=state.h2_cloud,
@@ -252,7 +251,7 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
     dpp = queueing.drift_plus_penalty(l_state, l_nxt, p_total, s.lyapunov_v)
     bound = queueing.drift_penalty_bound(state, sol.mu_local, sol.mu_edge, sol.alloc.u_edge,
                                          arrivals, p_total, cfg, caps, terms, k)
-    return nxt, l_nxt, (*sums, p_total), dpp, bound
+    return nxt, l_nxt, powers, dpp, bound
 
 
 @dataclass

@@ -1,20 +1,26 @@
-"""Execution rates, computation power, the accuracy curve, and transmit power.
+"""Execution rates, computation power, the accuracy curve, transmit power,
+and a solution's power sums.
 
-All functions are pure and accept scalars or numpy arrays. Rates are in
+All formulas are pure and accept scalars or numpy arrays. Rates are in
 tasks/slot, frequencies in Hz, powers in W. Most formulas the slot's combo
-solve runs take their scalar operands from `Coefficients`, built once per
-config on first use; the execution rates keep Python floats, as
-`queueing.rate_caps` calls them on scalars while a run is set up, before
-any slot needs the coefficients.
+solve (`critic.device_g_table`) runs take their scalar operands from
+`Coefficients`, built once per config on first use; the execution rates keep
+Python floats, as `queueing.rate_caps` calls them on scalars while a run is
+set up, before any slot needs the coefficients. `total_power` sums the four
+power components of one policy's solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import Allocation, Policy, SlotState, SystemConfig
+from .config import SystemConfig
+
+if TYPE_CHECKING:
+    from .critic import Solution   # critic imports this module
 
 
 def operand(x: float) -> np.ndarray:
@@ -56,13 +62,6 @@ class LogisticAccuracyCurve:
         eps = np.asarray(epsilon, dtype=float)
         out = self.midpoint_db - np.log(self.ceiling / eps - ONE) / self.slope_per_db
         return out if out.ndim else float(out)
-
-
-def accuracy_curve(cfg: SystemConfig) -> LogisticAccuracyCurve:
-    sem = cfg.semantic
-    return LogisticAccuracyCurve(ceiling=sem.accuracy_ceiling,
-                                 slope_per_db=sem.accuracy_slope_per_db,
-                                 midpoint_db=sem.accuracy_midpoint_db)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +169,7 @@ def semantic_volume_cap(h2_edge, bandwidth, cfg: SystemConfig):
     (strong channels).
     """
     sem = cfg.semantic
-    curve = accuracy_curve(cfg)
+    curve = cfg.coefficients.curve
     with np.errstate(divide="ignore", over="ignore"):
         snr_cap = (cfg.channel.p_tx_max * np.asarray(h2_edge, dtype=float)
                    / (bandwidth * cfg.channel.noise_psd))
@@ -244,32 +243,13 @@ class Coefficients:
 
 
 # ---------------------------------------------------------------------------
-# Slot power assembly
+# Slot power sums
 # ---------------------------------------------------------------------------
 
-def transmit_powers(alloc: Allocation, state: SlotState, cfg: SystemConfig
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-device semantic and cloud transmit powers; zero for zero volume."""
-    b_e, b_c = cfg.bandwidth_edge, cfg.bandwidth_cloud
-    eps_req = required_accuracy(alloc.u_edge, b_e, cfg)
-    p_tx_e = np.where(alloc.u_edge > 0,
-                      semantic_tx_power(eps_req, state.h2_edge, b_e, cfg), 0.0)
-    p_tx_c = np.where(alloc.u_cloud > 0,
-                      shannon_tx_power(alloc.u_cloud, state.h2_cloud, b_c, cfg), 0.0)
-    return p_tx_e, p_tx_c
-
-
-def total_power(alloc: Allocation, policy: Policy, state: SlotState,
-                cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """All four per-device power components plus the slot total.
-
-    Transmit terms are zero for devices without the matching association
-    (their volumes are zero by contract).
-    """
-    p_l = local_power(alloc.f_local, alloc.f_encode, cfg)
-    p_e = edge_power(alloc.f_edge, cfg)
-    p_tx_e, p_tx_c = transmit_powers(alloc, state, cfg)
-    p_tx_e = np.where(policy.rho_edge, p_tx_e, 0.0)
-    p_tx_c = np.where(policy.rho_cloud, p_tx_c, 0.0)
-    total = float(p_l.sum() + p_e.sum() + p_tx_e.sum() + p_tx_c.sum())
-    return p_l, p_e, p_tx_e, p_tx_c, total
+def total_power(sol: Solution) -> tuple[float, float, float, float, float]:
+    """The four power components of a policy's solution (local, edge, edge
+    transmit, cloud transmit), each summed over devices, and their total,
+    added in that order."""
+    sums = [float(p.sum()) for p in (sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud)]
+    p_total = sums[0] + sums[1] + sums[2] + sums[3]
+    return (*sums, p_total)

@@ -38,6 +38,11 @@ def _run(preset, policy, seed=1):
     return engine.run_scenario(CFG, preset(policy=policy, seed=seed))
 
 
+def _tail_mean_per_device(log, name):
+    """Each device's mean of a per-device series over the stabilized tail."""
+    return np.asarray(getattr(log, name)[log.tail_start:]).mean(axis=0)
+
+
 @pytest.fixture(scope="module")
 def scen1():
     return {pol: _run(engine.scenario_one, pol)
@@ -159,7 +164,7 @@ def test_criterion_02_solver_oracle_equivalence(capsys):
         st = _random_state(rng, cfg4, geom4)
         st.q_local = np.maximum(st.q_local, 0.5)  # keep |g| away from zero
         pol = oracle.random_policy(rng, 4, 4, 2)
-        res = critic.evaluate_policy(pol, st, cfg4)
+        _, g_value = critic.evaluate_policy(pol, st, cfg4)
         g_grid_total = 0.0
         for i in range(4):
             u_e = u_c = f_l = f_e = 0.0
@@ -179,7 +184,7 @@ def test_criterion_02_solver_oracle_equivalence(capsys):
                 obj, hi = specs[3]
                 f_e = float(fine[np.argmin(obj(fine * hi))] * hi)
             g_grid_total += _device_g(st, i, u_e, u_c, f_l, f_e)
-        rel = abs(res.g_value - g_grid_total) / max(abs(g_grid_total), 1e-9)
+        rel = abs(g_value - g_grid_total) / max(abs(g_grid_total), 1e-9)
         worst_rel = max(worst_rel, rel)
 
     elapsed = time.time() - t0
@@ -241,8 +246,8 @@ def test_criterion_05_queue_stability_scenario1(scen1, capsys):
     ok = True
     for pol in ("exhaustive", "drlh:64"):
         log = scen1[pol]
-        q_l = log.tail_mean_per_device("q_local").max()
-        q_e = log.tail_mean_per_device("q_edge").max()
+        q_l = _tail_mean_per_device(log, "q_local").max()
+        q_e = _tail_mean_per_device(log, "q_edge").max()
         ok = ok and q_l <= 5.0 and q_e <= 1.0
         msgs.append(f"{pol}: qL {q_l:.3f}<=5, qE {q_e:.3f}<=1")
     with capsys.disabled():
@@ -372,8 +377,8 @@ def test_criterion_09_sweep_trends(sweeps, capsys):
     # slot where they offload (README, "Known model caveats").
     p1 = [log.tail_mean("p_total") for log in v_scen1]
     v1_down = all(b <= a for a, b in zip(p1, p1[1:]))
-    q_l1 = max(log.tail_mean_per_device("q_local").max() for log in v_scen1)
-    q_e1 = max(log.tail_mean_per_device("q_edge").max() for log in v_scen1)
+    q_l1 = max(_tail_mean_per_device(log, "q_local").max() for log in v_scen1)
+    q_e1 = max(_tail_mean_per_device(log, "q_edge").max() for log in v_scen1)
     v1_caps = q_l1 <= 5.0 and q_e1 <= 1.0
 
     ok = queues_up and power_up and saturates and v2_ok and v1_down and v1_caps

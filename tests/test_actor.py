@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semoff import actor, channel
-from semoff.config import RelaxedPolicy, SystemConfig
+from semoff.config import Policy, RelaxedPolicy, SystemConfig
 from semoff.config import SystemParams, TrainingParams
 
 CFG = SystemConfig()
@@ -71,11 +71,27 @@ def test_forward_reproducible_given_seed():
     assert np.array_equal(a.forward(x), b.forward(x))
 
 
+def _top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask selecting the k largest entries, lowest index on ties."""
+    mask = np.zeros(len(values), dtype=bool)
+    if k > 0:
+        order = np.argsort(-values, kind="stable")
+        mask[order[:k]] = True
+    return mask
+
+
+def _quantize(relaxed: RelaxedPolicy, cfg: SystemConfig) -> Policy:
+    """Order-preserving quantization: top-chi scores per server become ones;
+    `actor.generate_candidates`' first (noiseless) candidate."""
+    return Policy(rho_edge=_top_k_mask(relaxed.rho_hat_edge, cfg.chi_edge_eff),
+                  rho_cloud=_top_k_mask(relaxed.rho_hat_cloud, cfg.chi_cloud_eff))
+
+
 def test_quantize_top_k_example():
     relaxed = RelaxedPolicy(
         rho_hat_edge=np.array([0.9, 0.1, 0.8, 0.7, 0.3, 0.2, 0.6, 0.5]),
         rho_hat_cloud=np.array([0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01]))
-    pol = actor.quantize(relaxed, CFG)
+    pol = _quantize(relaxed, CFG)
     assert list(pol.rho_edge.astype(int)) == [1, 0, 1, 1, 0, 0, 1, 0]
     assert int(pol.rho_edge.sum()) == 4 and int(pol.rho_cloud.sum()) == 2
 
@@ -83,7 +99,7 @@ def test_quantize_top_k_example():
 def test_quantize_tie_break_lowest_index():
     relaxed = RelaxedPolicy(rho_hat_edge=np.full(8, 0.5),
                             rho_hat_cloud=np.full(8, 0.5))
-    pol = actor.quantize(relaxed, CFG)
+    pol = _quantize(relaxed, CFG)
     assert list(np.nonzero(pol.rho_edge)[0]) == [0, 1, 2, 3]
     assert list(np.nonzero(pol.rho_cloud)[0]) == [0, 1]
 
@@ -93,8 +109,8 @@ def test_quantize_tie_break_lowest_index():
        seed=st.integers(0, 2 ** 16))
 def test_quantize_scale_invariance(scale, shift, seed):
     x = np.random.default_rng(seed).random(8)
-    base = actor.top_k_mask(x, 4)
-    assert np.array_equal(actor.top_k_mask(scale * x + shift, 4), base)
+    base = _top_k_mask(x, 4)
+    assert np.array_equal(_top_k_mask(scale * x + shift, 4), base)
 
 
 def test_generate_candidates_single_is_noiseless():
@@ -102,7 +118,7 @@ def test_generate_candidates_single_is_noiseless():
     relaxed = RelaxedPolicy(rho_hat_edge=np.linspace(0.1, 0.9, 8),
                             rho_hat_cloud=np.linspace(0.9, 0.1, 8))
     em, cm = actor.generate_candidates(relaxed, 1, rng, CFG)
-    ref = actor.quantize(relaxed, CFG)
+    ref = _quantize(relaxed, CFG)
     assert em.shape == (1, 8)
     assert np.array_equal(em[0], ref.rho_edge)
     assert np.array_equal(cm[0], ref.rho_cloud)
@@ -137,8 +153,8 @@ def _candidates_reference(relaxed, k, rng, cfg):
     if k > 1:
         noisy[1:] += rng.normal(0.0, cfg.training.candidate_noise_std,
                                 size=(k - 1, 2 * n))
-    em = np.array([actor.top_k_mask(row[:n], cfg.chi_edge_eff) for row in noisy])
-    cm = np.array([actor.top_k_mask(row[n:], cfg.chi_cloud_eff) for row in noisy])
+    em = np.array([_top_k_mask(row[:n], cfg.chi_edge_eff) for row in noisy])
+    cm = np.array([_top_k_mask(row[n:], cfg.chi_cloud_eff) for row in noisy])
     _, first = np.unique(np.concatenate([em, cm], axis=1), axis=0, return_index=True)
     keep = np.sort(first)
     return em[keep], cm[keep]

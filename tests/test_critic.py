@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import per_policy
 from semoff import channel, critic, oracle, power
 from semoff.config import Allocation, Policy, SystemConfig
 
@@ -153,9 +154,10 @@ def test_unassociated_device_local_clock_is_per_slot_optimum():
         def device_g(f):
             return -1.0 * (TAU * N_L * f / L_TOT - lam) + v * ALPHA_L * f ** 3
 
-        res = critic.evaluate_policy(unassociated, st, cfg)
-        f = res.alloc.f_local[0]
-        g_critic = res.local_terms[0] + res.edge_terms[0] + res.power_terms[0]
+        sol, _ = critic.evaluate_policy(unassociated, st, cfg)
+        f = sol.alloc.f_local[0]
+        local_terms, edge_terms, power_terms = critic.g_terms(sol, st, cfg)
+        g_critic = local_terms[0] + edge_terms[0] + power_terms[0]
         assert g_critic == pytest.approx(device_g(f), rel=1e-12)
         assert device_g(f) <= np.min(device_g(grid)) + 1e-12
         assert f == pytest.approx(grid[np.argmin(device_g(grid))], abs=grid[1])
@@ -172,49 +174,17 @@ def _zero_alloc(n=8):
                       f_encode=z.copy(), f_edge=z.copy())
 
 
-_TX_POWER_TOL = 1e-5
-
-
-def _check_allocation(alloc, policy, state, cfg):
-    """Raise FeasibilityError naming the first violated per-slot constraint."""
-    if np.any(alloc.u_edge[~policy.rho_edge] != 0):
-        raise critic.FeasibilityError("u_edge must be zero without edge association")
-    if np.any(alloc.u_cloud[~policy.rho_cloud] != 0):
-        raise critic.FeasibilityError("u_cloud must be zero without cloud association")
-    for name, v in (("u_edge", alloc.u_edge), ("u_cloud", alloc.u_cloud),
-                    ("f_local", alloc.f_local), ("f_encode", alloc.f_encode),
-                    ("f_edge", alloc.f_edge)):
-        if np.any(np.asarray(v) < 0):
-            raise critic.FeasibilityError(f"{name} must be >= 0")
-    sol = critic.rates_and_powers(alloc, policy, state, cfg)
-    critic.check_clocks_and_backlog(sol, state, cfg)
-    # the accuracy-curve inversion near its ceiling round-trips to ~1e-6
-    # relative in float64, so the power guard is correspondingly looser
-    if np.any(sol.p_tx_edge > cfg.channel.p_tx_max * (1 + _TX_POWER_TOL)):
-        raise critic.FeasibilityError("semantic transmit power exceeds p_tx_max")
-    if np.any(sol.p_tx_cloud > cfg.channel.p_tx_max * (1 + _TX_POWER_TOL)):
-        raise critic.FeasibilityError("cloud transmit power exceeds p_tx_max")
-
-
-def _evaluate_g(alloc, policy, state, cfg):
-    """Exact per-slot objective of a feasible allocation (error if infeasible)."""
-    _check_allocation(alloc, policy, state, cfg)
-    local_terms, edge_terms, power_terms = critic.g_terms(
-        critic.rates_and_powers(alloc, policy, state, cfg), state, cfg)
-    return float(np.sum(local_terms + edge_terms + power_terms))
-
-
 def test_evaluate_g_zero_state_zero_alloc():
     st = _state(0.0)
     pol = Policy(rho_edge=ALL.copy(), rho_cloud=ALL.copy())
-    assert _evaluate_g(_zero_alloc(), pol, st, CFG) == 0.0
+    assert per_policy.evaluate_g(_zero_alloc(), pol, st, CFG) == 0.0
 
 
 def test_evaluate_g_arrival_term_isolation():
     # zero allocation leaves only the +sum((q+z) * mean_arrivals) term
     st = _state(5.0)
     pol = Policy(rho_edge=np.zeros(8, dtype=bool), rho_cloud=np.zeros(8, dtype=bool))
-    g = _evaluate_g(_zero_alloc(), pol, st, CFG)
+    g = per_policy.evaluate_g(_zero_alloc(), pol, st, CFG)
     assert g == pytest.approx(8 * 5.0 * CFG.mean_arrivals_per_slot, rel=1e-12)
 
 
@@ -224,8 +194,8 @@ def test_evaluate_g_matches_term_by_term_recompute():
     for _ in range(20):
         st = _random_state(np.random.default_rng(rng.integers(1 << 30)), CFG, geom)
         pol = oracle.random_policy(rng, 8, 4, 2)
-        res = critic.evaluate_policy(pol, st, CFG)
-        a = res.alloc
+        sol, g_value = critic.evaluate_policy(pol, st, CFG)
+        a = sol.alloc
         lam = CFG.mean_arrivals_per_slot
         expected = 0.0
         for i in range(8):
@@ -242,8 +212,8 @@ def test_evaluate_g_matches_term_by_term_recompute():
                 p += (2 ** (a.u_cloud[i] * 400 / (TAU * B_C)) - 1) * NOISE * B_C \
                     / st.h2_cloud[i]
             expected += 2.0 * p
-        assert res.g_value == pytest.approx(expected, rel=1e-9)
-        assert _evaluate_g(a, pol, st, CFG) == pytest.approx(res.g_value, rel=1e-12)
+        assert g_value == pytest.approx(expected, rel=1e-9)
+        assert per_policy.evaluate_g(a, pol, st, CFG) == pytest.approx(g_value, rel=1e-12)
 
 
 def test_evaluate_g_rejects_infeasible():
@@ -252,31 +222,31 @@ def test_evaluate_g_rejects_infeasible():
     bad = _zero_alloc()
     bad.u_edge[0] = 1.0
     with pytest.raises(critic.FeasibilityError, match="edge association"):
-        _evaluate_g(bad, pol, st, CFG)
+        per_policy.evaluate_g(bad, pol, st, CFG)
     over = _zero_alloc()
     over.f_local[0] = 2e9
     with pytest.raises(critic.FeasibilityError, match="f_local"):
-        _evaluate_g(over, pol, st, CFG)
+        per_policy.evaluate_g(over, pol, st, CFG)
     drain = _zero_alloc()
     drain.f_edge[0] = 1e9  # decodes more than the edge backlog holds
     with pytest.raises(critic.FeasibilityError, match="edge backlog"):
-        _evaluate_g(drain, pol, st, CFG)
+        per_policy.evaluate_g(drain, pol, st, CFG)
     serve = _zero_alloc()
     serve.f_local[0] = 5e8  # executes 2.13 tasks of a 1-task backlog
     with pytest.raises(critic.FeasibilityError, match="local backlog"):
-        _evaluate_g(serve, pol, st, CFG)
+        per_policy.evaluate_g(serve, pol, st, CFG)
     fast = _zero_alloc()
     fast.f_edge[0] = 1.5e9
     with pytest.raises(critic.FeasibilityError, match="f_edge_max"):
-        _evaluate_g(fast, pol, st, CFG)
+        per_policy.evaluate_g(fast, pol, st, CFG)
 
 
 def test_evaluate_policy_pure_and_deterministic():
     st = _random_state(np.random.default_rng(4))
     pol = oracle.random_policy(np.random.default_rng(5), 8, 4, 2)
-    a = critic.evaluate_policy(pol, st, CFG)
-    b = critic.evaluate_policy(pol, st, CFG)
-    assert a.g_value == b.g_value
+    a, g_a = critic.evaluate_policy(pol, st, CFG)
+    b, g_b = critic.evaluate_policy(pol, st, CFG)
+    assert g_a == g_b
     assert np.array_equal(a.alloc.u_edge, b.alloc.u_edge)
     assert np.array_equal(a.alloc.f_local, b.alloc.f_local)
 
@@ -289,7 +259,7 @@ def test_batch_evaluation_matches_single_bit_exact():
     g = critic.PolicyBatch(em, cm).evaluate(table)
     for idx in rng.choice(len(em), 40, replace=False):
         pol = Policy(rho_edge=em[idx], rho_cloud=cm[idx])
-        assert critic.evaluate_policy(pol, st, CFG).g_value == g[idx]
+        assert per_policy.evaluate_policy(pol, st, CFG).g_value == g[idx]
 
 
 @pytest.mark.parametrize("n", [1, 8, 13, 70])
@@ -310,28 +280,29 @@ def test_gathered_allocation_matches_evaluate_policy_bit_exact(n):
             assert getattr(combos.alloc, f).shape == (4, n), f
         assert combos.alloc.f_edge.shape == combos.mu_edge.shape == combos.p_edge.shape == (n,)
         pol = oracle.random_policy(rng, n, cfg.system.chi_edge, cfg.system.chi_cloud)
-        sol, g = critic.gather(table, combos, pol)
-        ref = critic.evaluate_policy(pol, st, cfg)
-        assert g == ref.g_value
-        for f in ("u_edge", "u_cloud", "f_local", "f_encode", "f_edge"):
-            assert np.array_equal(getattr(sol.alloc, f), getattr(ref.alloc, f)), f
-        # rates and powers as the engine used to recompute them
+        ref = per_policy.evaluate_policy(pol, st, cfg)
+        # rates and powers as the per-policy solve recomputes them
         a = ref.alloc
         mu_local = np.asarray(power.local_exec_rate(a.f_local, cfg)) + a.u_edge + a.u_cloud
-        assert np.array_equal(sol.mu_local, mu_local)
-        assert np.array_equal(sol.mu_edge, power.edge_exec_rate(a.f_edge, cfg))
-        *parts, total = power.total_power(a, pol, st, cfg)
-        for f, part in zip(("p_local", "p_edge", "p_tx_edge", "p_tx_cloud"), parts):
-            assert np.array_equal(getattr(sol, f), part), f
-        assert float(np.sum(sol.p_local) + np.sum(sol.p_edge) + np.sum(sol.p_tx_edge)
-                     + np.sum(sol.p_tx_cloud)) == total
+        *parts, total = per_policy.total_power(a, pol, st, cfg)
+        for sol, g in (critic.gather(table, combos, pol), critic.evaluate_policy(pol, st, cfg)):
+            assert g == ref.g_value
+            for f in ("u_edge", "u_cloud", "f_local", "f_encode", "f_edge"):
+                assert np.array_equal(getattr(sol.alloc, f), getattr(ref.alloc, f)), f
+            assert np.array_equal(sol.mu_local, mu_local)
+            assert np.array_equal(sol.mu_edge, power.edge_exec_rate(a.f_edge, cfg))
+            for f, part in zip(("p_local", "p_edge", "p_tx_edge", "p_tx_cloud"), parts):
+                assert np.array_equal(getattr(sol, f), part), f
+            assert power.total_power(sol)[4] == total
 
 
 # --- exact association search against enumeration ----------------------------
 
 @functools.lru_cache(maxsize=None)
 def _batch(n, chi_e, chi_c):
-    return critic.PolicyBatch(*oracle.policy_table(n, chi_e, chi_c))
+    """The enumeration's masks and a batch scoring them."""
+    em, cm = oracle.policy_table(n, chi_e, chi_c)
+    return em, cm, critic.PolicyBatch(em, cm)
 
 
 @hs.composite
@@ -363,18 +334,18 @@ def _tables(draw):
 def test_best_association_equals_enumeration_argmin(case):
     table, chi_e, chi_c = case
     n = table.shape[1]
-    batch = _batch(n, chi_e, chi_c)
+    em, cm, batch = _batch(n, chi_e, chi_c)
     idx, _ = batch.best(table)
     pol = critic.best_association(table, chi_e, chi_c)
-    assert np.array_equal(pol.rho_edge, batch.edge_masks[idx])
-    assert np.array_equal(pol.rho_cloud, batch.cloud_masks[idx])
+    assert np.array_equal(pol.rho_edge, em[idx])
+    assert np.array_equal(pol.rho_cloud, cm[idx])
 
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_best_association_equals_enumeration_on_solved_tables(n):
     # real combo tables: idle devices make whole columns tie exactly
     cfg = replace(CFG, system=replace(CFG.system, num_devices=n))
-    batch = _batch(n, 4, 2)
+    em, cm, batch = _batch(n, 4, 2)
     rng = np.random.default_rng(60 + n)
     geom = channel.place_devices(cfg, rng)
     for _ in range(25):
@@ -385,8 +356,8 @@ def test_best_association_equals_enumeration_on_solved_tables(n):
         table, _ = critic.device_g_table(st, cfg)
         idx, g = batch.best(table)
         pol = critic.best_association(table, 4, 2)
-        assert np.array_equal(pol.rho_edge, batch.edge_masks[idx])
-        assert np.array_equal(pol.rho_cloud, batch.cloud_masks[idx])
+        assert np.array_equal(pol.rho_edge, em[idx])
+        assert np.array_equal(pol.rho_cloud, cm[idx])
 
 
 def test_best_association_large_population_is_feasible_and_beats_samples():
@@ -612,9 +583,9 @@ def test_solution_within_feasible_intervals():
     for _ in range(40):
         st = _random_state(np.random.default_rng(rng.integers(1 << 30)), CFG, geom)
         pol = oracle.random_policy(rng, 8, 4, 2)
-        res = critic.evaluate_policy(pol, st, CFG)
+        sol, _ = critic.evaluate_policy(pol, st, CFG)
         # raises on violation, transmit powers within p_tx_max included
-        _check_allocation(res.alloc, pol, st, CFG)
+        per_policy.check_allocation(sol.alloc, pol, st, CFG)
 
 
 _QUEUE = hs.one_of(hs.just(0.0), hs.floats(1e-3, 1e12))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import per_policy
 from semoff import channel, critic, oracle
 from semoff.config import Policy, SystemConfig
 from semoff.config import SystemParams
@@ -67,7 +68,7 @@ def _exhaustive_best(state, cfg=CFG):
     """The exhaustive search as the simulator runs it, scored independently."""
     table, _ = critic.device_g_table(state, cfg)
     pol = critic.best_association(table, cfg.system.chi_edge, cfg.system.chi_cloud)
-    return pol, critic.evaluate_policy(pol, state, cfg)
+    return pol, per_policy.evaluate_policy(pol, state, cfg)
 
 
 def test_exhaustive_best_zero_state_returns_first_policy():
@@ -88,7 +89,7 @@ def test_exhaustive_best_dominates_random_policies():
     _, best = _exhaustive_best(state)
     for _ in range(100):
         pol = oracle.random_policy(rng, 8, 4, 2)
-        assert best.g_value <= critic.evaluate_policy(pol, state, CFG).g_value + 1e-12
+        assert best.g_value <= per_policy.evaluate_policy(pol, state, CFG).g_value + 1e-12
 
 
 def test_exhaustive_best_matches_independent_reenumeration():
@@ -104,7 +105,7 @@ def test_exhaustive_best_matches_independent_reenumeration():
             rho_e[list(e_subset)] = True
             rho_c = np.zeros(4, dtype=bool)
             rho_c[list(c_subset)] = True
-            g = critic.evaluate_policy(Policy(rho_e, rho_c), state, cfg).g_value
+            g = per_policy.evaluate_policy(Policy(rho_e, rho_c), state, cfg).g_value
             if best_g is None or g < best_g:
                 best_g, best_masks = g, (rho_e, rho_c)
     assert res.g_value == best_g

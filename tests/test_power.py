@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semoff import channel, power
-from semoff.config import Allocation, Policy, SystemConfig
+import per_policy
+from semoff import channel, critic, engine, power
+from semoff.config import Allocation, Policy, SlotState, SystemConfig
 from semoff.config import SemanticParams
 
 CFG = SystemConfig()
@@ -84,8 +85,42 @@ def test_required_accuracy_ceiling_boundary():
 @settings(max_examples=80, deadline=None)
 @given(eps=st.floats(0.5, 0.985, exclude_max=True))
 def test_accuracy_curve_inversion_identity(eps):
-    curve = power.accuracy_curve(CFG)
+    curve = CFG.coefficients.curve
     assert curve.accuracy(curve.snr_db_for(eps)) == pytest.approx(eps, abs=1e-9)
+
+
+def _float_curve_volume_cap(h2_edge, bandwidth, cfg):
+    """`power.semantic_volume_cap` on the accuracy curve with the config's
+    float parameters, as it was before it read `cfg.coefficients.curve`."""
+    sem = cfg.semantic
+    curve = power.LogisticAccuracyCurve(ceiling=sem.accuracy_ceiling,
+                                        slope_per_db=sem.accuracy_slope_per_db,
+                                        midpoint_db=sem.accuracy_midpoint_db)
+    with np.errstate(divide="ignore", over="ignore"):
+        snr_cap = (cfg.channel.p_tx_max * np.asarray(h2_edge, dtype=float)
+                   / (bandwidth * cfg.channel.noise_psd))
+        snr_cap_db = 10.0 * np.log10(np.minimum(snr_cap, np.finfo(float).max))
+    eps_cap = np.minimum(curve.accuracy(snr_cap_db),
+                         curve.ceiling * (1.0 - power._CEILING_BACKOFF))
+    cap = (cfg.system.slot_length * bandwidth / (sem.sentence_len * sem.symbols_per_word)) * eps_cap
+    return cap if np.ndim(cap) else float(cap), curve
+
+
+def test_accuracy_curve_operands_keep_every_bit():
+    # the curve on `operand` parameters gives the float-parameter curve's
+    # accuracies and backed-off ceiling bit for bit, at gains from a
+    # subnormal 1e-320 to the largest float
+    gains = np.append(10.0 ** np.linspace(-320.0, 308.0, 199_999), np.finfo(float).max)
+    ref, floats = _float_curve_volume_cap(gains, B_EDGE, CFG)
+    curve = CFG.coefficients.curve
+    snr_db = 10.0 * np.log10(gains)
+    assert curve.accuracy(snr_db).tobytes() == floats.accuracy(snr_db).tobytes()
+    backoff = 1.0 - power._CEILING_BACKOFF
+    assert float(curve.ceiling * backoff) == floats.ceiling * backoff
+    assert power.semantic_volume_cap(gains, B_EDGE, CFG).tobytes() == ref.tobytes()
+    for h2 in (1e-320, 10 ** (-90.5 / 10), 10 ** (-110.0 / 10), 1.0):
+        assert power.semantic_volume_cap(h2, B_EDGE, CFG) == _float_curve_volume_cap(
+            h2, B_EDGE, CFG)[0]
 
 
 # --- semantic transmit power -------------------------------------------------
@@ -101,7 +136,7 @@ def test_semantic_tx_power_hand_derivation():
     assert got == pytest.approx(8.32e-6, rel=0.01)
     # feeding the power back through the forward curve recovers the accuracy
     snr_db = 10 * math.log10(got * h2 / (CFG.channel.noise_psd * B_EDGE))
-    assert power.accuracy_curve(CFG).accuracy(snr_db) == pytest.approx(0.9, abs=1e-9)
+    assert CFG.coefficients.curve.accuracy(snr_db) == pytest.approx(0.9, abs=1e-9)
 
 
 def test_semantic_tx_power_floor_behavior():
@@ -233,14 +268,14 @@ def test_total_power_zero_allocation():
     zeros = np.zeros(n)
     alloc = Allocation(u_edge=zeros, u_cloud=zeros, f_local=zeros,
                        f_encode=zeros, f_edge=zeros)
-    assert power.total_power(alloc, policy, state, CFG)[4] == 0.0
+    assert per_policy.total_power(alloc, policy, state, CFG)[4] == 0.0
 
 
 def test_total_power_recomposition_oracle():
     rng = np.random.default_rng(5)
     for _ in range(25):
         state, policy, alloc = _random_feasible(rng)
-        p_l, p_e, p_tx_e, p_tx_c, total = power.total_power(alloc, policy, state, CFG)
+        p_l, p_e, p_tx_e, p_tx_c, total = per_policy.total_power(alloc, policy, state, CFG)
         # independent recomputation, term by term, straight from the formulas
         expected = 0.0
         for i in range(4):
@@ -270,5 +305,31 @@ def test_single_active_device_additivity():
                        f_local=np.array([1e8, 0, 0, 0.0]),
                        f_encode=np.asarray(power.encode_frequency(u_e, CFG)),
                        f_edge=np.array([2e8, 0, 0, 0.0]))
-    p_l, p_e, p_tx_e, p_tx_c, total = power.total_power(alloc, policy, state, CFG)
+    p_l, p_e, p_tx_e, p_tx_c, total = per_policy.total_power(alloc, policy, state, CFG)
     assert total == pytest.approx(p_l[0] + p_e[0] + p_tx_e[0] + p_tx_c[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("policy", ["exhaustive", "random", "drlh:8"])
+def test_total_power_of_the_solution_is_the_logged_power(policy):
+    # every slot's logged power columns are `power.total_power` of the chosen
+    # policy's solution, and its total is the per-policy solve's
+    sc = engine.scenario_two(policy=policy, seed=3, total_slots=60)
+    cfg = sc.apply(CFG)
+    sim = engine.Simulation(cfg, sc.policy, sc.seed)
+    log = engine.MetricsLog(60, cfg.system.num_devices)
+    bits = 1 << np.arange(cfg.system.num_devices)
+    for t in range(60):
+        sim.run_slot(t, log)
+        block, k = sim.channels(t)
+        state = SlotState(h2_edge=block.h2_edge[k], h2_cloud=block.h2_cloud[k],
+                          edge_cap=block.edge_cap[k], cloud_cap=block.cloud_cap[k],
+                          q_local=log.q_local[t], q_edge=log.q_edge[t],
+                          z_local=log.z_local[t], z_edge=log.z_edge[t])
+        pol = Policy(rho_edge=(log.policy_edge[t] & bits) > 0,
+                     rho_cloud=(log.policy_cloud[t] & bits) > 0)
+        sol, g = critic.evaluate_policy(pol, state, cfg)
+        assert g == log.g_value[t]
+        assert power.total_power(sol) == (log.p_local[t], log.p_edge[t], log.p_tx_edge[t],
+                                          log.p_tx_cloud[t], log.p_total[t])
+        assert per_policy.total_power(sol.alloc, pol, state, cfg)[4] == log.p_total[t]
+    assert log.p_tx_edge.max() > 0 and log.p_tx_cloud.max() > 0
