@@ -34,8 +34,8 @@ def featurize(gains: np.ndarray, state: SlotState, cfg: SystemConfig) -> np.ndar
     (I, 2) row of `gain_features`, which a run computes once per block of
     slots (a row of the block's `log10` has the bits of the call on the
     row), then the four queues scaled by a fixed reference length."""
-    queues = np.stack([state.q_local, state.q_edge, state.z_local, state.z_edge], axis=1)
-    return np.concatenate((gains, queues / cfg.training.feature_queue_ref), axis=1).reshape(-1)
+    return np.concatenate((gains, state.queues.T / cfg.training.feature_queue_ref),
+                          axis=1).reshape(-1)
 
 
 def cross_entropy(out: np.ndarray, y: np.ndarray) -> float:

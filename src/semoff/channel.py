@@ -157,9 +157,10 @@ def link_caps(h2_edge, h2_cloud, cfg: SystemConfig) -> tuple[np.ndarray, np.ndar
 
 def slot_state(cfg: SystemConfig, h2_edge, h2_cloud, q_local, q_edge,
                z_local, z_edge) -> SlotState:
-    """A slot's state on bare gains, carrying the link caps they allow."""
+    """A slot's state on bare gains, carrying the link caps they allow, with
+    the four queues copied into the rows of its queue array."""
     return SlotState(h2_edge, h2_cloud, *link_caps(h2_edge, h2_cloud, cfg),
-                     q_local, q_edge, z_local, z_edge)
+                     np.array((q_local, q_edge, z_local, z_edge), dtype=float))
 
 
 def _rayleigh(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -131,12 +131,10 @@ def _stage_grid_rows(cfg: SystemConfig, state: SlotState, sample: int,
     v = s.lyapunov_v
     tau = s.slot_length
     b_e, b_c = cfg.bandwidth_edge, cfg.bandwidth_cloud
-    ones = np.ones(s.num_devices, dtype=bool)
 
-    u_e = critic.solve_edge_volume(state, ones, cfg)
-    u_c = critic.solve_cloud_volume(state, ones, u_e, cfg)
-    f_l = critic.solve_local_frequency(state, u_e, u_c, cfg)
-    f_e = critic.solve_edge_frequency(state, cfg)
+    # combo 3 (edge and cloud) of the slot's combo solve
+    alloc = critic.device_g_table(state, cfg)[1].alloc
+    u_e, u_c, f_l, f_e = alloc.u_edge[3], alloc.u_cloud[3], alloc.f_local[3], alloc.f_edge
 
     rows: list[dict] = []
     worst = 0.0
@@ -266,7 +264,7 @@ def cmd_verify(args) -> int:
         arrivals = rng.poisson(cfg.mean_arrivals_per_slot,
                                cfg.system.num_devices).astype(float)
         terms = queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg, caps)
-        _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state), sol,
+        _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state.queues), sol,
                                           arrivals, cfg, caps, terms, 0)
         if dpp > bound + engine.BOUND_TOL:
             violations += 1

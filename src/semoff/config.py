@@ -335,31 +335,51 @@ def validate_config(cfg: SystemConfig) -> list[str]:
 # Run-time value types
 # ---------------------------------------------------------------------------
 
+QUEUE_ROWS = ("q_local", "q_edge", "z_local", "z_edge")   # rows of a (4, I) queue array
+
+
+def queue_row(row: int) -> property:
+    """Row `row` of the owner's (4, I) `queues`, by its `QUEUE_ROWS` name: read
+    as a view; set by copying into the row (only a row of the same length)."""
+    name = QUEUE_ROWS[row]
+
+    def put(self, value) -> None:
+        if np.shape(value) != self.queues.shape[1:]:
+            raise ValueError(f"{type(self).__name__}.{name}: expected length "
+                             f"{self.queues.shape[1]}")
+        self.queues[row] = value
+
+    return property(lambda self: self.queues[row], put, doc=f"`queues[{row}]`")
+
+
 @dataclass
 class SlotState:
-    """Observable state at the start of a slot: channels plus queue backlog."""
+    """Observable state at the start of a slot: channels plus queue backlog.
+
+    The queues are the rows of one C-contiguous (4, I) array: q_local and
+    q_edge (tasks), then the virtual queues z_local and z_edge that enforce
+    the mean queue caps. Each row is also a settable field by its name."""
 
     h2_edge: np.ndarray   # channel gains |h|^2, edge links
     h2_cloud: np.ndarray  # channel gains |h|^2, cloud links
     edge_cap: np.ndarray  # tasks/slot the links carry at the power ceiling:
     cloud_cap: np.ndarray  # `channel.link_caps` of the gains
-    q_local: np.ndarray  # tasks
-    q_edge: np.ndarray   # tasks
-    z_local: np.ndarray  # virtual queue enforcing the mean local-queue cap
-    z_edge: np.ndarray   # virtual queue enforcing the mean edge-queue cap
+    queues: np.ndarray    # (4, I): q_local, q_edge, z_local, z_edge
+
+    q_local, q_edge, z_local, z_edge = map(queue_row, range(4))
 
     def check(self) -> None:
         n = len(self.h2_edge)
-        for name in ("h2_cloud", "edge_cap", "cloud_cap", "q_local", "q_edge",
-                     "z_local", "z_edge"):
+        for name in ("h2_cloud", "edge_cap", "cloud_cap"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"SlotState.{name}: expected length {n}")
-        q = np.concatenate((self.q_local, self.q_edge, self.z_local, self.z_edge))
+        q = self.queues
+        if q.shape != (4, n):
+            raise ValueError(f"SlotState.queues: expected shape (4, {n})")
         # a NaN minimum fails the first test, +inf the second
         if q.min() >= 0 and q.max() < np.inf:
             return
-        for name in ("q_local", "q_edge", "z_local", "z_edge"):
-            v = getattr(self, name)
+        for name, v in zip(QUEUE_ROWS, q):
             if not np.all(np.isfinite(v)) or np.any(v < 0):
                 raise ValueError(f"SlotState.{name}: queues must be finite and >= 0")
 

@@ -15,7 +15,8 @@ notably the edge-volume stage ignores the semantic transmit power, which is
 orders of magnitude below the compute power it trades against. Each
 combo's allocation is then scored with the full per-slot objective,
 transmit powers included. Every stationary point weighs the backlog by its
-real plus virtual queue, as the per-slot objective implies.
+real plus virtual queue, as the per-slot objective implies; the combo solve
+adds those weights once per slot and hands them to the stages.
 
 The stages run on the untiled (I,) state against (4, 1) combo masks, and
 numpy broadcasts each term only as far as it depends on the combo. Every
@@ -43,57 +44,58 @@ class FeasibilityError(ValueError):
     """An allocation violates one of the per-slot constraints."""
 
 
-def solve_edge_volume(state: SlotState, edge_mask: np.ndarray,
+def solve_edge_volume(state: SlotState, w_local: np.ndarray, edge_mask: np.ndarray,
                       cfg: SystemConfig) -> np.ndarray:
     """Edge offload volume: clamped stationary point of the encode tradeoff.
 
     Zero whenever the backlog differential (local minus edge, real plus
-    virtual) is non-positive or the device is not edge-associated. The
-    upper clamp is the tightest of the local backlog, the full-clock encode
-    rate, and the semantic-link volume reachable at the power ceiling.
+    virtual; `w_local` = q_local + z_local) is non-positive or the device is
+    not edge-associated. The upper clamp is the tightest of the local
+    backlog, the full-clock encode rate, and the semantic-link volume
+    reachable at the power ceiling.
     """
     k = cfg.coefficients
-    w = state.q_local + state.z_local - state.q_edge - state.z_edge
+    w = w_local - state.q_edge - state.z_edge
     stationary = np.sqrt(k.edge_volume_num * np.maximum(w, ZERO) / k.edge_volume_den)
     cap = np.minimum(state.q_local, np.minimum(k.encode_rate_max, state.edge_cap))
     out = np.where((w > ZERO) & edge_mask, np.minimum(stationary, cap), ZERO)
     return np.maximum(out, ZERO)
 
 
-def solve_cloud_volume(state: SlotState, cloud_mask: np.ndarray,
-                       u_edge: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+def solve_cloud_volume(state: SlotState, w_local_pos: np.ndarray, room: np.ndarray,
+                       cloud_mask: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Cloud offload volume: clamped stationary point of the Shannon-power
-    tradeoff, clipped to [0, max(cap, 0)] (with `np.clip`'s values)."""
+    tradeoff, clipped to [0, max(cap, 0)] (with `np.clip`'s values); the cap
+    is the link's or `room` = q_local - u_edge, whichever is smaller.
+    `w_local_pos` = max(q_local + z_local, 0)."""
     k = cfg.coefficients
-    w = state.q_local + state.z_local
-    arg = np.maximum(w, ZERO) * k.slot_length * state.h2_cloud / k.cloud_volume_den
+    arg = w_local_pos * k.slot_length * state.h2_cloud / k.cloud_volume_den
     stationary = np.where(arg > ZERO, k.cloud_volume_scale * np.log2(np.maximum(arg, TINY)), ZERO)
-    cap = np.minimum(state.q_local - u_edge, state.cloud_cap)
+    cap = np.minimum(room, state.cloud_cap)
     return np.where(cloud_mask, np.minimum(np.maximum(stationary, ZERO), np.maximum(cap, ZERO)),
                     ZERO)
 
 
-def solve_local_frequency(state: SlotState, u_edge: np.ndarray,
-                          u_cloud: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+def solve_local_frequency(w_local_pos: np.ndarray, f_encode: np.ndarray, room: np.ndarray,
+                          cfg: SystemConfig) -> np.ndarray:
     """Local execution clock: cubic-power stationary point under the clock
-    budget left by encoding and the backlog left by offloading."""
+    budget left by encoding and the backlog left by offloading (`room` =
+    q_local - u_edge - u_cloud). `w_local_pos` = max(q_local + z_local, 0)."""
     k = cfg.coefficients
-    w_local = state.q_local + state.z_local
-    stationary = np.sqrt(k.slot_length * np.maximum(w_local, ZERO) * k.flops_per_cycle_local
+    stationary = np.sqrt(k.slot_length * w_local_pos * k.flops_per_cycle_local
                          / k.local_clock_den)
-    f_encode = power.encode_frequency(u_edge, cfg)
     budget = np.maximum(k.f_local_max - f_encode, ZERO)
-    left = np.maximum(state.q_local - u_edge - u_cloud, ZERO)
-    queue_clamp = left * k.task_flops_total / k.slot_flops_local
+    queue_clamp = np.maximum(room, ZERO) * k.task_flops_total / k.slot_flops_local
     return np.minimum(stationary, np.minimum(budget, queue_clamp))
 
 
-def solve_edge_frequency(state: SlotState, cfg: SystemConfig) -> np.ndarray:
+def solve_edge_frequency(state: SlotState, w_edge_pos: np.ndarray,
+                         cfg: SystemConfig) -> np.ndarray:
     """Edge decode clock; solved for every device with edge backlog, since
-    the edge queue drains regardless of the current slot's association."""
+    the edge queue drains regardless of the current slot's association
+    (`w_edge_pos` = max(q_edge + z_edge, 0))."""
     k = cfg.coefficients
-    w = state.q_edge + state.z_edge
-    stationary = np.sqrt(k.slot_length * np.maximum(w, ZERO) * k.flops_per_cycle_edge
+    stationary = np.sqrt(k.slot_length * w_edge_pos * k.flops_per_cycle_edge
                          / k.edge_clock_den)
     queue_clamp = state.q_edge * k.task_flops_decode / k.slot_flops_edge
     return np.minimum(stationary, np.minimum(k.f_edge_max, queue_clamp))
@@ -112,10 +114,11 @@ def check_clocks_and_backlog(sol: Solution, state: SlotState, cfg: SystemConfig)
         raise FeasibilityError("f_local + f_encode exceeds f_local_max")
     if (alloc.f_edge > s.f_edge_max * tol).any():
         raise FeasibilityError("f_edge exceeds f_edge_max")
-    if (sol.mu_local > state.q_local * tol + _REL_TOL).any():
-        raise FeasibilityError("served local volume exceeds local backlog")
-    if (sol.mu_edge > state.q_edge * tol + _REL_TOL).any():
-        raise FeasibilityError("edge decode volume exceeds edge backlog")
+    # the served volumes against the real queues, local and edge rows at once
+    over = np.array((sol.mu_local, sol.mu_edge)) > state.queues[:2] * tol + _REL_TOL
+    if over.any():
+        raise FeasibilityError("served local volume exceeds local backlog" if over[0].any()
+                               else "edge decode volume exceeds edge backlog")
 
 
 @dataclass
@@ -133,16 +136,17 @@ class Solution:
     p_tx_cloud: np.ndarray
 
 
-def g_terms(sol: Solution, state: SlotState,
+def g_terms(sol: Solution, weights: np.ndarray,
             cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-device contributions to the per-slot objective.
+    """Per-device contributions to the per-slot objective, from the (2, I)
+    queue weights: q_local + z_local, then q_edge + z_edge.
 
     The arrival term uses the distribution mean (arrivals are not observed
     at decision time).
     """
     k = cfg.coefficients
-    local_terms = -(state.q_local + state.z_local) * (sol.mu_local - k.mean_arrivals)
-    edge_terms = -(state.q_edge + state.z_edge) * (sol.mu_edge - sol.alloc.u_edge)
+    local_terms = -weights[0] * (sol.mu_local - k.mean_arrivals)
+    edge_terms = -weights[1] * (sol.mu_edge - sol.alloc.u_edge)
     power_terms = k.lyapunov_v * (sol.p_local + sol.p_edge + sol.p_tx_edge + sol.p_tx_cloud)
     return local_terms, edge_terms, power_terms
 
@@ -173,7 +177,10 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
     `f_edge`, `mu_edge` and `p_edge` depend on no association and are (I,).
     Every combo-free term is computed once per device: the edge-volume
     candidate (rows 2 and 3 of `u_edge`), the edge clock, rate and power,
-    and the semantic transmit power of the candidate. A transmit power is
+    and the semantic transmit power of the candidate. What two steps share
+    is computed once per slot: the queue weights q + z (both in one call on
+    the queue array's row pairs), their positive parts, the local backlog
+    left by the edge volume and the encode clock. A transmit power is
     zero where its volume is, and the stages zero each volume off its
     combo's mask. Elementwise the values are those of solving each combo
     separately, so a policy's solution gathered from this one solve is its
@@ -181,11 +188,15 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
     reference).
     """
     b_e, b_c = cfg.bandwidth_edge, cfg.bandwidth_cloud
-    u_edge = solve_edge_volume(state, _EDGE, cfg)
-    u_cloud = solve_cloud_volume(state, _CLOUD, u_edge, cfg)
-    f_local = solve_local_frequency(state, u_edge, u_cloud, cfg)
-    f_edge = solve_edge_frequency(state, cfg)
+    queues = state.queues
+    weights = queues[:2] + queues[2:]   # q + z, local and edge rows
+    weights_pos = np.maximum(weights, ZERO)
+    u_edge = solve_edge_volume(state, weights[0], _EDGE, cfg)
+    room = queues[0] - u_edge   # local backlog left by the edge volume
+    u_cloud = solve_cloud_volume(state, weights_pos[0], room, _CLOUD, cfg)
     f_encode = power.encode_frequency(u_edge, cfg)
+    f_local = solve_local_frequency(weights_pos[0], f_encode, room - u_cloud, cfg)
+    f_edge = solve_edge_frequency(state, weights_pos[1], cfg)
     u_dev = u_edge[2]   # the edge-volume candidate: each device's volume when edge-associated
     p_tx_dev = power.semantic_tx_power(power.required_accuracy(u_dev, b_e, cfg),
                                        state.h2_edge, b_e, cfg)
@@ -199,7 +210,7 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
         p_tx_edge=np.where(u_edge > ZERO, p_tx_dev, ZERO),
         p_tx_cloud=np.where(u_cloud > ZERO,
                             power.shannon_tx_power(u_cloud, state.h2_cloud, b_c, cfg), ZERO))
-    lt, et, pt = g_terms(sol, state, cfg)
+    lt, et, pt = g_terms(sol, weights, cfg)
     return lt + et + pt, sol
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import actor, channel, critic, oracle, power, queueing
 from .config import (ConfigError, Policy, SlotState, SystemConfig, config_to_dict,
-                     validate_config)
+                     queue_row, validate_config)
 
 # Named RNG streams (master seed, stream id[, slot]).
 STREAM_PLACEMENT = 0
@@ -221,36 +221,34 @@ def _write_columns(path: str | Path, header: list[str], cols: list[np.ndarray]) 
 
 def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.ndarray,
          cfg: SystemConfig, caps: queueing.RateCaps, terms: tuple, k: int
-         ) -> tuple[SlotState, float, tuple[float, float, float, float, float], float, float]:
+         ) -> tuple[np.ndarray, float, tuple[float, float, float, float, float], float, float]:
     """One slot's queue transition under the chosen policy's solution, as
     `critic.gather` reads it from the slot's combo solve.
 
-    Checks the clock budgets and the backlog (`critic.check_clocks_and_backlog`),
-    sums the powers (`power.total_power`), updates the real and then the
-    virtual queues. Takes and returns the Lyapunov values of `state` and of
-    the next state (the slot's channels carried over; the slot is row k of
-    its block's `queueing.bound_terms`); also returns the power sums (local,
+    Checks the clock budgets and the backlog (`critic.check_clocks_and_backlog`)
+    and sums the powers (`power.total_power`). Then it works on row pairs of
+    the state's (4, I) queue array: with the served volumes (mu_local,
+    mu_edge) and inflows (arrivals, u_edge) stacked as (2, I), both real
+    queues update in one call, then both virtual queues against the (2, 1)
+    cap column of `cfg.coefficients`. Returns the next (4, I) queue array
+    and its Lyapunov value (it takes `state`'s), the power sums (local,
     edge, edge transmit, cloud transmit, total), the realised
-    drift-plus-penalty and its upper bound. Pure: `state` and `sol` are not
-    modified.
+    drift-plus-penalty and its upper bound (the slot is row k of its
+    block's `queueing.bound_terms`). Pure: `state` and `sol` are not modified.
     """
-    s = cfg.system
     critic.check_clocks_and_backlog(sol, state, cfg)
     powers = power.total_power(sol)
     p_total = powers[4]
-    q_local = queueing.update_local_queue(state.q_local, sol.mu_local, arrivals)
-    q_edge = queueing.update_edge_queue(state.q_edge, sol.mu_edge, sol.alloc.u_edge)
-    nxt = SlotState(h2_edge=state.h2_edge, h2_cloud=state.h2_cloud,
-                    edge_cap=state.edge_cap, cloud_cap=state.cloud_cap,
-                    q_local=q_local, q_edge=q_edge,
-                    z_local=queueing.update_virtual_queue(state.z_local, q_local,
-                                                          s.q_max_local),
-                    z_edge=queueing.update_virtual_queue(state.z_edge, q_edge,
-                                                         s.q_max_edge))
+    flows = np.array((sol.mu_local, sol.mu_edge, arrivals, sol.alloc.u_edge))
+    served, inflow = flows[:2], flows[2:]
+    queues = state.queues
+    real = queueing.update_local_queue(queues[:2], served, inflow)
+    coef = cfg.coefficients
+    nxt = np.concatenate((real, queueing.update_virtual_queue(queues[2:], real,
+                                                              coef.q_max, coef.q_max_set)))
     l_nxt = queueing.lyapunov_value(nxt)
-    dpp = queueing.drift_plus_penalty(l_state, l_nxt, p_total, s.lyapunov_v)
-    bound = queueing.drift_penalty_bound(state, sol.mu_local, sol.mu_edge, sol.alloc.u_edge,
-                                         arrivals, p_total, cfg, caps, terms, k)
+    dpp = queueing.drift_plus_penalty(l_state, l_nxt, p_total, cfg.system.lyapunov_v)
+    bound = queueing.drift_penalty_bound(queues, served, inflow, p_total, cfg, caps, terms, k)
     return nxt, l_nxt, powers, dpp, bound
 
 
@@ -267,6 +265,8 @@ class SlotBlock(channel.ChannelDraw):
 class Simulation:
     """One run: a config, a policy source, a seed, and the slot loop."""
 
+    q_local, q_edge, z_local, z_edge = map(queue_row, range(4))   # rows of `queues`
+
     def __init__(self, cfg: SystemConfig, policy_spec: str, seed: int):
         problems = validate_config(cfg)
         if problems:
@@ -280,10 +280,7 @@ class Simulation:
         self.geometry = channel.place_devices(cfg, channel.run_rng(seed, STREAM_PLACEMENT))
         self.caps = queueing.rate_caps(cfg)
 
-        self.q_local = np.zeros(n)
-        self.q_edge = np.zeros(n)
-        self.z_local = np.zeros(n)
-        self.z_edge = np.zeros(n)
+        self.queues = np.zeros((4, n))   # rows q_local, q_edge, z_local, z_edge
         self.lyapunov = 0.0   # `queueing.lyapunov_value` of the queues above
         self.block: Optional[SlotBlock] = None   # see `channels`
         self.block_start = 0
@@ -376,10 +373,10 @@ class Simulation:
         """Advance one slot: read channels, decide, execute, update queues."""
         cfg = self.cfg
         block, k = self.channels(t)
+        queues = self.queues
         state = SlotState(h2_edge=block.h2_edge[k], h2_cloud=block.h2_cloud[k],
                           edge_cap=block.edge_cap[k], cloud_cap=block.cloud_cap[k],
-                          q_local=self.q_local, q_edge=self.q_edge,
-                          z_local=self.z_local, z_edge=self.z_edge)
+                          queues=queues)
         state.check()
 
         chosen, sol, g_value = self._choose(
@@ -394,10 +391,7 @@ class Simulation:
             log.bound_violations += 1
 
         log.arrivals[t] = arrivals
-        log.q_local[t] = self.q_local
-        log.q_edge[t] = self.q_edge
-        log.z_local[t] = self.z_local
-        log.z_edge[t] = self.z_edge
+        log.q_local[t], log.q_edge[t], log.z_local[t], log.z_edge[t] = queues
         log.u_edge[t] = sol.alloc.u_edge
         log.u_cloud[t] = sol.alloc.u_cloud
         log.mu_local[t] = sol.mu_local
@@ -413,10 +407,7 @@ class Simulation:
         log.policy_edge[t] = e_key
         log.policy_cloud[t] = c_key
 
-        self.q_local = nxt.q_local
-        self.q_edge = nxt.q_edge
-        self.z_local = nxt.z_local
-        self.z_edge = nxt.z_edge
+        self.queues = nxt
         self.lyapunov = l_nxt
 
 

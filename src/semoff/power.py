@@ -189,7 +189,8 @@ _LN2 = float(np.log(2.0))
 
 class Coefficients:
     """The scalar operands of the rate and power formulas above and of the
-    solver stages in `critic`, for one config, each an `operand` computed as
+    solver stages in `critic` (and the queue caps as columns over the real
+    queues), for one config, each an `operand` computed as
     the formula computed it inline (the same float64 operations in the same
     order), so every result keeps its bits. `SystemConfig.coefficients`
     builds one per config object, on first use."""
@@ -240,6 +241,14 @@ class Coefficients:
         # the stationary points' denominators
         self.local_clock_den = operand(3.0 * v * s.task_flops_total * s.alpha_local)
         self.edge_clock_den = operand(3.0 * v * s.task_flops_decode * s.alpha_edge_weighted)
+        # `engine.step` and `queueing.drift_penalty_bound`: per real queue
+        # (local row, then edge row) the mean-queue cap, whether it is set,
+        # and the cap squared, as read-only (2, 1) columns; 0.0 where unset
+        columns = np.array([(0.0, 0.0, 0.0) if c is None else (c, 1.0, c ** 2)
+                            for c in (s.q_max_local, s.q_max_edge)])
+        self.q_max_set = columns[:, 1:2] > 0.0
+        columns.flags.writeable = self.q_max_set.flags.writeable = False
+        self.q_max, self.q_max_sq = columns[:, :1], columns[:, 2:]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +258,7 @@ class Coefficients:
 def total_power(sol: Solution) -> tuple[float, float, float, float, float]:
     """The four power components of a policy's solution (local, edge, edge
     transmit, cloud transmit), each summed over devices, and their total,
-    added in that order."""
-    sums = [float(p.sum()) for p in (sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud)]
-    p_total = sums[0] + sums[1] + sums[2] + sums[3]
-    return (*sums, p_total)
+    added in that order. The components are summed as the rows of one (4, I)
+    array; a C-contiguous row sum is the 1-D sum."""
+    sums = np.array((sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud)).sum(axis=1).tolist()
+    return (*sums, sums[0] + sums[1] + sums[2] + sums[3])

@@ -1,58 +1,75 @@
 """Queue dynamics, virtual queues, Lyapunov drift, and the drift bound.
 
-All update operators are pure and work elementwise on scalars or arrays.
-Ordering within a slot: observe -> decide -> execute -> update real queues
--> update virtual queues (the virtual update consumes the post-slot real
-queue values).
+The update operators are pure and work elementwise. A run holds its four
+queues as the rows of one (4, I) array (`SlotState.queues`): q_local,
+q_edge, z_local, z_edge. The local and edge queues follow the same law, so
+`engine.step` updates both real queues in one call on the stacked (2, I)
+rows, then both virtual queues in one call against a (2, 1) cap column; the
+Lyapunov value and the drift bound read the same row pairs. Ordering within
+a slot: observe -> decide -> execute -> update real queues -> update virtual
+queues (the virtual update consumes the post-slot real queue values).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .config import SlotState, SystemConfig
+from .config import SystemConfig
 from . import power
+from .power import ZERO
+
+# the update arguments' names, per row of the stacked real queues
+_LOCAL_NAMES = ("q", "mu", "arrivals")
+_EDGE_NAMES = ("q", "mu_edge", "u_edge")
 
 
-def _require_nonneg(**values) -> None:
-    """Raise ValueError naming the first argument with a negative entry. One
-    fused test; fmin skips NaN, so a NaN cannot hide a negative elsewhere."""
-    a, b, c = values.values()
-    if (np.fmin(np.fmin(a, b), c) < 0).any():
-        name = next(k for k, v in values.items() if (np.asarray(v) < 0).any())
-        raise ValueError(f"{name} must be >= 0")
+def _require_nonneg(names, q, served, inflow) -> None:
+    """Raise ValueError naming the first argument with a negative entry (on
+    (2, I) rows stacked local then edge, by the local names, then the edge
+    ones). One fused test; fmin skips NaN, so a NaN cannot hide a negative."""
+    if (np.fmin(np.fmin(q, served), inflow) < 0).any():
+        rows = (names, _EDGE_NAMES) if np.ndim(q) == 2 else (names,)
+        values = [np.atleast_2d(v) for v in np.broadcast_arrays(q, served, inflow)]
+        for r, row_names in enumerate(rows):
+            for name, v in zip(row_names, values):
+                if (v[r] < 0).any():
+                    raise ValueError(f"{name} must be >= 0")
 
 
 def update_local_queue(q, mu, arrivals):
-    """Next local queue: unserved backlog plus fresh arrivals."""
-    _require_nonneg(q=q, mu=mu, arrivals=arrivals)
-    return np.maximum(q - mu, 0.0) + arrivals
+    """Next local queue: unserved backlog plus fresh arrivals. The edge queue
+    follows the same law, so `engine.step` updates both at once on (2, I)
+    rows stacked local then edge."""
+    _require_nonneg(_LOCAL_NAMES, q, mu, arrivals)
+    return np.maximum(q - mu, ZERO) + arrivals
 
 
 def update_edge_queue(q, mu_edge, u_edge):
     """Next edge queue: undecoded backlog plus newly offloaded volume."""
-    _require_nonneg(q=q, mu_edge=mu_edge, u_edge=u_edge)
-    return np.maximum(q - mu_edge, 0.0) + u_edge
+    _require_nonneg(_EDGE_NAMES, q, mu_edge, u_edge)
+    return np.maximum(q - mu_edge, ZERO) + u_edge
 
 
-def update_virtual_queue(z, q_next, q_max: Optional[float]):
+def update_virtual_queue(z, q_next, q_max, bounded=True):
     """Virtual queue absorbing the excess of the real queue over its cap.
 
-    An unbounded cap (None) keeps the virtual queue pinned at zero.
+    An unbounded cap (None, or False in `bounded`) keeps the virtual queue
+    pinned at zero. On stacked rows, `q_max` and `bounded` are columns, one
+    entry per row (`Coefficients.q_max`, `Coefficients.q_max_set`).
     """
     if q_max is None:
-        return np.zeros(np.shape(z))
-    return np.maximum(z + q_next - q_max, 0.0)
+        q_max, bounded = ZERO, False
+    return np.where(bounded, np.maximum(z + q_next - q_max, ZERO), ZERO)
 
 
-def lyapunov_value(state: SlotState) -> float:
-    """Quadratic energy of the total backlog (real plus virtual queues)."""
-    return 0.5 * float((state.q_local ** 2).sum() + (state.q_edge ** 2).sum()
-                       + (state.z_local ** 2).sum() + (state.z_edge ** 2).sum())
+def lyapunov_value(queues: np.ndarray) -> float:
+    """Quadratic energy of the total backlog: half the sum of squares of a
+    (4, I) queue array, summed row by row and the row sums in row order."""
+    q_l, q_e, z_l, z_e = (queues ** 2).sum(axis=1).tolist()
+    return 0.5 * (q_l + q_e + z_l + z_e)
 
 
 def drift_plus_penalty(l_t: float, l_t1: float, power_w: float, v: float) -> float:
@@ -68,6 +85,7 @@ class RateCaps:
     u_encode: float   # edge offloading at the full device clock
     mu_edge: float    # edge decoding at the full server clock
     arrivals: float   # high quantile of the per-slot Poisson arrivals
+    b3: float         # `drift_penalty_bound`'s edge-rate constant
 
 
 def poisson_quantile(q: float, mean: float) -> int:
@@ -98,30 +116,42 @@ def poisson_quantile(q: float, mean: float) -> int:
 
 
 def rate_caps(cfg: SystemConfig, quantile: float = 0.9999) -> RateCaps:
+    s = cfg.system
+    u_encode = float(power.encode_rate(s.f_local_max, cfg))
+    mu_edge = float(power.edge_exec_rate(s.f_edge_max, cfg))
     return RateCaps(
-        u_local=float(power.local_exec_rate(cfg.system.f_local_max, cfg)),
-        u_encode=float(power.encode_rate(cfg.system.f_local_max, cfg)),
-        mu_edge=float(power.edge_exec_rate(cfg.system.f_edge_max, cfg)),
+        u_local=float(power.local_exec_rate(s.f_local_max, cfg)),
+        u_encode=u_encode,
+        mu_edge=mu_edge,
         arrivals=float(poisson_quantile(quantile, cfg.mean_arrivals_per_slot)),
+        b3=0.5 * s.num_devices * (mu_edge ** 2 + u_encode ** 2),
     )
 
 
 def bound_terms(cloud_cap, arrivals, cfg: SystemConfig, caps: RateCaps) -> tuple:
     """`drift_penalty_bound`'s queue-free terms for (slots, I) cloud caps and
-    arrivals: b1, and with a local queue cap mu_l_cap**2 + arrivals**2 and
-    mu_l_cap * q_max_local (else None). Row k has the bits of slot k alone:
-    elementwise operations, and a C-contiguous row sum is the 1-D sum."""
+    arrivals: b1, and with a queue cap set three (slots, 2, I) arrays over
+    the local and edge rows (else None): the squared rate caps, the rate
+    caps times the queue caps (0.0 where unset) and the backlog factors
+    (arrivals, u_e_cap). Row k has the bits of slot k alone: elementwise
+    operations, and a C-contiguous row sum is the 1-D sum."""
     mu_l_cap = caps.u_local + caps.u_encode + cloud_cap
     b1 = 0.5 * (mu_l_cap ** 2 + np.maximum(caps.arrivals, arrivals) ** 2).sum(axis=1)
-    q_max_l = cfg.system.q_max_local
-    if q_max_l is None:
-        return b1, None, None
-    return b1, mu_l_cap ** 2 + arrivals ** 2, mu_l_cap * q_max_l
+    q_max_l, q_max_e = cfg.system.q_max_local, cfg.system.q_max_edge
+    if q_max_l is None and q_max_e is None:
+        return b1, None, None, None
+    shape = (len(arrivals), 2, arrivals.shape[1])
+    rate_sq, rate_cap, factor = np.empty(shape), np.empty(shape), np.empty(shape)
+    rate_sq[:, 0], rate_sq[:, 1] = mu_l_cap ** 2, caps.mu_edge ** 2
+    rate_cap[:, 0] = 0.0 if q_max_l is None else mu_l_cap * q_max_l
+    rate_cap[:, 1] = 0.0 if q_max_e is None else caps.mu_edge * q_max_e
+    factor[:, 0], factor[:, 1] = arrivals, caps.u_encode
+    return b1, rate_sq, rate_cap, factor
 
 
-def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
-                        arrivals, power_w: float, cfg: SystemConfig,
-                        caps: RateCaps, terms: tuple, k: int) -> float:
+def drift_penalty_bound(queues: np.ndarray, served: np.ndarray, inflow: np.ndarray,
+                        power_w: float, cfg: SystemConfig, caps: RateCaps,
+                        terms: tuple, k: int) -> float:
     """Upper bound on the realised drift-plus-penalty for one transition.
 
     Assembled from the four per-queue drift bounds: the squared-rate
@@ -130,36 +160,36 @@ def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
     respect the queue-backlog constraints (mu_local <= q_local,
     mu_edge <= q_edge), which the solvers guarantee.
 
+    Takes the slot's (4, I) queues and the (2, I) served volumes and
+    inflows; each term runs once on the local and edge rows together.
+
     Poisson arrivals have no a-priori maximum, so the arrival cap is the
     configured high quantile, widened to the realised draw whenever a slot
     exceeds it; the cloud-offload cap depends on the slot's channel. Both
     enter only the queue-free terms, computed per block of slots: the slot
     is row k of `terms`, its block's `bound_terms`.
     """
-    q_l, z_l = state.q_local, state.z_local
-    q_e, z_e = state.q_edge, state.z_edge
-    v = cfg.system.lyapunov_v
-    b1, local_sq, local_cap = terms
-    u_e_cap = caps.u_encode
-    mu_e_cap = caps.mu_edge
-
-    b3 = 0.5 * len(q_e) * (mu_e_cap ** 2 + u_e_cap ** 2)
+    real, virtual = queues[:2], queues[2:]
+    b1, rate_sq, rate_cap, factor = terms
+    # per real queue: the linear backlog term, then with a queue cap its
+    # squared-rate term and its cross term; all row sums in one call
+    parts = [(real + virtual) * (served - inflow)]
+    if rate_sq is not None:
+        c = cfg.coefficients
+        parts += [0.5 * (rate_sq[k] + inflow ** 2 + real ** 2 + c.q_max_sq) + rate_cap[k]
+                  + factor[k] * real,
+                  virtual * (real - c.q_max)]
+    sums = np.concatenate(parts).sum(axis=1).tolist()
 
     b2 = 0.0
     b4 = 0.0
     cross = 0.0
-    q_max_l = cfg.system.q_max_local
-    q_max_e = cfg.system.q_max_edge
-    if q_max_l is not None:
-        b2 = float((0.5 * (local_sq[k] + q_l ** 2 + q_max_l ** 2) + local_cap[k]
-                    + arrivals * q_l).sum())
-        cross += float((z_l * (q_l - q_max_l)).sum())
-    if q_max_e is not None:
-        b4 = float((0.5 * (mu_e_cap ** 2 + u_edge ** 2 + q_e ** 2 + q_max_e ** 2)
-                    + mu_e_cap * q_max_e + u_e_cap * q_e).sum())
-        cross += float((z_e * (q_e - q_max_e)).sum())
+    if cfg.system.q_max_local is not None:
+        b2 = sums[2]
+        cross += sums[4]
+    if cfg.system.q_max_edge is not None:
+        b4 = sums[3]
+        cross += sums[5]
 
-    b_hat = float(b1[k] + b2 + b3 + b4 + cross)
-    linear = float(((q_l + z_l) * (mu_local - arrivals)).sum()
-                   + ((q_e + z_e) * (mu_edge - u_edge)).sum())
-    return b_hat - linear + v * power_w
+    b_hat = float(b1[k] + b2 + caps.b3 + b4 + cross)
+    return b_hat - (sums[0] + sums[1]) + cfg.system.lyapunov_v * power_w

@@ -31,13 +31,40 @@ class CriticResult:
     power_terms: np.ndarray   # v * (all four power components)
 
 
+def weights(state: SlotState) -> np.ndarray:
+    """The (2, I) queue weights q + z, local row then edge row."""
+    return state.queues[:2] + state.queues[2:]
+
+
+# The four solver stages from the state alone: each computes the shared
+# inputs that `critic.device_g_table` computes once and hands the stages.
+
+def solve_edge_volume(state: SlotState, edge_mask, cfg: SystemConfig) -> np.ndarray:
+    return critic.solve_edge_volume(state, weights(state)[0], edge_mask, cfg)
+
+
+def solve_cloud_volume(state: SlotState, cloud_mask, u_edge, cfg: SystemConfig) -> np.ndarray:
+    return critic.solve_cloud_volume(state, np.maximum(weights(state)[0], 0.0),
+                                     state.q_local - u_edge, cloud_mask, cfg)
+
+
+def solve_local_frequency(state: SlotState, u_edge, u_cloud, cfg: SystemConfig) -> np.ndarray:
+    return critic.solve_local_frequency(np.maximum(weights(state)[0], 0.0),
+                                        power.encode_frequency(u_edge, cfg),
+                                        state.q_local - u_edge - u_cloud, cfg)
+
+
+def solve_edge_frequency(state: SlotState, cfg: SystemConfig) -> np.ndarray:
+    return critic.solve_edge_frequency(state, np.maximum(weights(state)[1], 0.0), cfg)
+
+
 def assemble_allocation(state: SlotState, edge_mask: np.ndarray,
                         cloud_mask: np.ndarray, cfg: SystemConfig) -> Allocation:
     """Run the four solver stages in sequence for one policy."""
-    u_edge = critic.solve_edge_volume(state, edge_mask, cfg)
-    u_cloud = critic.solve_cloud_volume(state, cloud_mask, u_edge, cfg)
-    f_local = critic.solve_local_frequency(state, u_edge, u_cloud, cfg)
-    f_edge = critic.solve_edge_frequency(state, cfg)
+    u_edge = solve_edge_volume(state, edge_mask, cfg)
+    u_cloud = solve_cloud_volume(state, cloud_mask, u_edge, cfg)
+    f_local = solve_local_frequency(state, u_edge, u_cloud, cfg)
+    f_edge = solve_edge_frequency(state, cfg)
     return Allocation(u_edge=u_edge, u_cloud=u_cloud, f_local=f_local,
                       f_encode=np.asarray(power.encode_frequency(u_edge, cfg)),
                       f_edge=f_edge)
@@ -89,7 +116,7 @@ def evaluate_policy(policy: Policy, state: SlotState,
     alloc = assemble_allocation(state, policy.rho_edge.astype(bool),
                                 policy.rho_cloud.astype(bool), cfg)
     local_terms, edge_terms, power_terms = critic.g_terms(
-        rates_and_powers(alloc, policy, state, cfg), state, cfg)
+        rates_and_powers(alloc, policy, state, cfg), weights(state), cfg)
     g_value = float(np.sum(local_terms + edge_terms + power_terms))
     return CriticResult(alloc=alloc, g_value=g_value, local_terms=local_terms,
                         edge_terms=edge_terms, power_terms=power_terms)
@@ -123,5 +150,5 @@ def evaluate_g(alloc, policy, state, cfg):
     """Exact per-slot objective of a feasible allocation (error if infeasible)."""
     check_allocation(alloc, policy, state, cfg)
     local_terms, edge_terms, power_terms = critic.g_terms(
-        rates_and_powers(alloc, policy, state, cfg), state, cfg)
+        rates_and_powers(alloc, policy, state, cfg), weights(state), cfg)
     return float(np.sum(local_terms + edge_terms + power_terms))

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import per_policy
 from semoff import actor, channel, critic, engine, oracle
 from semoff.cli import main as cli_main
 from semoff.config import Policy, SystemConfig, SystemParams
@@ -139,10 +140,10 @@ def test_criterion_02_solver_oracle_equivalence(capsys):
     for _ in range(1000):
         st = _random_state(rng, CFG, geom)
         pol = oracle.random_policy(rng, 8, 4, 2)
-        u_e = critic.solve_edge_volume(st, pol.rho_edge, CFG)
-        u_c = critic.solve_cloud_volume(st, pol.rho_cloud, u_e, CFG)
-        f_l = critic.solve_local_frequency(st, u_e, u_c, CFG)
-        f_e = critic.solve_edge_frequency(st, CFG)
+        u_e = per_policy.solve_edge_volume(st, pol.rho_edge, CFG)
+        u_c = per_policy.solve_cloud_volume(st, pol.rho_cloud, u_e, CFG)
+        f_l = per_policy.solve_local_frequency(st, u_e, u_c, CFG)
+        f_e = per_policy.solve_edge_frequency(st, CFG)
         for i in range(8):
             specs = _stage_specs(st, i, u_e[i], u_c[i])
             values = [u_e[i], u_c[i], f_l[i], f_e[i]]

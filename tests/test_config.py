@@ -120,8 +120,9 @@ def test_slot_state_check():
         state.check()
     for name in ("z_edge", "edge_cap", "cloud_cap"):
         short = initial()
-        setattr(short, name, getattr(short, name)[:3])
+        # refused by the check, or for a queue row as soon as it is set
         with pytest.raises(ValueError, match=name):
+            setattr(short, name, getattr(short, name)[:3])
             short.check()
     for name, value in (("q_edge", np.nan), ("z_local", -1e-12),
                         ("z_edge", np.inf), ("q_local", -np.inf)):

@@ -48,7 +48,7 @@ def test_edge_volume_stationary_and_caps():
     # backlog differential 10 with a huge local queue: the power-capped
     # semantic volume (just under tau*b*eps_ceiling/(S*k) = 10.2604) binds
     st = _state(50.0, 40.0)
-    u = critic.solve_edge_volume(st, ALL, CFG)
+    u = per_policy.solve_edge_volume(st, ALL, CFG)
     stationary = math.sqrt((TAU * N_L / L_EN) ** 3 * 10.0 / (3 * 2 * ALPHA_L))
     assert stationary == pytest.approx(11.9652, abs=1e-3)
     cap = TAU * B_E * 0.985 / 240.0
@@ -56,25 +56,25 @@ def test_edge_volume_stationary_and_caps():
     assert u[0] < cap
     # the local queue clamps when it is the smallest bound
     st2 = _state(0.5)
-    assert critic.solve_edge_volume(st2, ALL, CFG)[0] == pytest.approx(0.5)
+    assert per_policy.solve_edge_volume(st2, ALL, CFG)[0] == pytest.approx(0.5)
 
 
 def test_edge_volume_zero_when_differential_nonpositive():
     st = _state(3.0, 4.0)  # q_e > q_l
-    assert np.all(critic.solve_edge_volume(st, ALL, CFG) == 0.0)
+    assert np.all(per_policy.solve_edge_volume(st, ALL, CFG) == 0.0)
     st_eq = _state(3.0, 3.0)
-    assert np.all(critic.solve_edge_volume(st_eq, ALL, CFG) == 0.0)
+    assert np.all(per_policy.solve_edge_volume(st_eq, ALL, CFG) == 0.0)
 
 
 def test_edge_volume_respects_association_mask():
     st = _state(10.0)
     mask = np.zeros(8, dtype=bool)
-    assert np.all(critic.solve_edge_volume(st, mask, CFG) == 0.0)
+    assert np.all(per_policy.solve_edge_volume(st, mask, CFG) == 0.0)
 
 
 def test_cloud_volume_stationary_and_cap():
     st = _state(8.0)
-    u = critic.solve_cloud_volume(st, ALL, np.zeros(8), CFG)
+    u = per_policy.solve_cloud_volume(st, ALL, np.zeros(8), CFG)
     h2 = 10 ** (-116.8 / 10)
     stationary = (TAU * B_C / 400.0) * math.log2(
         8.0 * TAU * h2 / (math.log(2) * 2 * 400.0 * NOISE))
@@ -82,36 +82,36 @@ def test_cloud_volume_stationary_and_cap():
     assert stationary == pytest.approx(10.13, abs=0.01)
     assert u[0] == pytest.approx(cap, rel=1e-12)
     # zero weight and empty queue cases
-    assert np.all(critic.solve_cloud_volume(_state(0.0), ALL, np.zeros(8), CFG) == 0.0)
+    assert np.all(per_policy.solve_cloud_volume(_state(0.0), ALL, np.zeros(8), CFG) == 0.0)
     st3 = _state(2.0)
-    u3 = critic.solve_cloud_volume(st3, ALL, np.full(8, 2.0), CFG)
+    u3 = per_policy.solve_cloud_volume(st3, ALL, np.full(8, 2.0), CFG)
     assert np.all(u3 == 0.0)  # nothing left after the edge volume
 
 
 def test_local_frequency_stationary_and_clamps():
     st = _state(10.0)
-    f = critic.solve_local_frequency(st, np.zeros(8), np.zeros(8), CFG)
+    f = per_policy.solve_local_frequency(st, np.zeros(8), np.zeros(8), CFG)
     expected = math.sqrt(TAU * 10.0 * N_L / (3 * 2 * L_TOT * ALPHA_L))
     assert f[0] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(3.5054e8, rel=1e-3)
     # tiny remaining backlog binds the queue clamp
     st2 = _state(0.1)
-    f2 = critic.solve_local_frequency(st2, np.zeros(8), np.zeros(8), CFG)
+    f2 = per_policy.solve_local_frequency(st2, np.zeros(8), np.zeros(8), CFG)
     assert f2[0] == pytest.approx(0.1 * L_TOT / (TAU * N_L), rel=1e-12)
-    assert np.all(critic.solve_local_frequency(_state(0.0), np.zeros(8), np.zeros(8), CFG) == 0.0)
+    assert np.all(per_policy.solve_local_frequency(_state(0.0), np.zeros(8), np.zeros(8), CFG) == 0.0)
 
 
 def test_edge_frequency_stationary_and_clamps():
     st = _state(0.0, 3.0)
-    f = critic.solve_edge_frequency(st, CFG)
+    f = per_policy.solve_edge_frequency(st, CFG)
     queue_clamp = 3.0 * L_DE / (TAU * N_E)
     stationary = math.sqrt(TAU * 3.0 * N_E / (3 * 2 * L_DE * ALPHA_E))
     assert stationary == pytest.approx(4.6447e8, rel=1e-3)
     assert f[0] == pytest.approx(queue_clamp, rel=1e-12)
     assert queue_clamp == pytest.approx(1.5625e8, rel=1e-12)
-    assert np.all(critic.solve_edge_frequency(_state(0.0), CFG) == 0.0)
+    assert np.all(per_policy.solve_edge_frequency(_state(0.0), CFG) == 0.0)
     st_big = _state(0.0, 1000.0)
-    assert critic.solve_edge_frequency(st_big, CFG)[0] == pytest.approx(1.41e9)
+    assert per_policy.solve_edge_frequency(st_big, CFG)[0] == pytest.approx(1.41e9)
 
 
 def test_solver_outputs_shrink_with_larger_v():
@@ -126,14 +126,14 @@ def test_solver_outputs_shrink_with_larger_v():
         for lo, hi in ((0.5, 2.0), (2.0, 8.0)):
             cfg_lo = replace(CFG, system=replace(CFG.system, lyapunov_v=lo))
             cfg_hi = replace(CFG, system=replace(CFG.system, lyapunov_v=hi))
-            assert np.all(critic.solve_edge_volume(st, ALL, cfg_hi)
-                          <= critic.solve_edge_volume(st, ALL, cfg_lo) + 1e-12)
-            assert np.all(critic.solve_cloud_volume(st, ALL, zeros, cfg_hi)
-                          <= critic.solve_cloud_volume(st, ALL, zeros, cfg_lo) + 1e-12)
-            assert np.all(critic.solve_local_frequency(st, zeros, zeros, cfg_hi)
-                          <= critic.solve_local_frequency(st, zeros, zeros, cfg_lo) + 1e-12)
-            assert np.all(critic.solve_edge_frequency(st, cfg_hi)
-                          <= critic.solve_edge_frequency(st, cfg_lo) + 1e-12)
+            assert np.all(per_policy.solve_edge_volume(st, ALL, cfg_hi)
+                          <= per_policy.solve_edge_volume(st, ALL, cfg_lo) + 1e-12)
+            assert np.all(per_policy.solve_cloud_volume(st, ALL, zeros, cfg_hi)
+                          <= per_policy.solve_cloud_volume(st, ALL, zeros, cfg_lo) + 1e-12)
+            assert np.all(per_policy.solve_local_frequency(st, zeros, zeros, cfg_hi)
+                          <= per_policy.solve_local_frequency(st, zeros, zeros, cfg_lo) + 1e-12)
+            assert np.all(per_policy.solve_edge_frequency(st, cfg_hi)
+                          <= per_policy.solve_edge_frequency(st, cfg_lo) + 1e-12)
 
 
 def test_unassociated_device_local_clock_is_per_slot_optimum():
@@ -156,7 +156,7 @@ def test_unassociated_device_local_clock_is_per_slot_optimum():
 
         sol, _ = critic.evaluate_policy(unassociated, st, cfg)
         f = sol.alloc.f_local[0]
-        local_terms, edge_terms, power_terms = critic.g_terms(sol, st, cfg)
+        local_terms, edge_terms, power_terms = critic.g_terms(sol, per_policy.weights(st), cfg)
         g_critic = local_terms[0] + edge_terms[0] + power_terms[0]
         assert g_critic == pytest.approx(device_g(f), rel=1e-12)
         assert device_g(f) <= np.min(device_g(grid)) + 1e-12
@@ -540,10 +540,10 @@ def test_stage_grid_dominance():
     for _ in range(60):
         st = _random_state(np.random.default_rng(rng.integers(1 << 30)), CFG, geom)
         pol = oracle.random_policy(rng, 8, 4, 2)
-        u_e = critic.solve_edge_volume(st, pol.rho_edge, CFG)
-        u_c = critic.solve_cloud_volume(st, pol.rho_cloud, u_e, CFG)
-        f_l = critic.solve_local_frequency(st, u_e, u_c, CFG)
-        f_e = critic.solve_edge_frequency(st, CFG)
+        u_e = per_policy.solve_edge_volume(st, pol.rho_edge, CFG)
+        u_c = per_policy.solve_cloud_volume(st, pol.rho_cloud, u_e, CFG)
+        f_l = per_policy.solve_local_frequency(st, u_e, u_c, CFG)
+        f_e = per_policy.solve_edge_frequency(st, CFG)
         for i in range(8):
             stages = _stage_objectives(st, CFG, u_e, u_c, i)
             solutions = [u_e[i], u_c[i], f_l[i], f_e[i]]
@@ -563,10 +563,10 @@ def test_random_allocation_never_beats_stage_solution():
     for _ in range(40):
         st = _random_state(np.random.default_rng(rng.integers(1 << 30)), CFG, geom)
         pol = oracle.random_policy(rng, 8, 4, 2)
-        u_e = critic.solve_edge_volume(st, pol.rho_edge, CFG)
-        u_c = critic.solve_cloud_volume(st, pol.rho_cloud, u_e, CFG)
-        f_l = critic.solve_local_frequency(st, u_e, u_c, CFG)
-        f_e = critic.solve_edge_frequency(st, CFG)
+        u_e = per_policy.solve_edge_volume(st, pol.rho_edge, CFG)
+        u_c = per_policy.solve_cloud_volume(st, pol.rho_cloud, u_e, CFG)
+        f_l = per_policy.solve_local_frequency(st, u_e, u_c, CFG)
+        f_e = per_policy.solve_edge_frequency(st, CFG)
         for i in range(8):
             stages = _stage_objectives(st, CFG, u_e, u_c, i)
             active = [bool(pol.rho_edge[i]), bool(pol.rho_cloud[i]), True, True]
@@ -604,8 +604,8 @@ def test_volume_stages_raise_no_floating_point_error(data, n):
     edge, cloud = arr(hs.booleans()), arr(hs.booleans())
     with np.errstate(all="raise"):
         state = channel.slot_state(CFG, h2_edge, h2_cloud, *queues)
-        u_edge = critic.solve_edge_volume(state, edge, CFG)
-        u_cloud = critic.solve_cloud_volume(state, cloud, u_edge, CFG)
+        u_edge = per_policy.solve_edge_volume(state, edge, CFG)
+        u_cloud = per_policy.solve_cloud_volume(state, cloud, u_edge, CFG)
     for u, mask in ((u_edge, edge), (u_cloud, cloud)):
         assert np.all(np.isfinite(u)) and np.all(u >= 0)
         assert np.all(u[~mask] == 0)

@@ -240,11 +240,11 @@ def test_step_guard_tolerates_rounding_only():
                                mu_edge=np.full(n, mu_edge), p_local=zeros, p_edge=zeros,
                                p_tx_edge=zeros, p_tx_cloud=zeros)
 
-    l_state = queueing.lyapunov_value(state)
+    l_state = queueing.lyapunov_value(state.queues)
     terms = queueing.bound_terms(state.cloud_cap[None], zeros[None], CFG, caps)   # one slot
     nxt, _, powers, _, _ = engine.step(state, l_state, solution(3.0 + 3.5e-9, 2.0 + 2.5e-9),
                                        zeros, CFG, caps, terms, 0)
-    assert np.all(nxt.q_local == 0.0) and np.all(nxt.q_edge == 0.0)
+    assert np.all(nxt[:2] == 0.0)   # the next q_local and q_edge rows
     assert powers == (0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(critic.FeasibilityError, match="local backlog"):
         engine.step(state, l_state, solution(3.0 + 5e-9, 2.0), zeros, CFG, caps, terms, 0)
@@ -398,6 +398,33 @@ def test_metrics_csv_bytes_pinned_at_other_shapes(policy, devices, chi_e, chi_c,
     log.to_csv(tmp_path / "metrics.csv")
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == PINNED_SHAPE_METRICS_SHA256[policy, devices, chi_e, chi_c]
+
+
+# sha256 of metrics.csv after 300 slots, seed 1, scenario 1's arrivals with
+# one queue cap set and the other unbounded, so one virtual queue moves and
+# the other stays at zero; recorded before the queues were held in one (4, I)
+# array.
+PINNED_MIXED_CAP_METRICS_SHA256 = {
+    ("exhaustive", 8, 5.0, None): "6d25317cd876ef65017f26b6417eab96486df2958668c06a90585b5838491b69",
+    ("exhaustive", 8, None, 1.0): "365707cad628bdf937a52579f3298ebe480a3327e923f8af99da524c9c10cfb3",
+    ("drlh:8", 13, 5.0, None): "02322429dcdb9220dbeffdb43f5316e676fdb71fb95ebfa72ee68a192d437dcb",
+    ("drlh:8", 13, None, 1.0): "3ecb906e93aa5874c59fa06b8d52c67b08a0491f25f99523736edfbb7f572c74",
+}
+
+
+@pytest.mark.parametrize("policy,devices,q_max_local,q_max_edge",
+                         list(PINNED_MIXED_CAP_METRICS_SHA256))
+def test_metrics_csv_bytes_pinned_with_one_queue_cap(policy, devices, q_max_local,
+                                                     q_max_edge, tmp_path):
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=devices))
+    sc = engine.Scenario(name="mixed", policy=policy, seed=1, q_max_local=q_max_local,
+                         q_max_edge=q_max_edge, total_slots=300)
+    log = engine.run_scenario(cfg, sc)
+    assert log.z_local.any() == (q_max_local is not None)
+    assert log.z_edge.any() == (q_max_edge is not None)
+    log.to_csv(tmp_path / "metrics.csv")
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_MIXED_CAP_METRICS_SHA256[policy, devices, q_max_local, q_max_edge]
 
 
 def _single_slot_draw(sim, t):

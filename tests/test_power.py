@@ -323,8 +323,8 @@ def test_total_power_of_the_solution_is_the_logged_power(policy):
         block, k = sim.channels(t)
         state = SlotState(h2_edge=block.h2_edge[k], h2_cloud=block.h2_cloud[k],
                           edge_cap=block.edge_cap[k], cloud_cap=block.cloud_cap[k],
-                          q_local=log.q_local[t], q_edge=log.q_edge[t],
-                          z_local=log.z_local[t], z_edge=log.z_edge[t])
+                          queues=np.array((log.q_local[t], log.q_edge[t],
+                                           log.z_local[t], log.z_edge[t])))
         pol = Policy(rho_edge=(log.policy_edge[t] & bits) > 0,
                      rho_cloud=(log.policy_cloud[t] & bits) > 0)
         sol, g = critic.evaluate_policy(pol, state, cfg)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_queue
 from semoff import channel, critic, engine, oracle, queueing
-from semoff.config import SystemConfig
+from semoff.config import QUEUE_ROWS, Allocation, SystemConfig
 
 CFG = SystemConfig()
 
@@ -57,13 +58,13 @@ def _state(q_l, q_e=0.0, z_l=0.0, z_e=0.0, n=1):
 
 
 def test_lyapunov_value_examples():
-    assert queueing.lyapunov_value(_state(0)) == 0.0
-    assert queueing.lyapunov_value(_state(2)) == 2.0
-    assert queueing.lyapunov_value(_state(3, 4)) == 12.5
+    assert queueing.lyapunov_value(_state(0).queues) == 0.0
+    assert queueing.lyapunov_value(_state(2).queues) == 2.0
+    assert queueing.lyapunov_value(_state(3, 4).queues) == 12.5
 
 
 def test_drift_plus_penalty_examples():
-    l_s = queueing.lyapunov_value(_state(2, 1))
+    l_s = queueing.lyapunov_value(_state(2, 1).queues)
     assert queueing.drift_plus_penalty(l_s, l_s, 0.0, 2.0) == 0.0
     assert queueing.drift_plus_penalty(l_s, l_s, 2.0, 2.0) == 4.0
 
@@ -79,8 +80,8 @@ def test_drift_plus_penalty_matches_independent_recompute():
             return 0.5 * (s.q_local[0] ** 2 + s.q_edge[0] ** 2
                           + s.z_local[0] ** 2 + s.z_edge[0] ** 2)
         expected = energy(b) - energy(a) + CFG.system.lyapunov_v * p
-        assert queueing.drift_plus_penalty(queueing.lyapunov_value(a),
-                                           queueing.lyapunov_value(b), p,
+        assert queueing.drift_plus_penalty(queueing.lyapunov_value(a.queues),
+                                           queueing.lyapunov_value(b.queues), p,
                                            CFG.system.lyapunov_v) == \
             pytest.approx(expected, rel=1e-12)
 
@@ -147,8 +148,8 @@ def test_bound_trivial_cases():
     caps = queueing.rate_caps(CFG)
     # a zero cloud offload cap gives the smallest bound
     zero = dataclasses.replace(_state(0, n=8), cloud_cap=np.zeros(8))
-    b = queueing.drift_penalty_bound(zero, np.zeros(8), np.zeros(8), np.zeros(8),
-                                     np.zeros(8), 0.0, CFG, caps,
+    b = queueing.drift_penalty_bound(zero.queues, np.zeros((2, 8)), np.zeros((2, 8)),
+                                     0.0, CFG, caps,
                                      _one_slot_terms(zero, np.zeros(8), CFG, caps), 0)
     assert b >= 0.0
     # one-device hand case: q=1, mu=1, arrivals=1 -> drift 0 <= bound
@@ -156,10 +157,12 @@ def test_bound_trivial_cases():
     mu = np.zeros(8); mu[0] = 1.0
     arr = np.zeros(8); arr[0] = 1.0
     nxt = _state(1, n=8)
-    dpp = queueing.drift_plus_penalty(queueing.lyapunov_value(one),
-                                      queueing.lyapunov_value(nxt), 0.0, CFG.system.lyapunov_v)
-    bound = queueing.drift_penalty_bound(one, mu, np.zeros(8), np.zeros(8),
-                                         arr, 0.0, CFG, caps, _one_slot_terms(one, arr, CFG, caps), 0)
+    dpp = queueing.drift_plus_penalty(queueing.lyapunov_value(one.queues),
+                                      queueing.lyapunov_value(nxt.queues), 0.0,
+                                      CFG.system.lyapunov_v)
+    bound = queueing.drift_penalty_bound(one.queues, np.array((mu, np.zeros(8))),
+                                         np.array((arr, np.zeros(8))), 0.0, CFG, caps,
+                                         _one_slot_terms(one, arr, CFG, caps), 0)
     assert dpp == 0.0
     assert bound >= dpp
 
@@ -173,7 +176,7 @@ def _random_transition(cfg, rng, geom, caps):
     pol = oracle.random_policy(rng, n, cfg.system.chi_edge, cfg.system.chi_cloud)
     sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
     arrivals = rng.poisson(cfg.mean_arrivals_per_slot, n).astype(float)
-    _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state), sol, arrivals,
+    _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state.queues), sol, arrivals,
                                       cfg, caps, _one_slot_terms(state, arrivals, cfg, caps), 0)
     return dpp, bound
 
@@ -258,9 +261,148 @@ def test_block_bound_terms_give_the_per_slot_bound_bit_for_bit(preset, n):
     for t in range(1100):
         block, k = sim.channels(t)
         state = dataclasses.replace(_state(0, n=n), cloud_cap=block.cloud_cap[k],
-                                    q_local=log.q_local[t], q_edge=log.q_edge[t],
-                                    z_local=log.z_local[t], z_edge=log.z_edge[t])
+                                    queues=np.array((log.q_local[t], log.q_edge[t],
+                                                     log.z_local[t], log.z_edge[t])))
         ref = _reference_drift_penalty_bound(state, log.mu_local[t], log.mu_edge[t],
                                              log.u_edge[t], log.arrivals[t],
                                              log.p_total[t], resolved, caps)
         assert log.bound[t].tobytes() == np.float64(ref).tobytes(), t
+
+
+# --- the stacked transition against the per-queue reference ------------------
+
+# (q_max_local, q_max_edge): both caps, neither, and the two mixed cases
+_CAP_MODES = [(5.0, 1.0), (None, None), (5.0, None), (None, 1.0)]
+
+
+def _transition_inputs(n, q_max, rng, queue_modes, served_mode, clock_over=False):
+    """A config with I=n and the given caps, the slot's queues (one mode per
+    row: zero, idle (zero save one device), random, or with a third of the
+    devices zero), served volumes (zero, a fraction of the backlog, all of
+    it, exactly at the guard's 1e-9 tolerance, or one step past it), inflows
+    and a solution carrying them."""
+    cfg = dataclasses.replace(CFG, system=dataclasses.replace(
+        CFG.system, num_devices=n, chi_edge=min(4, n), chi_cloud=min(2, n),
+        arrival_rate_per_sec=100.0, q_max_local=q_max[0], q_max_edge=q_max[1]))
+    queues = []
+    for mode, scale in zip(queue_modes, (15.0, 5.0, 5.0, 3.0)):
+        row = rng.uniform(0, scale, n)
+        if mode == "zero":
+            row[:] = 0.0
+        elif mode == "idle":
+            row[1:] = 0.0
+        elif mode == "sparse":
+            row[rng.random(n) < 1 / 3] = 0.0
+        queues.append(row)
+    real = np.array(queues[:2])
+    if served_mode == "zero":
+        served = np.zeros((2, n))
+    elif served_mode == "fraction":
+        served = real * rng.random((2, n))
+    elif served_mode == "full":
+        served = real.copy()
+    else:   # the guard admits served <= q * (1 + 1e-9) + 1e-9
+        served = real * (1 + 1e-9) + 1e-9
+        if served_mode == "past":
+            served[rng.integers(2), rng.integers(n)] = np.nextafter(served.max(), np.inf)
+    arrivals = rng.poisson(1.0, n).astype(float) * (rng.random(n) < 0.8)
+    u_edge = np.minimum(rng.uniform(0, 3, n) * (rng.random(n) < 0.5), served[0])
+    s = cfg.system
+    f_local = rng.uniform(0, 0.5, n) * s.f_local_max
+    f_edge = rng.uniform(0, 1.0, n) * s.f_edge_max
+    if clock_over:
+        f_edge[rng.integers(n)] = s.f_edge_max * 1.01
+    alloc = Allocation(u_edge=u_edge, u_cloud=np.zeros(n), f_local=f_local,
+                       f_encode=rng.uniform(0, 0.5, n) * s.f_local_max, f_edge=f_edge)
+    sol = critic.Solution(alloc=alloc, mu_local=served[0], mu_edge=served[1],
+                          p_local=rng.uniform(0, 1, n), p_edge=rng.uniform(0, 2, n),
+                          p_tx_edge=rng.uniform(0, 0.1, n), p_tx_cloud=rng.uniform(0, 0.1, n))
+    h2 = rng.uniform(1e-12, 1e-9, (2, n))
+    return cfg, h2, queues, sol, arrivals
+
+
+def _both_steps(cfg, h2, queues, sol, arrivals):
+    """The outcome of the stacked `engine.step` and of the reference on the
+    same slot: (next queues, Lyapunov values, powers, dpp, bound) as arrays,
+    or the error each raised."""
+    caps = queueing.rate_caps(cfg)
+    state = channel.slot_state(cfg, *h2, *queues)
+    ref_state = per_queue.SlotState(state.h2_edge, state.h2_cloud, state.edge_cap,
+                                    state.cloud_cap, *queues)
+    outcomes = []
+    for module, st_, l_state, terms in (
+            (engine, state, queueing.lyapunov_value(state.queues),
+             queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg, caps)),
+            (per_queue, ref_state, per_queue.lyapunov_value(ref_state),
+             per_queue.bound_terms(state.cloud_cap[None], arrivals[None], cfg, caps))):
+        try:
+            nxt, l_nxt, powers, dpp, bound = module.step(st_, l_state, sol, arrivals, cfg,
+                                                         caps, terms, 0)
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+            continue
+        if module is per_queue:
+            nxt = np.array([getattr(nxt, name) for name in QUEUE_ROWS])
+        outcomes.append((nxt, np.array([l_state, l_nxt, *powers, dpp, bound])))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 8, 13, 256]), q_max=st.sampled_from(_CAP_MODES),
+       queue_modes=st.lists(st.sampled_from(["zero", "idle", "random", "sparse"]),
+                            min_size=4, max_size=4),
+       served_mode=st.sampled_from(["zero", "fraction", "full", "tolerance", "past"]),
+       clock_over=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_transition_matches_the_per_queue_reference(n, q_max, queue_modes,
+                                                            served_mode, clock_over, seed):
+    # next queues, both Lyapunov values, the five power sums, the realised
+    # drift-plus-penalty and its bound equal the reference's bit for bit,
+    # and a guard refuses exactly what the reference refuses, with its words
+    inputs = _transition_inputs(n, q_max, np.random.default_rng(seed), queue_modes,
+                                served_mode, clock_over)
+    new, ref = _both_steps(*inputs)
+    if isinstance(ref[0], type):
+        assert new == ref
+        return
+    assert not isinstance(new[0], type), new
+    assert new[0].shape == (4, n) and new[0].flags.c_contiguous
+    assert new[0].tobytes() == ref[0].tobytes()
+    assert new[1].tobytes() == ref[1].tobytes()
+    for row, cap in zip(new[0][2:], q_max):
+        assert cap is not None or not row.any()   # an unbounded row stays at zero
+
+
+@pytest.mark.parametrize("value", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("field", list(QUEUE_ROWS) + ["mu_local", "mu_edge", "arrivals",
+                                                      "u_edge"])
+def test_bad_entries_are_refused_as_before(field, value):
+    # a NaN, -1 or +inf in any queue row fails the state check with the
+    # row's name; in any queue row, served volume or inflow, the stacked
+    # step ends as the reference does (the same error, or the same values)
+    cfg, h2, queues, sol, arrivals = _transition_inputs(
+        8, (5.0, 1.0), np.random.default_rng(11), ["random"] * 4, "fraction")
+    if field in QUEUE_ROWS:
+        queues[QUEUE_ROWS.index(field)][3] = value
+        state = channel.slot_state(cfg, *h2, *queues)
+        with pytest.raises(ValueError, match=f"^SlotState.{field}: queues must be finite"):
+            state.check()
+    elif field == "arrivals":
+        arrivals[3] = value
+    elif field == "u_edge":
+        sol.alloc.u_edge[3] = value
+    else:
+        getattr(sol, field)[3] = value
+    with np.errstate(all="ignore"):
+        new, ref = _both_steps(cfg, h2, queues, sol, arrivals)
+    if isinstance(ref[0], type):
+        assert new == ref
+    else:
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(new, ref))
+    if value == -1.0:
+        expected = {"q_local": "served local volume exceeds local backlog",
+                    "q_edge": "edge decode volume exceeds edge backlog",
+                    "mu_local": "mu must be >= 0", "mu_edge": "mu_edge must be >= 0",
+                    "arrivals": "arrivals must be >= 0", "u_edge": "u_edge must be >= 0"}
+        assert isinstance(new[0], type) == (field in expected)
+        if field in expected:
+            assert new[1] == expected[field]
