@@ -151,8 +151,7 @@ def place_devices(cfg: SystemConfig, rng: np.random.Generator) -> LinkGeometry:
 
 def link_caps(h2_edge, h2_cloud, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Semantic-link and cloud offload volume caps of gains of any shape."""
-    return (power.semantic_volume_cap(h2_edge, cfg.bandwidth_edge, cfg),
-            power.cloud_offload_cap(h2_cloud, cfg.bandwidth_cloud, cfg))
+    return power.semantic_volume_cap(h2_edge, cfg), power.cloud_offload_cap(h2_cloud, cfg)
 
 
 def slot_state(cfg: SystemConfig, h2_edge, h2_cloud, q_local, q_edge,

@@ -8,27 +8,24 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import actor, channel, critic, engine, oracle, power, queueing
-from .config import (ConfigError, SlotState, SystemConfig, load_config,
-                     validate_config)
+from .config import (ConfigError, SlotState, SystemConfig, SystemParams, config_from_dict,
+                     read_config_file, validate_config)
 
 
 def _load(args) -> tuple[SystemConfig, engine.Scenario | None]:
-    cfg = SystemConfig()
-    scenario = None
-    if args.config is not None:
-        cfg = load_config(args.config)
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "scenario" in raw:
-            scenario = engine.scenario_from_dict(raw["scenario"])
-    return cfg, scenario
+    """The `--config` file's config and its scenario group, if any."""
+    if args.config is None:
+        return SystemConfig(), None
+    raw = read_config_file(args.config)
+    cfg = config_from_dict(raw)
+    return cfg, engine.scenario_from_dict(raw["scenario"]) if "scenario" in raw else None
 
 
 def _resolve_scenario(args, file_scenario: engine.Scenario | None) -> engine.Scenario:
@@ -72,13 +69,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # the run settings resolve as `simulate` resolves them, the policy
+    # defaulting to exhaustive; the swept parameter overrides them
     cfg, file_scenario = _load(args)
-    seed = args.seed if args.seed is not None else (file_scenario.seed if file_scenario else 1)
-    policy = args.policy if args.policy is not None else "exhaustive"
-    slots = args.slots if args.slots is not None else engine.INHERIT
+    scenario = _resolve_scenario(args, file_scenario or engine.Scenario(policy="exhaustive"))
     values = [float(v) for v in args.values.split(",")]
-    rows = engine.sweep(args.param, values, cfg, policy=policy, seed=seed,
-                        total_slots=slots)
+    rows = engine.sweep(args.param, values, scenario.apply(cfg), policy=scenario.policy,
+                        seed=scenario.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     engine.sweep_to_csv(rows, outdir / f"sweep_{args.param}.csv")
@@ -91,12 +88,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+_ENUMERATE_FLAGS = {"num_devices": "--users", "chi_edge": "--chi-e", "chi_cloud": "--chi-c"}
+
+
 def cmd_enumerate(args) -> int:
-    try:
-        count = oracle.count_policies(args.users, args.chi_e, args.chi_c)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # the device count and association caps, by `validate_config`'s rules
+    system = SystemParams(num_devices=args.users, chi_edge=args.chi_e, chi_cloud=args.chi_c)
+    problems = validate_config(SystemConfig(system))
+    for p in problems:   # each message names its field first: name its flag with it
+        print("error: " + re.sub(r"^\w+", lambda m: f"{_ENUMERATE_FLAGS[m[0]]} ({m[0]})", p),
+              file=sys.stderr)
+    if problems:
         return 2
+    count = oracle.count_policies(args.users, args.chi_e, args.chi_c)
     if args.count_only:
         print(count)
         return 0
@@ -130,7 +134,6 @@ def _stage_grid_rows(cfg: SystemConfig, state: SlotState, sample: int,
     s = cfg.system
     v = s.lyapunov_v
     tau = s.slot_length
-    b_e, b_c = cfg.bandwidth_edge, cfg.bandwidth_cloud
 
     # combo 3 (edge and cloud) of the slot's combo solve
     alloc = critic.device_g_table(state, cfg)[1].alloc
@@ -145,8 +148,8 @@ def _stage_grid_rows(cfg: SystemConfig, state: SlotState, sample: int,
         w_decode = state.q_edge[i] + state.z_edge[i]
 
         stages = []
-        hi = min(state.q_local[i], float(power.encode_rate(s.f_local_max, cfg)),
-                 float(power.semantic_volume_cap(state.h2_edge[i], b_e, cfg)))
+        hi = min(state.q_local[i], float(cfg.coefficients.u_encode),
+                 float(power.semantic_volume_cap(state.h2_edge[i], cfg)))
 
         def j_edge(u):
             f_en = u * s.task_flops_encode / (tau * s.flops_per_cycle_local)
@@ -155,12 +158,12 @@ def _stage_grid_rows(cfg: SystemConfig, state: SlotState, sample: int,
         stages.append(("edge_volume", u_e[i], max(hi, 0.0), j_edge))
 
         hi_c = max(min(state.q_local[i] - u_e[i],
-                       float(power.cloud_offload_cap(state.h2_cloud[i], b_c, cfg))), 0.0)
+                       float(power.cloud_offload_cap(state.h2_cloud[i], cfg))), 0.0)
         bits = cfg.semantic.sentence_len * cfg.semantic.bits_per_word
 
         def j_cloud(u):
-            exp = u * bits / (tau * b_c)
-            p = (2.0 ** exp - 1.0) * cfg.channel.noise_psd * b_c / state.h2_cloud[i]
+            exp = u * bits / (tau * cfg.bandwidth_cloud)
+            p = (2.0 ** exp - 1.0) * cfg.channel.noise_psd * cfg.bandwidth_cloud / state.h2_cloud[i]
             return -w_local * u + v * p
 
         stages.append(("cloud_volume", u_c[i], hi_c, j_cloud))
@@ -253,7 +256,6 @@ def cmd_verify(args) -> int:
           f"({'ok' if ok else 'FAIL'})")
 
     # 3. drift bound on random transitions
-    caps = queueing.rate_caps(cfg)
     violations = 0
     n_trans = 500 if args.quick else 5000
     for _ in range(n_trans):
@@ -263,9 +265,9 @@ def cmd_verify(args) -> int:
         sol, _ = critic.evaluate_policy(pol, state, cfg)
         arrivals = rng.poisson(cfg.mean_arrivals_per_slot,
                                cfg.system.num_devices).astype(float)
-        terms = queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg, caps)
+        terms = queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg)
         _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state.queues), sol,
-                                          arrivals, cfg, caps, terms, 0)
+                                          arrivals, cfg, terms, 0)
         if dpp > bound + engine.BOUND_TOL:
             violations += 1
     ok = violations == 0
@@ -299,11 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "cloud-edge-end computational offloading.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, slots: bool = True) -> None:
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file (see README for the schema)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--slots", type=int, default=None)
+        if slots:
+            p.add_argument("--slots", type=int, default=None)
 
     sim = sub.add_parser("simulate", help="run one scenario and write outputs")
     add_common(sim)
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     en.set_defaults(func=cmd_enumerate)
 
     ver = sub.add_parser("verify", help="run solver/gradient/bound cross-checks")
-    add_common(ver)
+    add_common(ver, slots=False)
     ver.add_argument("--out", type=str, default=None,
                      help="write the per-stage audit table here")
     ver.add_argument("--quick", action="store_true")

@@ -120,7 +120,6 @@ class TrainingParams(_Group):
     batch_size: int = 128
     train_interval: int = 10             # slots between gradient steps
     train_start_slot: int = 256
-    num_candidates: int = 64
     total_slots: int = 15000
     hidden_sizes: tuple[int, ...] = (120, 80)
     candidate_noise_std: float = 0.3
@@ -312,7 +311,6 @@ def validate_config(cfg: SystemConfig) -> list[str]:
                              ("batch_size", tr.batch_size, 1),
                              ("train_interval", tr.train_interval, 1),
                              ("train_start_slot", tr.train_start_slot, 0),
-                             ("num_candidates", tr.num_candidates, 1),
                              ("total_slots", tr.total_slots, 1)):
         if count < low:
             bad.append(f"{name}: must be >= {low}")
@@ -475,16 +473,20 @@ def config_to_dict(cfg: SystemConfig) -> dict[str, Any]:
     return out
 
 
-def load_config(path: str | Path) -> SystemConfig:
+def read_config_file(path: str | Path) -> Any:
+    """A config file's parsed JSON, for `config_from_dict`."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
     with open(p, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{p}: {exc}") from exc
-    return config_from_dict(data)
+
+
+def load_config(path: str | Path) -> SystemConfig:
+    return config_from_dict(read_config_file(path))
 
 
 def save_config(cfg: SystemConfig, path: str | Path,

@@ -57,7 +57,7 @@ def solve_edge_volume(state: SlotState, w_local: np.ndarray, edge_mask: np.ndarr
     k = cfg.coefficients
     w = w_local - state.q_edge - state.z_edge
     stationary = np.sqrt(k.edge_volume_num * np.maximum(w, ZERO) / k.edge_volume_den)
-    cap = np.minimum(state.q_local, np.minimum(k.encode_rate_max, state.edge_cap))
+    cap = np.minimum(state.q_local, np.minimum(k.u_encode, state.edge_cap))
     out = np.where((w > ZERO) & edge_mask, np.minimum(stationary, cap), ZERO)
     return np.maximum(out, ZERO)
 
@@ -187,7 +187,6 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
     per-policy solution bit for bit (the tests keep that solve as their
     reference).
     """
-    b_e, b_c = cfg.bandwidth_edge, cfg.bandwidth_cloud
     queues = state.queues
     weights = queues[:2] + queues[2:]   # q + z, local and edge rows
     weights_pos = np.maximum(weights, ZERO)
@@ -198,8 +197,7 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
     f_local = solve_local_frequency(weights_pos[0], f_encode, room - u_cloud, cfg)
     f_edge = solve_edge_frequency(state, weights_pos[1], cfg)
     u_dev = u_edge[2]   # the edge-volume candidate: each device's volume when edge-associated
-    p_tx_dev = power.semantic_tx_power(power.required_accuracy(u_dev, b_e, cfg),
-                                       state.h2_edge, b_e, cfg)
+    p_tx_dev = power.semantic_tx_power(power.required_accuracy(u_dev, cfg), state.h2_edge, cfg)
     sol = Solution(
         alloc=Allocation(u_edge=u_edge, u_cloud=u_cloud, f_local=f_local,
                          f_encode=f_encode, f_edge=f_edge),
@@ -209,7 +207,7 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
         p_edge=power.edge_power(f_edge, cfg),
         p_tx_edge=np.where(u_edge > ZERO, p_tx_dev, ZERO),
         p_tx_cloud=np.where(u_cloud > ZERO,
-                            power.shannon_tx_power(u_cloud, state.h2_cloud, b_c, cfg), ZERO))
+                            power.shannon_tx_power(u_cloud, state.h2_cloud, cfg), ZERO))
     lt, et, pt = g_terms(sol, weights, cfg)
     return lt + et + pt, sol
 

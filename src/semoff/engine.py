@@ -220,7 +220,7 @@ def _write_columns(path: str | Path, header: list[str], cols: list[np.ndarray]) 
 # ---------------------------------------------------------------------------
 
 def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.ndarray,
-         cfg: SystemConfig, caps: queueing.RateCaps, terms: tuple, k: int
+         cfg: SystemConfig, terms: tuple, k: int
          ) -> tuple[np.ndarray, float, tuple[float, float, float, float, float], float, float]:
     """One slot's queue transition under the chosen policy's solution, as
     `critic.gather` reads it from the slot's combo solve.
@@ -234,7 +234,8 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
     and its Lyapunov value (it takes `state`'s), the power sums (local,
     edge, edge transmit, cloud transmit, total), the realised
     drift-plus-penalty and its upper bound (the slot is row k of its
-    block's `queueing.bound_terms`). Pure: `state` and `sol` are not modified.
+    block's `queueing.bound_terms`; the bound's constants are those of
+    `cfg.coefficients`). Pure: `state` and `sol` are not modified.
     """
     critic.check_clocks_and_backlog(sol, state, cfg)
     powers = power.total_power(sol)
@@ -248,7 +249,7 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
                                                               coef.q_max, coef.q_max_set)))
     l_nxt = queueing.lyapunov_value(nxt)
     dpp = queueing.drift_plus_penalty(l_state, l_nxt, p_total, cfg.system.lyapunov_v)
-    bound = queueing.drift_penalty_bound(queues, served, inflow, p_total, cfg, caps, terms, k)
+    bound = queueing.drift_penalty_bound(queues, served, inflow, p_total, cfg, terms, k)
     return nxt, l_nxt, powers, dpp, bound
 
 
@@ -278,7 +279,6 @@ class Simulation:
         n = cfg.system.num_devices
 
         self.geometry = channel.place_devices(cfg, channel.run_rng(seed, STREAM_PLACEMENT))
-        self.caps = queueing.rate_caps(cfg)
 
         self.queues = np.zeros((4, n))   # rows q_local, q_edge, z_local, z_edge
         self.lyapunov = 0.0   # `queueing.lyapunov_value` of the queues above
@@ -363,7 +363,7 @@ class Simulation:
                     self.cfg.mean_arrivals_per_slot, len(row))
             self.block = SlotBlock(
                 **vars(draw), arrivals=arrivals,
-                bound_terms=queueing.bound_terms(draw.cloud_cap, arrivals, self.cfg, self.caps),
+                bound_terms=queueing.bound_terms(draw.cloud_cap, arrivals, self.cfg),
                 gains=actor.gain_features(draw.h2_edge, draw.h2_cloud, self.cfg)
                 if self.kind == "drlh" else None)
             self.block_start = start
@@ -384,7 +384,7 @@ class Simulation:
         arrivals = block.arrivals[k]
         try:
             nxt, l_nxt, powers, dpp, bound = step(state, self.lyapunov, sol, arrivals,
-                                                  cfg, self.caps, block.bound_terms, k)
+                                                  cfg, block.bound_terms, k)
         except critic.FeasibilityError as exc:
             raise critic.FeasibilityError(f"slot {t}: {exc}") from exc
         if dpp > bound + BOUND_TOL:
@@ -428,11 +428,14 @@ SWEEPABLE = {"arrival": ("arrival_rate_per_sec", float),
 
 
 def sweep_config(cfg: SystemConfig, parameter: str, value: float) -> SystemConfig:
-    """The config `sweep` runs for one value of `parameter`."""
+    """The config `sweep` runs for one value of `parameter`; an integer
+    parameter takes only integral values."""
     if parameter not in SWEEPABLE:
         raise ValueError(f"parameter must be one of {tuple(SWEEPABLE)}, "
                          f"got {parameter!r}")
     name, cast = SWEEPABLE[parameter]
+    if cast is int and not float(value).is_integer():
+        raise ValueError(f"{parameter}: {name} must be an integer, got {value!r}")
     return dataclasses.replace(
         cfg, system=dataclasses.replace(cfg.system, **{name: cast(value)}))
 
@@ -444,11 +447,11 @@ def sweep(parameter: str, values: list[float], cfg: SystemConfig,
     """Run one scenario per value; emit plot-ready summary rows.
 
     Every run shares the same master seed, so channel and arrival draws are
-    comparable across values wherever dimensions match.
+    comparable across values wherever dimensions match. Every value's
+    config is made before the first run, so a bad value fails early.
     """
     rows: list[dict[str, Any]] = []
-    for value in values:
-        run_cfg = sweep_config(cfg, parameter, value)
+    for value, run_cfg in [(v, sweep_config(cfg, parameter, v)) for v in values]:
         scenario = Scenario(name=f"sweep_{parameter}_{value}", policy=policy,
                             seed=seed, total_slots=total_slots)
         log = run_scenario(run_cfg, scenario, progress=progress)

@@ -5,8 +5,9 @@ All formulas are pure and accept scalars or numpy arrays. Rates are in
 tasks/slot, frequencies in Hz, powers in W. Most formulas the slot's combo
 solve (`critic.device_g_table`) runs take their scalar operands from
 `Coefficients`, built once per config on first use; the execution rates keep
-Python floats, as `queueing.rate_caps` calls them on scalars while a run is
-set up, before any slot needs the coefficients. `total_power` sums the four
+reading the config's Python floats, as `Coefficients` calls them while it is
+being built, before `cfg.coefficients` exists. Each link formula reads its
+own link's per-device bandwidth from the config. `total_power` sums the four
 power components of one policy's solution.
 """
 
@@ -106,18 +107,18 @@ def edge_power(f_edge, cfg: SystemConfig):
 # Transmit power models
 # ---------------------------------------------------------------------------
 
-def required_accuracy(u_edge, bandwidth, cfg: SystemConfig):
+def required_accuracy(u_edge, cfg: SystemConfig):
     """Accuracy the semantic link must achieve to move u_edge tasks/slot.
 
     Values above the curve ceiling are physically unreachable; callers cap
     the volume with `semantic_volume_cap` (or treat the resulting transmit
     power, which is infinite, as a link-infeasible marker).
     """
-    k = cfg.coefficients
+    k, bandwidth = cfg.coefficients, cfg.bandwidth_edge
     return u_edge * k.sentence_len * k.symbols_per_word / (cfg.system.slot_length * bandwidth)
 
 
-def semantic_tx_power(eps_required, h2_edge, bandwidth, cfg: SystemConfig):
+def semantic_tx_power(eps_required, h2_edge, cfg: SystemConfig):
     """Transmit power for the semantic uplink at the given required accuracy.
 
     The effective accuracy is floored at epsilon_min; accuracies at or
@@ -129,27 +130,25 @@ def semantic_tx_power(eps_required, h2_edge, bandwidth, cfg: SystemConfig):
     snr_db = np.where(eps_eff >= k.curve.ceiling, INF,
                       k.curve.snr_db_for(np.minimum(eps_eff, k.epsilon_invertible)))
     snr = TEN ** (snr_db / TEN)
-    p = snr * k.noise_psd * bandwidth / np.asarray(h2_edge, dtype=float)
+    p = snr * k.noise_psd * cfg.bandwidth_edge / np.asarray(h2_edge, dtype=float)
     return p if np.ndim(p) else float(p)
 
 
-def shannon_tx_power(u_cloud, h2_cloud, bandwidth, cfg: SystemConfig):
+def shannon_tx_power(u_cloud, h2_cloud, cfg: SystemConfig):
     """Transmit power to push u_cloud tasks/slot of source bits to the cloud."""
-    k = cfg.coefficients
+    k, bandwidth = cfg.coefficients, cfg.bandwidth_cloud
     exponent = u_cloud * k.bits_per_task / (cfg.system.slot_length * bandwidth)
     p = (TWO ** exponent - ONE) * k.noise_psd * bandwidth / np.asarray(h2_cloud, dtype=float)
     return p if np.ndim(p) else float(p)
 
 
-def cloud_offload_cap(h2_cloud, bandwidth, cfg: SystemConfig):
+def cloud_offload_cap(h2_cloud, cfg: SystemConfig):
     """Largest cloud offload volume reachable at the transmit-power ceiling
     (at most 1,024 bits per second per hertz: the SNR saturates)."""
-    sem = cfg.semantic
-    bits_per_task = sem.sentence_len * sem.bits_per_word
     with np.errstate(over="ignore"):   # a fading peak may pass the float range: see `_SNR_MAX`
         snr = np.minimum(cfg.channel.p_tx_max * np.asarray(h2_cloud, dtype=float)
-                         / (bandwidth * cfg.channel.noise_psd), _SNR_MAX)
-    cap = (cfg.system.slot_length * bandwidth / bits_per_task) * np.log2(1.0 + snr)
+                         / (cfg.bandwidth_cloud * cfg.channel.noise_psd), _SNR_MAX)
+    cap = cfg.coefficients.cloud_volume_scale * np.log2(1.0 + snr)
     return cap if np.ndim(cap) else float(cap)
 
 
@@ -160,7 +159,7 @@ def cloud_offload_cap(h2_cloud, bandwidth, cfg: SystemConfig):
 _CEILING_BACKOFF = 1e-9
 
 
-def semantic_volume_cap(h2_edge, bandwidth, cfg: SystemConfig):
+def semantic_volume_cap(h2_edge, cfg: SystemConfig):
     """Largest edge offload volume the semantic link supports.
 
     Strictly below the volume whose required accuracy is the curve ceiling:
@@ -168,7 +167,7 @@ def semantic_volume_cap(h2_edge, bandwidth, cfg: SystemConfig):
     or the invertible part of the accuracy curve just under its ceiling
     (strong channels).
     """
-    sem = cfg.semantic
+    sem, bandwidth = cfg.semantic, cfg.bandwidth_edge
     curve = cfg.coefficients.curve
     with np.errstate(divide="ignore", over="ignore"):
         snr_cap = (cfg.channel.p_tx_max * np.asarray(h2_edge, dtype=float)
@@ -188,14 +187,16 @@ _LN2 = float(np.log(2.0))
 
 
 class Coefficients:
-    """The scalar operands of the rate and power formulas above and of the
-    solver stages in `critic` (and the queue caps as columns over the real
-    queues), for one config, each an `operand` computed as
-    the formula computed it inline (the same float64 operations in the same
-    order), so every result keeps its bits. `SystemConfig.coefficients`
-    builds one per config object, on first use."""
+    """The per-config constants: the scalar operands of the formulas above
+    and of the solver stages in `critic`, the queue caps as columns over the
+    real queues, and the drift bound's rate ceilings, for one config, each
+    computed as the formula computed it inline (the same float64 operations
+    in the same order), so every result keeps its bits. The operands are
+    `operand`s; the ceilings the bound squares in Python are floats.
+    `SystemConfig.coefficients` builds one per config object, on first use."""
 
     def __init__(self, cfg: SystemConfig):
+        from .queueing import poisson_quantile   # queueing imports this module
         s, ch, sem = cfg.system, cfg.channel, cfg.semantic
         v = s.lyapunov_v
         bits_per_task = sem.sentence_len * sem.bits_per_word
@@ -227,12 +228,18 @@ class Coefficients:
         self.slot_flops_edge = operand(s.slot_length * s.flops_per_cycle_edge)
         self.bits_per_task = operand(bits_per_task)
         # `critic.solve_edge_volume`: the stationary point's numerator
-        # factor (encode rate per Hz, cubed) and denominator, and the cap
-        # of the full-clock encode rate
+        # factor (encode rate per Hz, cubed) and denominator
         self.edge_volume_num = operand((s.slot_length * s.flops_per_cycle_local
                                         / s.task_flops_encode) ** 3)
         self.edge_volume_den = operand(3.0 * v * s.alpha_local)
-        self.encode_rate_max = operand(encode_rate(s.f_local_max, cfg))
+        # `queueing.bound_terms` and `drift_penalty_bound`: the rate ceilings
+        # at the full clocks (the encode rate also caps `solve_edge_volume`),
+        # the 0.9999 quantile of the per-slot arrivals, and the constant b3
+        self.u_encode = operand(encode_rate(s.f_local_max, cfg))
+        self.u_local = float(local_exec_rate(s.f_local_max, cfg))
+        self.mu_edge = float(edge_exec_rate(s.f_edge_max, cfg))
+        self.arrivals = float(poisson_quantile(0.9999, cfg.mean_arrivals_per_slot))
+        self.b3 = 0.5 * s.num_devices * (self.mu_edge ** 2 + float(self.u_encode) ** 2)
         # `critic.solve_cloud_volume`: tasks per bit/s/Hz, and the
         # denominator of the log's argument
         self.cloud_volume_scale = operand(s.slot_length * cfg.bandwidth_cloud / bits_per_task)

@@ -13,12 +13,10 @@ queues (the virtual update consumes the post-slot real queue values).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig
-from . import power
 from .power import ZERO
 
 # the update arguments' names, per row of the stacked real queues
@@ -77,17 +75,6 @@ def drift_plus_penalty(l_t: float, l_t1: float, power_w: float, v: float) -> flo
     return l_t1 - l_t + v * power_w
 
 
-@dataclass(frozen=True)
-class RateCaps:
-    """A-priori per-slot rate ceilings used by the drift bound constants."""
-
-    u_local: float    # local execution at the full device clock
-    u_encode: float   # edge offloading at the full device clock
-    mu_edge: float    # edge decoding at the full server clock
-    arrivals: float   # high quantile of the per-slot Poisson arrivals
-    b3: float         # `drift_penalty_bound`'s edge-rate constant
-
-
 def poisson_quantile(q: float, mean: float) -> int:
     """Smallest k with P(X <= k) >= q for X ~ Poisson(mean), 0 < q < 1.
 
@@ -115,43 +102,31 @@ def poisson_quantile(q: float, mean: float) -> int:
     return k
 
 
-def rate_caps(cfg: SystemConfig, quantile: float = 0.9999) -> RateCaps:
-    s = cfg.system
-    u_encode = float(power.encode_rate(s.f_local_max, cfg))
-    mu_edge = float(power.edge_exec_rate(s.f_edge_max, cfg))
-    return RateCaps(
-        u_local=float(power.local_exec_rate(s.f_local_max, cfg)),
-        u_encode=u_encode,
-        mu_edge=mu_edge,
-        arrivals=float(poisson_quantile(quantile, cfg.mean_arrivals_per_slot)),
-        b3=0.5 * s.num_devices * (mu_edge ** 2 + u_encode ** 2),
-    )
-
-
-def bound_terms(cloud_cap, arrivals, cfg: SystemConfig, caps: RateCaps) -> tuple:
+def bound_terms(cloud_cap, arrivals, cfg: SystemConfig) -> tuple:
     """`drift_penalty_bound`'s queue-free terms for (slots, I) cloud caps and
     arrivals: b1, and with a queue cap set three (slots, 2, I) arrays over
     the local and edge rows (else None): the squared rate caps, the rate
     caps times the queue caps (0.0 where unset) and the backlog factors
-    (arrivals, u_e_cap). Row k has the bits of slot k alone: elementwise
-    operations, and a C-contiguous row sum is the 1-D sum."""
-    mu_l_cap = caps.u_local + caps.u_encode + cloud_cap
-    b1 = 0.5 * (mu_l_cap ** 2 + np.maximum(caps.arrivals, arrivals) ** 2).sum(axis=1)
+    (arrivals, u_e_cap). The rate ceilings are those of `cfg.coefficients`.
+    Row k has the bits of slot k alone: elementwise operations, and a
+    C-contiguous row sum is the 1-D sum."""
+    c = cfg.coefficients
+    mu_l_cap = c.u_local + c.u_encode + cloud_cap
+    b1 = 0.5 * (mu_l_cap ** 2 + np.maximum(c.arrivals, arrivals) ** 2).sum(axis=1)
     q_max_l, q_max_e = cfg.system.q_max_local, cfg.system.q_max_edge
     if q_max_l is None and q_max_e is None:
         return b1, None, None, None
     shape = (len(arrivals), 2, arrivals.shape[1])
     rate_sq, rate_cap, factor = np.empty(shape), np.empty(shape), np.empty(shape)
-    rate_sq[:, 0], rate_sq[:, 1] = mu_l_cap ** 2, caps.mu_edge ** 2
+    rate_sq[:, 0], rate_sq[:, 1] = mu_l_cap ** 2, c.mu_edge ** 2
     rate_cap[:, 0] = 0.0 if q_max_l is None else mu_l_cap * q_max_l
-    rate_cap[:, 1] = 0.0 if q_max_e is None else caps.mu_edge * q_max_e
-    factor[:, 0], factor[:, 1] = arrivals, caps.u_encode
+    rate_cap[:, 1] = 0.0 if q_max_e is None else c.mu_edge * q_max_e
+    factor[:, 0], factor[:, 1] = arrivals, c.u_encode
     return b1, rate_sq, rate_cap, factor
 
 
 def drift_penalty_bound(queues: np.ndarray, served: np.ndarray, inflow: np.ndarray,
-                        power_w: float, cfg: SystemConfig, caps: RateCaps,
-                        terms: tuple, k: int) -> float:
+                        power_w: float, cfg: SystemConfig, terms: tuple, k: int) -> float:
     """Upper bound on the realised drift-plus-penalty for one transition.
 
     Assembled from the four per-queue drift bounds: the squared-rate
@@ -167,15 +142,16 @@ def drift_penalty_bound(queues: np.ndarray, served: np.ndarray, inflow: np.ndarr
     configured high quantile, widened to the realised draw whenever a slot
     exceeds it; the cloud-offload cap depends on the slot's channel. Both
     enter only the queue-free terms, computed per block of slots: the slot
-    is row k of `terms`, its block's `bound_terms`.
+    is row k of `terms`, its block's `bound_terms`. The constants (b3, the
+    queue caps) are those of `cfg.coefficients`.
     """
     real, virtual = queues[:2], queues[2:]
     b1, rate_sq, rate_cap, factor = terms
+    c = cfg.coefficients
     # per real queue: the linear backlog term, then with a queue cap its
     # squared-rate term and its cross term; all row sums in one call
     parts = [(real + virtual) * (served - inflow)]
     if rate_sq is not None:
-        c = cfg.coefficients
         parts += [0.5 * (rate_sq[k] + inflow ** 2 + real ** 2 + c.q_max_sq) + rate_cap[k]
                   + factor[k] * real,
                   virtual * (real - c.q_max)]
@@ -191,5 +167,5 @@ def drift_penalty_bound(queues: np.ndarray, served: np.ndarray, inflow: np.ndarr
         b4 = sums[3]
         cross += sums[5]
 
-    b_hat = float(b1[k] + b2 + caps.b3 + b4 + cross)
+    b_hat = float(b1[k] + b2 + c.b3 + b4 + cross)
     return b_hat - (sums[0] + sums[1]) + cfg.system.lyapunov_v * power_w

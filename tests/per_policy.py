@@ -73,12 +73,11 @@ def assemble_allocation(state: SlotState, edge_mask: np.ndarray,
 def transmit_powers(alloc: Allocation, state: SlotState, cfg: SystemConfig
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-device semantic and cloud transmit powers; zero for zero volume."""
-    b_e, b_c = cfg.bandwidth_edge, cfg.bandwidth_cloud
-    eps_req = power.required_accuracy(alloc.u_edge, b_e, cfg)
+    eps_req = power.required_accuracy(alloc.u_edge, cfg)
     p_tx_e = np.where(alloc.u_edge > 0,
-                      power.semantic_tx_power(eps_req, state.h2_edge, b_e, cfg), 0.0)
+                      power.semantic_tx_power(eps_req, state.h2_edge, cfg), 0.0)
     p_tx_c = np.where(alloc.u_cloud > 0,
-                      power.shannon_tx_power(alloc.u_cloud, state.h2_cloud, b_c, cfg), 0.0)
+                      power.shannon_tx_power(alloc.u_cloud, state.h2_cloud, cfg), 0.0)
     return p_tx_e, p_tx_c
 
 

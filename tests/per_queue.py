@@ -18,8 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from semoff import critic, queueing
+from semoff import critic
 from semoff.config import SystemConfig
+from semoff.power import Coefficients
 
 
 @dataclass
@@ -112,7 +113,7 @@ def drift_plus_penalty(l_t: float, l_t1: float, power_w: float, v: float) -> flo
     return l_t1 - l_t + v * power_w
 
 
-def bound_terms(cloud_cap, arrivals, cfg: SystemConfig, caps: queueing.RateCaps) -> tuple:
+def bound_terms(cloud_cap, arrivals, cfg: SystemConfig, caps: Coefficients) -> tuple:
     """`drift_penalty_bound`'s queue-free terms for (slots, I) cloud caps and
     arrivals: b1, and with a local queue cap mu_l_cap**2 + arrivals**2 and
     mu_l_cap * q_max_local (else None). Row k has the bits of slot k alone:
@@ -127,7 +128,7 @@ def bound_terms(cloud_cap, arrivals, cfg: SystemConfig, caps: queueing.RateCaps)
 
 def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
                         arrivals, power_w: float, cfg: SystemConfig,
-                        caps: queueing.RateCaps, terms: tuple, k: int) -> float:
+                        caps: Coefficients, terms: tuple, k: int) -> float:
     """Upper bound on the realised drift-plus-penalty for one transition.
 
     Assembled from the four per-queue drift bounds: the squared-rate
@@ -181,7 +182,7 @@ def total_power(sol: critic.Solution) -> tuple[float, float, float, float, float
 
 
 def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.ndarray,
-         cfg: SystemConfig, caps: queueing.RateCaps, terms: tuple, k: int
+         cfg: SystemConfig, terms: tuple, k: int
          ) -> tuple[SlotState, float, tuple[float, float, float, float, float], float, float]:
     """One slot's queue transition under the chosen policy's solution, as
     `critic.gather` reads it from the slot's combo solve.
@@ -209,5 +210,5 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
     l_nxt = lyapunov_value(nxt)
     dpp = drift_plus_penalty(l_state, l_nxt, p_total, s.lyapunov_v)
     bound = drift_penalty_bound(state, sol.mu_local, sol.mu_edge, sol.alloc.u_edge,
-                                arrivals, p_total, cfg, caps, terms, k)
+                                arrivals, p_total, cfg, cfg.coefficients, terms, k)
     return nxt, l_nxt, powers, dpp, bound

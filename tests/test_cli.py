@@ -26,6 +26,27 @@ def test_enumerate_invalid_chi_cloud(capsys):
     assert "chi_cloud" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--users", "3", "--chi-e", "5", "--chi-c", "1"], "--chi-e"),
+    (["--users", "3", "--chi-e", "-1", "--chi-c", "1"], "--chi-e"),
+    (["--users", "3", "--chi-e", "1", "--chi-c", "-1"], "--chi-c"),
+    (["--users", "0", "--chi-e", "0", "--chi-c", "0"], "--users"),
+])
+def test_enumerate_refuses_what_validate_config_refuses(argv, flag, capsys):
+    # the rules of `validate_config`, at the flag: no clamped count, no numpy error
+    assert main(["enumerate", *argv, "--count-only"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} (")
+
+
+def test_verify_offers_no_slots_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--quick", "--slots", "3"])
+    assert exc.value.code == 2
+    assert "--slots" in capsys.readouterr().err
+
+
 def test_simulate_missing_config_names_path(capsys):
     rc = main(["simulate", "--config", "/no/such/config.json"])
     assert rc == 2
@@ -115,6 +136,29 @@ def test_sweep_command(tmp_path, capsys):
     text = (out / "sweep_users.csv").read_text()
     assert "search_space_size" in text.splitlines()[0]
     assert len(text.strip().splitlines()) == 3
+
+
+def test_sweep_resolves_the_config_files_scenario_as_simulate_does(tmp_path, capsys):
+    # at the file's own v, a sweep runs what `simulate` on the same file runs:
+    # the file's policy (drlh:64), arrival rate and queue caps (5, 1)
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "scenario1_drlh64.json")
+    assert main(["simulate", "--config", config, "--seed", "2", "--slots", "30",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", "--config", config, "--param", "v", "--values", "2", "--seed", "2",
+                 "--slots", "30", "--out", str(tmp_path / "sw")]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    header, row = (tmp_path / "sw" / "sweep_v.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert row["policy"] == summary["policy"] == "drlh:64"
+    assert float(row["tail_mean_power_w"]) == summary["tail_means"]["power_w"]
+
+
+def test_sweep_refuses_a_fractional_user_count(tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert main(["sweep", "--param", "users", "--values", "4,4.7", "--policy", "random",
+                 "--slots", "5", "--out", str(out)]) == 2
+    assert "users: num_devices must be an integer, got 4.7" in capsys.readouterr().err
+    assert not out.exists()   # refused before the first run
 
 
 def test_verify_quick_passes(tmp_path, capsys):

@@ -76,6 +76,12 @@ def test_unknown_group_key_rejected():
         config_from_dict({"system": {"num_devices": 8, "power_level": 9000}})
 
 
+def test_removed_num_candidates_key_is_refused_by_name():
+    # the N of drlh:N comes from the policy spec; the old training key is unknown
+    with pytest.raises(ConfigError, match=r"^unknown key\(s\) in 'training': \['num_candidates'\]$"):
+        config_from_dict({"training": {"num_candidates": 64}})
+
+
 def test_scenario_group_is_allowed():
     cfg = config_from_dict({"scenario": {"name": "x"}})
     assert cfg == SystemConfig()
@@ -163,7 +169,7 @@ def test_policy_key_is_device_zero_lsb_at_any_size(n):
     (SystemConfig(training=TrainingParams(total_slots=100.0)), "total_slots"),
     (SystemConfig(training=TrainingParams(batch_size=64.5)), "batch_size"),
     (SystemConfig(training=TrainingParams(train_start_slot=-1)), "train_start_slot"),
-    (SystemConfig(training=TrainingParams(num_candidates=False)), "num_candidates"),
+    (SystemConfig(training=TrainingParams(train_interval=False)), "train_interval"),
 ])
 def test_malformed_values_are_reported_not_raised(cfg, field):
     problems = validate_config(cfg)
@@ -343,13 +349,12 @@ def test_link_caps_take_an_snr_past_the_float_range():
     from semoff import power
 
     cfg = SystemConfig()
-    b_edge, b_cloud = cfg.bandwidth_edge, cfg.bandwidth_cloud
     # the cloud cap saturates at log2(1 + the largest float) = 1,024 bits/s/Hz
-    cap = power.cloud_offload_cap(np.array([1e300, np.inf]), b_cloud, cfg)
-    assert cap.tolist() == [cfg.system.slot_length * b_cloud / 400.0 * 1024.0] * 2
+    cap = power.cloud_offload_cap(np.array([1e300, np.inf]), cfg)
+    assert cap.tolist() == [cfg.system.slot_length * cfg.bandwidth_cloud / 400.0 * 1024.0] * 2
     # the semantic cap was already at the curve's backed-off ceiling
-    strong = power.semantic_volume_cap(1e-3, b_edge, cfg)
-    assert power.semantic_volume_cap(np.array([1e300, np.inf]), b_edge, cfg).tolist() == [strong] * 2
+    strong = power.semantic_volume_cap(1e-3, cfg)
+    assert power.semantic_volume_cap(np.array([1e300, np.inf]), cfg).tolist() == [strong] * 2
 
 
 def test_rician_k_factor_beyond_float_range_is_named():

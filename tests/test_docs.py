@@ -47,6 +47,8 @@ def test_example_config_runs(path, tmp_path):
 # Used only from outside the program: the README's "Actor checkpoints".
 _UNREFERENCED_ALLOWED = {"ActorNetwork.save", "ActorNetwork.load"}
 
+_MODULES = {path.stem for path in (ROOT / "src" / "semoff").glob("*.py")}
+
 
 def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     """Top-level functions and classes, and the methods of those classes."""
@@ -60,33 +62,123 @@ def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return defs
 
 
-def _references(tree: ast.AST, skip: frozenset = frozenset()) -> set[str]:
-    """Every name a tree reads: names, attributes and strings (the
-    benchmark wraps attributes by name); the subtrees of `skip` aside."""
-    out: set[str] = set()
-    stack = [tree]
+def _bindings(statements) -> dict[str, tuple]:
+    """What the names that `statements` import are bound to (function bodies
+    aside): ("module", m) for a module of src/semoff, ("def", m, name) for a
+    name imported from one, ("foreign",) for anything else."""
+    out: dict[str, tuple] = {}
+    stack = list(statements)
     while stack:
         node = stack.pop()
-        if node in skip:
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
             continue
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out[a.asname or a.name.split(".")[0]] = (
+                    ("module", "__init__") if a.name == "semoff" else ("foreign",))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:   # relative: from src/semoff
+                source = node.module or "__init__"
+            elif node.module == "semoff" or (node.module or "").startswith("semoff."):
+                source = node.module.partition(".")[2] or "__init__"
+            else:
+                source = None
+            for a in node.names:
+                name = a.asname or a.name
+                if source is None:
+                    out[name] = ("foreign",)
+                elif source == "__init__" and a.name in _MODULES:
+                    out[name] = ("module", a.name)
+                else:
+                    out[name] = ("def", source, a.name)
         stack.extend(ast.iter_child_nodes(node))
     return out
 
 
-def _function_reads(node: ast.AST) -> tuple[set[str], set[str]]:
-    """What a function definition reads when it is defined (decorators and
-    default values) and what its body reads when it runs."""
-    if not isinstance(node, ast.FunctionDef):
-        return set(), set()
-    at_definition = node.decorator_list + node.args.defaults + node.args.kw_defaults
-    return (set().union(*(_references(d) for d in at_definition if d is not None)),
-            set().union(*(_references(stmt) for stmt in node.body)))
+def _locals(fn: ast.FunctionDef | ast.Lambda) -> set[str]:
+    """The names a function binds itself, imports aside: parameters,
+    assignment targets, loop, `with` and `except` names, nested definitions."""
+    a = fn.args
+    names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x}
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda, ast.arguments)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+class _Reader:
+    """What code reads, given each src/semoff module's module-level bindings:
+    (module, name) for a top-level definition of a src/semoff module, found
+    through the imports in scope (re-exports followed), and ("*", attr) for
+    any other attribute read (a method of some class: types are not
+    resolved). An attribute of a module outside src/semoff reads nothing,
+    nor does a name that an enclosing function binds. A string reads the
+    attribute of that name of each src/semoff module in scope (the benchmark
+    wraps attributes by name) and any method of that name."""
+
+    def __init__(self, scopes: dict[str, dict[str, tuple]]):
+        self.scopes = scopes
+
+    def resolve(self, target) -> set[tuple]:
+        """The definition a binding names, re-exports followed."""
+        for _ in range(len(self.scopes)):
+            if target is None or target[0] != "def":
+                break
+            _, module, name = target
+            again = self.scopes.get(module, {}).get(name)
+            if again is None or again == target or again[0] != "def":
+                return {(module, name)}
+            target = again
+        return set()
+
+    def function(self, fn, names: dict, local: frozenset) -> tuple[list, dict, frozenset]:
+        """A function's body with the bindings and locals it runs under."""
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        imported = _bindings(body)
+        return body, {**names, **imported}, local | (_locals(fn) - set(imported))
+
+    def reads(self, nodes, names: dict, local: frozenset = frozenset(),
+              skip: frozenset = frozenset()) -> set[tuple]:
+        out: set[tuple] = set()
+        stack = [(node, names, local) for node in nodes]
+        while stack:
+            node, names, local = stack.pop()
+            if node in skip:
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                # decorators and defaults are read where it is defined, the body
+                # whenever it runs
+                at_definition = node.args.defaults + node.args.kw_defaults + getattr(
+                    node, "decorator_list", [])
+                stack += [(d, names, local) for d in at_definition if d is not None]
+                body, inner, inner_local = self.function(node, names, local)
+                stack += [(stmt, inner, inner_local) for stmt in body]
+                continue
+            if isinstance(node, ast.Name) and node.id not in local:
+                out |= self.resolve(names.get(node.id))
+            elif isinstance(node, ast.Attribute):
+                base = node.value
+                target = (names.get(base.id) if isinstance(base, ast.Name)
+                          and base.id not in local else None)
+                if target is not None and target[0] == "module":
+                    out |= self.resolve(("def", target[1], node.attr))
+                elif target != ("foreign",):
+                    out.add(("*", node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(("*", node.value))
+                for target in names.values():
+                    if target[0] == "module":
+                        out |= self.resolve(("def", target[1], node.value))
+            stack.extend((child, names, local) for child in ast.iter_child_nodes(node))
+        return out
 
 
 def test_every_definition_in_src_has_a_caller_outside_the_tests():
@@ -95,35 +187,55 @@ def test_every_definition_in_src_has_a_caller_outside_the_tests():
     # taken to a fixed point: module-level code of src/semoff (class bodies
     # included, function bodies not), scripts/, the benchmark's worker, and
     # the body of a definition that is itself read so (a dunder method is
-    # read with its class)
+    # read with its class). A top-level definition is read only as itself:
+    # by its bare name in its module or where it is imported, or as an
+    # attribute of its module
     sources = sorted((ROOT / "src" / "semoff").glob("*.py"))
     users = sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "perfbench" / "worker.py"]
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources + users}
-    reached = set().union(*(_references(trees[path]) for path in users))
-    bodies = {}   # (file, qualname) -> what the definition's body reads
+    scopes = {path.stem: {name: ("def", path.stem, name)
+                          for name, _ in _definitions(trees[path]) if "." not in name}
+              for path in sources}
     for path in sources:
+        scopes[path.stem].update(_bindings(trees[path].body))
+    reader = _Reader(scopes)
+    reached = set().union(*(reader.reads(trees[path].body, _bindings(trees[path].body))
+                            for path in users))
+    bodies = {}   # (module, qualname) -> what the definition's body reads
+    for path in sources:
+        scope = scopes[path.stem]
         definitions = _definitions(trees[path])
         functions = frozenset(node for _, node in definitions
                               if isinstance(node, ast.FunctionDef))
-        reached |= _references(trees[path], skip=functions)
+        reached |= reader.reads(trees[path].body, scope, skip=functions)
+        for node in trees[path].body:   # the package's public names
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                for name in ast.literal_eval(node.value):
+                    reached |= reader.resolve(scope.get(name))
         for qualname, node in definitions:
-            at_definition, body = _function_reads(node)
-            reached |= at_definition
-            bodies[path.name, qualname] = body
+            if isinstance(node, ast.FunctionDef):
+                reached |= reader.reads([d for d in node.decorator_list + node.args.defaults
+                                         + node.args.kw_defaults if d is not None], scope)
+                bodies[path.stem, qualname] = reader.reads(
+                    *reader.function(node, scope, frozenset()))
+            else:
+                bodies[path.stem, qualname] = set()
 
-    def is_read(qualname: str) -> bool:
+    def is_read(module: str, qualname: str) -> bool:
         if qualname in _UNREFERENCED_ALLOWED:
             return True
         owner, _, name = qualname.rpartition(".")
+        if not owner:
+            return (module, name) in reached
         if name.startswith("__") and name.endswith("__"):
-            return owner in reached
-        return name in reached
+            return (module, owner) in reached
+        return ("*", name) in reached
 
     while True:
-        counted = [key for key in bodies if is_read(key[1])]
+        counted = [key for key in bodies if is_read(*key)]
         if not counted:
             break
         for key in counted:
             reached |= bodies.pop(key)
-    unused = [f"{file}: {qualname}" for file, qualname in sorted(bodies)]
+    unused = [f"{module}.py: {qualname}" for module, qualname in sorted(bodies)]
     assert not unused, f"defined in src/semoff but used only by tests: {unused}"

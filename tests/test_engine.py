@@ -231,8 +231,6 @@ def test_step_guard_tolerates_rounding_only():
     zeros = np.zeros(n)
     state = channel.slot_state(CFG, np.ones(n), np.ones(n), np.full(n, 3.0), np.full(n, 2.0),
                                zeros, zeros)
-    caps = queueing.rate_caps(CFG)
-
     def solution(mu_local, mu_edge):
         alloc = Allocation(u_edge=zeros, u_cloud=zeros, f_local=zeros,
                            f_encode=zeros, f_edge=zeros)
@@ -241,15 +239,15 @@ def test_step_guard_tolerates_rounding_only():
                                p_tx_edge=zeros, p_tx_cloud=zeros)
 
     l_state = queueing.lyapunov_value(state.queues)
-    terms = queueing.bound_terms(state.cloud_cap[None], zeros[None], CFG, caps)   # one slot
+    terms = queueing.bound_terms(state.cloud_cap[None], zeros[None], CFG)   # one slot
     nxt, _, powers, _, _ = engine.step(state, l_state, solution(3.0 + 3.5e-9, 2.0 + 2.5e-9),
-                                       zeros, CFG, caps, terms, 0)
+                                       zeros, CFG, terms, 0)
     assert np.all(nxt[:2] == 0.0)   # the next q_local and q_edge rows
     assert powers == (0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(critic.FeasibilityError, match="local backlog"):
-        engine.step(state, l_state, solution(3.0 + 5e-9, 2.0), zeros, CFG, caps, terms, 0)
+        engine.step(state, l_state, solution(3.0 + 5e-9, 2.0), zeros, CFG, terms, 0)
     with pytest.raises(critic.FeasibilityError, match="edge backlog"):
-        engine.step(state, l_state, solution(3.0, 2.0 + 4e-9), zeros, CFG, caps, terms, 0)
+        engine.step(state, l_state, solution(3.0, 2.0 + 4e-9), zeros, CFG, terms, 0)
 
 
 def test_run_slot_names_the_slot_of_a_guard_failure(monkeypatch):
@@ -330,6 +328,15 @@ def test_sweep_config_sets_one_field():
         cfg = engine.sweep_config(CFG, parameter, value)
         assert cfg == replace(CFG, system=replace(CFG.system, **{field: value}))
         assert type(getattr(cfg.system, field)) is type(value)
+    assert engine.sweep_config(CFG, "users", 6.0).system.num_devices == 6
+
+
+@pytest.mark.parametrize("value", [4.7, 6.5, float("inf"), float("nan")])
+def test_sweep_config_refuses_a_fractional_integer_parameter(value):
+    with pytest.raises(ValueError, match="^users: num_devices must be an integer"):
+        engine.sweep_config(CFG, "users", value)
+    with pytest.raises(ValueError, match="^users: num_devices"):   # before any run
+        engine.sweep("users", [4, value], CFG, policy="random", total_slots=5)
 
 
 # sha256 of metrics.csv after 300 slots, seed 1 (I=8 on scenario 1, I=12 on
@@ -458,9 +465,9 @@ def test_channel_block_rows_equal_single_slot_draws(n):
             assert getattr(block, name)[k].tobytes() == getattr(single, name)[0].tobytes(), name
         # the carried caps are the link caps of the row's gains
         assert block.edge_cap[k].tobytes() == power.semantic_volume_cap(
-            single.h2_edge[0], cfg.bandwidth_edge, cfg).tobytes()
+            single.h2_edge[0], cfg).tobytes()
         assert block.cloud_cap[k].tobytes() == power.cloud_offload_cap(
-            single.h2_cloud[0], cfg.bandwidth_cloud, cfg).tobytes()
+            single.h2_cloud[0], cfg).tobytes()
 
 
 def test_run_slot_reads_its_slot_of_the_block_in_any_order():

@@ -73,13 +73,13 @@ def test_local_power_strictly_convex_midpoint(f1, f2):
 
 def test_required_accuracy_example():
     # 5 tasks * 10 words * 24 symbols / (0.01 s * 250 kHz) = 0.48
-    assert power.required_accuracy(5.0, B_EDGE, CFG) == pytest.approx(0.48, rel=1e-12)
-    assert power.required_accuracy(0.0, B_EDGE, CFG) == 0.0
+    assert power.required_accuracy(5.0, CFG) == pytest.approx(0.48, rel=1e-12)
+    assert power.required_accuracy(0.0, CFG) == 0.0
 
 
 def test_required_accuracy_ceiling_boundary():
     u = CFG.system.slot_length * B_EDGE * 0.985 / (10 * 24)
-    assert power.required_accuracy(u, B_EDGE, CFG) == pytest.approx(0.985, rel=1e-12)
+    assert power.required_accuracy(u, CFG) == pytest.approx(0.985, rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -117,9 +117,9 @@ def test_accuracy_curve_operands_keep_every_bit():
     assert curve.accuracy(snr_db).tobytes() == floats.accuracy(snr_db).tobytes()
     backoff = 1.0 - power._CEILING_BACKOFF
     assert float(curve.ceiling * backoff) == floats.ceiling * backoff
-    assert power.semantic_volume_cap(gains, B_EDGE, CFG).tobytes() == ref.tobytes()
+    assert power.semantic_volume_cap(gains, CFG).tobytes() == ref.tobytes()
     for h2 in (1e-320, 10 ** (-90.5 / 10), 10 ** (-110.0 / 10), 1.0):
-        assert power.semantic_volume_cap(h2, B_EDGE, CFG) == _float_curve_volume_cap(
+        assert power.semantic_volume_cap(h2, CFG) == _float_curve_volume_cap(
             h2, B_EDGE, CFG)[0]
 
 
@@ -131,7 +131,7 @@ def test_semantic_tx_power_hand_derivation():
     gamma_db = 4.0 - math.log(0.985 / 0.9 - 1.0) / 0.5
     expected = 10 ** (gamma_db / 10) * CFG.channel.noise_psd * B_EDGE / h2
     assert gamma_db == pytest.approx(8.7195, abs=1e-3)
-    got = power.semantic_tx_power(0.9, h2, B_EDGE, CFG)
+    got = power.semantic_tx_power(0.9, h2, CFG)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(8.32e-6, rel=0.01)
     # feeding the power back through the forward curve recovers the accuracy
@@ -141,33 +141,33 @@ def test_semantic_tx_power_hand_derivation():
 
 def test_semantic_tx_power_floor_behavior():
     h2 = 10 ** (-90.5 / 10)
-    at_floor = power.semantic_tx_power(0.9, h2, B_EDGE, CFG)
-    below_floor = power.semantic_tx_power(0.85, h2, B_EDGE, CFG)
+    at_floor = power.semantic_tx_power(0.9, h2, CFG)
+    below_floor = power.semantic_tx_power(0.85, h2, CFG)
     assert below_floor == at_floor
 
 
 def test_semantic_tx_power_halves_when_gain_doubles():
     h2 = 10 ** (-90.5 / 10)
-    assert power.semantic_tx_power(0.95, 2 * h2, B_EDGE, CFG) == pytest.approx(
-        power.semantic_tx_power(0.95, h2, B_EDGE, CFG) / 2, rel=1e-12)
+    assert power.semantic_tx_power(0.95, 2 * h2, CFG) == pytest.approx(
+        power.semantic_tx_power(0.95, h2, CFG) / 2, rel=1e-12)
 
 
 def test_semantic_tx_power_infeasible_beyond_ceiling():
-    assert power.semantic_tx_power(0.985, 1e-9, B_EDGE, CFG) == np.inf
+    assert power.semantic_tx_power(0.985, 1e-9, CFG) == np.inf
 
 
 # --- cloud transmit power ----------------------------------------------------
 
 def test_shannon_tx_power_zero_volume_zero_power():
     h2 = 10 ** (-116.8 / 10)
-    assert power.shannon_tx_power(0.0, h2, B_CLOUD, CFG) == 0.0
+    assert power.shannon_tx_power(0.0, h2, CFG) == 0.0
 
 
 def test_shannon_tx_power_unit_exponent():
     # exponent 1 => (2^1 - 1) = 1 => p = noise * b / h2
     h2 = 10 ** (-116.8 / 10)
     u = CFG.system.slot_length * B_CLOUD / (10 * 40)
-    assert power.shannon_tx_power(u, h2, B_CLOUD, CFG) == pytest.approx(
+    assert power.shannon_tx_power(u, h2, CFG) == pytest.approx(
         CFG.channel.noise_psd * B_CLOUD / h2, rel=1e-12)
 
 
@@ -175,7 +175,7 @@ def test_shannon_tx_power_hand_derivation():
     # u=4 -> exponent 4*400/250 = 6.4; p = (2^6.4 - 1) * noise*b / h2
     h2 = 10 ** (-116.8 / 10)
     expected = (2 ** 6.4 - 1) * CFG.channel.noise_psd * B_CLOUD / h2
-    got = power.shannon_tx_power(4.0, h2, B_CLOUD, CFG)
+    got = power.shannon_tx_power(4.0, h2, CFG)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(4.0e-3, rel=0.01)
     # cross-check: capacity at that power moves exactly 4 tasks in a slot
@@ -188,13 +188,13 @@ def test_shannon_tx_power_hand_derivation():
 @given(u=st.floats(0.01, 6.0), du=st.floats(0.01, 1.0))
 def test_tx_powers_strictly_increasing_in_volume(u, du):
     h2e, h2c = 1e-9, 2e-12
-    assert power.shannon_tx_power(u + du, h2c, B_CLOUD, CFG) > \
-        power.shannon_tx_power(u, h2c, B_CLOUD, CFG)
-    e1 = power.required_accuracy(u, B_EDGE, CFG)
-    e2 = power.required_accuracy(u + du, B_EDGE, CFG)
+    assert power.shannon_tx_power(u + du, h2c, CFG) > \
+        power.shannon_tx_power(u, h2c, CFG)
+    e1 = power.required_accuracy(u, CFG)
+    e2 = power.required_accuracy(u + du, CFG)
     if 0.9 < e1 and e2 < 0.985:  # inside the invertible, un-floored band
-        assert power.semantic_tx_power(e2, h2e, B_EDGE, CFG) > \
-            power.semantic_tx_power(e1, h2e, B_EDGE, CFG)
+        assert power.semantic_tx_power(e2, h2e, CFG) > \
+            power.semantic_tx_power(e1, h2e, CFG)
 
 
 # --- offload caps -------------------------------------------------------------
@@ -203,31 +203,34 @@ def test_cloud_offload_cap_hand_value():
     h2 = 10 ** (-116.8 / 10)
     snr = 0.1 * h2 / (B_CLOUD * CFG.channel.noise_psd)
     expected = 0.625 * math.log2(1 + snr)
-    assert power.cloud_offload_cap(h2, B_CLOUD, CFG) == pytest.approx(expected, rel=1e-12)
+    assert power.cloud_offload_cap(h2, CFG) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(6.9, abs=0.05)
 
 
 def test_cloud_offload_cap_vanishing_gain():
-    assert power.cloud_offload_cap(0.0, B_CLOUD, CFG) == 0.0
+    assert power.cloud_offload_cap(0.0, CFG) == 0.0
 
 
 def test_cloud_offload_cap_monotone_in_bandwidth():
     h2 = 10 ** (-116.8 / 10)
-    caps = [power.cloud_offload_cap(h2, b, CFG) for b in np.linspace(5e3, 2e5, 25)]
+    # 5 to 200 kHz per device at chi_cloud = 2
+    configs = [replace(CFG, channel=replace(CFG.channel, bw_cloud_total=b))
+               for b in np.linspace(1e4, 4e5, 25)]
+    caps = [power.cloud_offload_cap(h2, cfg) for cfg in configs]
     assert np.all(np.diff(caps) > 0)
 
 
 def test_semantic_volume_cap_strong_channel():
     # strong link: the invertible band just under the curve ceiling binds
     h2 = 10 ** (-90.5 / 10)
-    cap = power.semantic_volume_cap(h2, B_EDGE, CFG)
+    cap = power.semantic_volume_cap(h2, CFG)
     sem = CFG.semantic
     ceiling = (CFG.system.slot_length * B_EDGE * sem.accuracy_ceiling
                / (sem.sentence_len * sem.symbols_per_word))
     assert cap < ceiling
     assert cap == pytest.approx(ceiling, rel=1e-6)
-    eps = power.required_accuracy(cap, B_EDGE, CFG)
-    p = power.semantic_tx_power(eps, h2, B_EDGE, CFG)
+    eps = power.required_accuracy(cap, CFG)
+    p = power.semantic_tx_power(eps, h2, CFG)
     assert np.isfinite(p)
     assert p <= CFG.channel.p_tx_max * (1 + 1e-5)
 
@@ -235,13 +238,13 @@ def test_semantic_volume_cap_strong_channel():
 def test_semantic_volume_cap_weak_channel_power_binds():
     # weak link: the transmit-power ceiling binds before the curve saturates
     h2 = 10 ** (-110.0 / 10)
-    cap = power.semantic_volume_cap(h2, B_EDGE, CFG)
-    eps = power.required_accuracy(cap, B_EDGE, CFG)
-    p = power.semantic_tx_power(eps, h2, B_EDGE, CFG)
+    cap = power.semantic_volume_cap(h2, CFG)
+    eps = power.required_accuracy(cap, CFG)
+    p = power.semantic_tx_power(eps, h2, CFG)
     assert p == pytest.approx(CFG.channel.p_tx_max, rel=1e-6)
     # one task more than the cap would need more power than the radio has
-    eps_over = power.required_accuracy(cap * 1.01, B_EDGE, CFG)
-    assert power.semantic_tx_power(eps_over, h2, B_EDGE, CFG) > CFG.channel.p_tx_max
+    eps_over = power.required_accuracy(cap * 1.01, CFG)
+    assert power.semantic_tx_power(eps_over, h2, CFG) > CFG.channel.p_tx_max
 
 
 # --- slot power assembly -----------------------------------------------------

@@ -139,18 +139,16 @@ def test_poisson_quantile_rejects_bad_arguments():
         queueing.poisson_quantile(0.9, float("inf"))
 
 
-def _one_slot_terms(state, arrivals, cfg, caps):
+def _one_slot_terms(state, arrivals, cfg):
     """`queueing.bound_terms` of a block of one slot."""
-    return queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg, caps)
+    return queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg)
 
 
 def test_bound_trivial_cases():
-    caps = queueing.rate_caps(CFG)
     # a zero cloud offload cap gives the smallest bound
     zero = dataclasses.replace(_state(0, n=8), cloud_cap=np.zeros(8))
     b = queueing.drift_penalty_bound(zero.queues, np.zeros((2, 8)), np.zeros((2, 8)),
-                                     0.0, CFG, caps,
-                                     _one_slot_terms(zero, np.zeros(8), CFG, caps), 0)
+                                     0.0, CFG, _one_slot_terms(zero, np.zeros(8), CFG), 0)
     assert b >= 0.0
     # one-device hand case: q=1, mu=1, arrivals=1 -> drift 0 <= bound
     one = dataclasses.replace(_state(1, n=8), cloud_cap=np.zeros(8))
@@ -161,13 +159,13 @@ def test_bound_trivial_cases():
                                       queueing.lyapunov_value(nxt.queues), 0.0,
                                       CFG.system.lyapunov_v)
     bound = queueing.drift_penalty_bound(one.queues, np.array((mu, np.zeros(8))),
-                                         np.array((arr, np.zeros(8))), 0.0, CFG, caps,
-                                         _one_slot_terms(one, arr, CFG, caps), 0)
+                                         np.array((arr, np.zeros(8))), 0.0, CFG,
+                                         _one_slot_terms(one, arr, CFG), 0)
     assert dpp == 0.0
     assert bound >= dpp
 
 
-def _random_transition(cfg, rng, geom, caps):
+def _random_transition(cfg, rng, geom):
     n = cfg.system.num_devices
     draw = channel.draw_channels(geom, cfg, [rng])
     state = channel.slot_state(cfg, draw.h2_edge[0], draw.h2_cloud[0],
@@ -177,16 +175,15 @@ def _random_transition(cfg, rng, geom, caps):
     sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
     arrivals = rng.poisson(cfg.mean_arrivals_per_slot, n).astype(float)
     _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state.queues), sol, arrivals,
-                                      cfg, caps, _one_slot_terms(state, arrivals, cfg, caps), 0)
+                                      cfg, _one_slot_terms(state, arrivals, cfg), 0)
     return dpp, bound
 
 
 def test_bound_holds_on_random_transitions():
     rng = np.random.default_rng(77)
     geom = channel.place_devices(CFG, rng)
-    caps = queueing.rate_caps(CFG)
     for _ in range(2000):
-        dpp, bound = _random_transition(CFG, rng, geom, caps)
+        dpp, bound = _random_transition(CFG, rng, geom)
         assert dpp <= bound + 1e-9
 
 
@@ -257,7 +254,7 @@ def test_block_bound_terms_give_the_per_slot_bound_bit_for_bit(preset, n):
     resolved = preset(policy="random", seed=3, total_slots=1100).apply(cfg)
     sim = engine.Simulation(resolved, "random", 3)
     log = sim.run()
-    caps = queueing.rate_caps(resolved)
+    caps = resolved.coefficients
     for t in range(1100):
         block, k = sim.channels(t)
         state = dataclasses.replace(_state(0, n=n), cloud_cap=block.cloud_cap[k],
@@ -325,19 +322,19 @@ def _both_steps(cfg, h2, queues, sol, arrivals):
     """The outcome of the stacked `engine.step` and of the reference on the
     same slot: (next queues, Lyapunov values, powers, dpp, bound) as arrays,
     or the error each raised."""
-    caps = queueing.rate_caps(cfg)
     state = channel.slot_state(cfg, *h2, *queues)
     ref_state = per_queue.SlotState(state.h2_edge, state.h2_cloud, state.edge_cap,
                                     state.cloud_cap, *queues)
     outcomes = []
     for module, st_, l_state, terms in (
             (engine, state, queueing.lyapunov_value(state.queues),
-             queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg, caps)),
+             queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg)),
             (per_queue, ref_state, per_queue.lyapunov_value(ref_state),
-             per_queue.bound_terms(state.cloud_cap[None], arrivals[None], cfg, caps))):
+             per_queue.bound_terms(state.cloud_cap[None], arrivals[None], cfg,
+                                   cfg.coefficients))):
         try:
             nxt, l_nxt, powers, dpp, bound = module.step(st_, l_state, sol, arrivals, cfg,
-                                                         caps, terms, 0)
+                                                         terms, 0)
         except ValueError as exc:
             outcomes.append((type(exc), str(exc)))
             continue
