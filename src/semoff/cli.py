@@ -19,21 +19,20 @@ from .config import (ConfigError, SlotState, SystemConfig, SystemParams, config_
                      read_config_file, validate_config)
 
 
-def _load(args) -> tuple[SystemConfig, engine.Scenario | None]:
-    """The `--config` file's config and its scenario group, if any."""
-    if args.config is None:
-        return SystemConfig(), None
-    raw = read_config_file(args.config)
-    cfg = config_from_dict(raw)
-    return cfg, engine.scenario_from_dict(raw["scenario"]) if "scenario" in raw else None
-
-
-def _resolve_scenario(args, file_scenario: engine.Scenario | None) -> engine.Scenario:
-    scenario = file_scenario or engine.Scenario()
+def _resolve(args, default: engine.Scenario = engine.Scenario()
+             ) -> tuple[SystemConfig, engine.Scenario]:
+    """The config and scenario a command runs: the `--config` file's groups,
+    its `scenario` group (else `default`) applied over them, the flags over
+    both. Raises ConfigError with every problem `validate_config` reports."""
+    cfg, scenario = SystemConfig(), default
+    if args.config is not None:
+        raw = read_config_file(args.config)
+        cfg = config_from_dict(raw)
+        if "scenario" in raw:
+            scenario = engine.scenario_from_dict(raw["scenario"])
     if getattr(args, "scenario", None) is not None:
-        preset = engine.SCENARIO_PRESETS[str(args.scenario)]
-        scenario = preset(policy=scenario.policy, seed=scenario.seed,
-                          total_slots=scenario.total_slots)
+        scenario = engine.SCENARIO_PRESETS[args.scenario](
+            policy=scenario.policy, seed=scenario.seed, total_slots=scenario.total_slots)
     updates = {}
     if getattr(args, "policy", None) is not None:
         engine.parse_policy_spec(args.policy)  # fail fast on bad specs
@@ -42,26 +41,24 @@ def _resolve_scenario(args, file_scenario: engine.Scenario | None) -> engine.Sce
         updates["seed"] = args.seed
     if getattr(args, "slots", None) is not None:
         updates["total_slots"] = args.slots
-    return dataclasses.replace(scenario, **updates) if updates else scenario
-
-
-def cmd_simulate(args) -> int:
-    cfg, file_scenario = _load(args)
-    scenario = _resolve_scenario(args, file_scenario)
+    scenario = dataclasses.replace(scenario, **updates)
     resolved = scenario.apply(cfg)
     problems = validate_config(resolved)
     if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return 2
+        raise ConfigError("\n".join(problems))
+    return resolved, scenario
+
+
+def cmd_simulate(args) -> int:
+    cfg, scenario = _resolve(args)
 
     def progress(done: int, total: int) -> None:
         print(f"  slot {done}/{total}", file=sys.stderr)
 
-    log = engine.run_scenario(cfg, scenario,
-                              progress=progress if args.verbose else None)
+    log = engine.Simulation(cfg, scenario.policy, scenario.seed).run(
+        progress=progress if args.verbose else None)
     outdir = Path(args.out)
-    engine.write_run_outputs(outdir, log, resolved, scenario,
+    engine.write_run_outputs(outdir, log, cfg, scenario,
                              channel_trace=args.channel_trace)
     print(f"run complete: {scenario.policy}, {log.total_slots} slots, "
           f"tail mean power {log.tail_mean('p_total'):.4f} W -> {outdir}")
@@ -71,11 +68,9 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     # the run settings resolve as `simulate` resolves them, the policy
     # defaulting to exhaustive; the swept parameter overrides them
-    cfg, file_scenario = _load(args)
-    scenario = _resolve_scenario(args, file_scenario or engine.Scenario(policy="exhaustive"))
+    cfg, scenario = _resolve(args, engine.Scenario(policy="exhaustive"))
     values = [float(v) for v in args.values.split(",")]
-    rows = engine.sweep(args.param, values, scenario.apply(cfg), policy=scenario.policy,
-                        seed=scenario.seed)
+    rows = engine.sweep(args.param, values, cfg, policy=scenario.policy, seed=scenario.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     engine.sweep_to_csv(rows, outdir / f"sweep_{args.param}.csv")
@@ -203,12 +198,7 @@ def _stage_grid_rows(cfg: SystemConfig, state: SlotState, sample: int,
 
 
 def cmd_verify(args) -> int:
-    cfg, _ = _load(args)
-    problems = validate_config(cfg)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return 2
+    cfg, _ = _resolve(args)   # the seed below is `--seed`, 0 without it
     rng = channel.run_rng(args.seed or 0, 99)
     geom = channel.place_devices(cfg, rng)
     failures = 0
@@ -350,10 +340,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ConfigError as exc:
+        for problem in str(exc).splitlines():
+            print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,8 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     """Raised for malformed config files: unknown keys, a group that is not
-    an object, a bad scenario setting. `validate_config` reports the rest."""
+    an object, a bad scenario setting. `validate_config` reports the rest;
+    a config refused on its report raises this with one problem a line."""
 
 
 # -174 dBm/Hz thermal noise floor expressed in W/Hz.
@@ -45,7 +46,7 @@ class _Group:
     object array); an int too large for a float is left to `validate_config`."""
 
     def __post_init__(self) -> None:
-        for name, admits, _ in _FIELD_TYPES[type(self)]:
+        for name, admits, *_ in _FIELDS[type(self)]:
             value = getattr(self, name)
             if type(value) is list and tuple in admits:
                 object.__setattr__(self, name, tuple(value))
@@ -185,89 +186,103 @@ _ADMITS = {
     "tuple[int, ...]": (frozenset({tuple}), "a list of integers"),
 }
 
-# (name, admitted types, their name) for every field of each group
-_FIELD_TYPES = {cls: [(f.name, *_ADMITS[f.type]) for f in dataclasses.fields(cls)]
-                for cls in (SystemParams, ChannelParams, SemanticParams, TrainingParams)}
+# Each field's range in interval notation: a bracket closes its end, a
+# parenthesis opens it, and inf is no bound. A null passes where the type
+# admits it, and a list's range holds for each entry. A field missing here
+# fails at import, so no field goes unchecked.
+_RANGES = {
+    # system
+    "num_devices": "[1, inf)", "slot_length": "(0, inf)", "lyapunov_v": "(0, inf)",
+    "arrival_rate_per_sec": "[0, inf)", "q_max_local": "(0, inf)", "q_max_edge": "(0, inf)",
+    "chi_edge": "[0, inf)", "chi_cloud": "[0, inf)", "f_local_max": "(0, inf)",
+    "f_edge_max": "(0, inf)", "flops_per_cycle_local": "(0, inf)",
+    "flops_per_cycle_edge": "(0, inf)", "alpha_local": "(0, inf)",
+    "alpha_edge_weighted": "(0, inf)", "task_flops_encode": "(0, inf)",
+    "task_flops_decode": "(0, inf)",
+    # channel
+    "bw_edge_total": "(0, inf)", "bw_cloud_total": "(0, inf)", "noise_psd": "(0, inf)",
+    "p_tx_max": "(0, inf)", "hotspot_radius_min": "(0, inf)", "hotspot_radius_max": "(0, inf)",
+    "cloud_distance": "(0, inf)", "pathloss_intercept_db": "(-inf, inf)",
+    "pathloss_slope_db": "(-inf, inf)", "rician_k_db": "(-inf, inf)",
+    "shadowing_std_db": "[0, 100]",   # keeps 10 ** (30 sigma / 10) finite
+    # semantic
+    "sentence_len": "(0, inf)", "symbols_per_word": "(0, inf)", "bits_per_word": "(0, inf)",
+    "epsilon_min": "(0, 1)", "accuracy_ceiling": "(0, 1]", "accuracy_slope_per_db": "(0, inf)",
+    "accuracy_midpoint_db": "(-inf, inf)",
+    # training
+    "learning_rate": "(0, inf)", "memory_size": "[1, inf)", "batch_size": "[1, inf)",
+    "train_interval": "[1, inf)", "train_start_slot": "[0, inf)", "total_slots": "[1, inf)",
+    "hidden_sizes": "[1, inf)", "candidate_noise_std": "[0, inf)",
+    "feature_gain_offset_edge_db": "(-inf, inf)", "feature_gain_offset_cloud_db": "(-inf, inf)",
+    "feature_gain_scale_db": "(0, inf)", "feature_queue_ref": "(0, inf)",
+}
+
+
+def _open_ends(interval: str) -> tuple[float, float]:
+    """(lo, hi) such that lo < x < hi holds exactly for the x in `interval`:
+    a closed end moves one float outwards, which admits the same floats, and
+    the same integers as every end is an integer."""
+    lo, hi = map(float, interval[1:-1].split(", "))
+    return (math.nextafter(lo, -math.inf) if interval[0] == "[" else lo,
+            math.nextafter(hi, math.inf) if interval[-1] == "]" else hi)
+
+
+# (name, admitted types, their name, open ends, range) for every field of each group
+_FIELDS = {cls: [(f.name, *_ADMITS[f.type], *_open_ends(_RANGES[f.name]), _RANGES[f.name])
+                 for f in dataclasses.fields(cls)]
+           for cls in (SystemParams, ChannelParams, SemanticParams, TrainingParams)}
 
 
 def validate_config(cfg: SystemConfig) -> list[str]:
-    """Check every config invariant; returns one message per violation.
+    """Check every config invariant; returns one message per violation, each
+    starting with the field or fields it concerns.
 
     Reports rather than throws so a caller can surface all problems at once.
-    Field types are checked first, for every field; the range checks run
-    only once every type is right.
+    One pass checks each field's type and its `_RANGES` range; the range
+    messages, and the rules across fields after them, are reported only once
+    every type is right.
     """
     bad: list[str] = []
+    out_of_range: dict[str, str] = {}
     for group in (cfg.system, cfg.channel, cfg.semantic, cfg.training):
-        for name, admits, kind in _FIELD_TYPES[type(group)]:
+        for name, admits, kind, lo, hi, interval in _FIELDS[type(group)]:
             value = getattr(group, name)
-            if type(value) not in admits:
+            t = type(value)
+            if t not in admits or t is tuple and not all(type(x) is int for x in value):
                 bad.append(f"{name}: must be {kind}, got {value!r}")
-            elif type(value) is int and float in admits:   # see `_Group`
+            elif t is int and float in admits:   # see `_Group`
                 bad.append(f"{name}: must be {kind}, got an integer too large "
                            "for a float")
+            elif t is tuple:
+                if value and not (lo < min(value) and max(value) < hi):
+                    out_of_range[name] = f"{name}: entries must lie in {interval}, got {value!r}"
+            elif value is not None and not lo < value < hi:
+                out_of_range[name] = f"{name}: must lie in {interval}, got {value!r}"
     if bad:
         return bad
+    bad = list(out_of_range.values())
+
+    def in_range(*names: str) -> bool:
+        return out_of_range.keys().isdisjoint(names)
 
     sys_, ch, sem, tr = cfg.system, cfg.channel, cfg.semantic, cfg.training
-
-    def positive(name: str, value: float) -> None:
-        if not 0 < value < math.inf:
-            bad.append(f"{name}: must be a positive finite number, got {value!r}")
-
-    if sys_.num_devices < 1:
-        bad.append(f"num_devices: must be >= 1, got {sys_.num_devices}")
-    positive("slot_length", sys_.slot_length)
-    positive("lyapunov_v", sys_.lyapunov_v)
-    if not 0 <= sys_.arrival_rate_per_sec < math.inf:
-        bad.append("arrival_rate_per_sec: must be a finite number >= 0")
-    for name in ("f_local_max", "f_edge_max", "flops_per_cycle_local",
-                 "flops_per_cycle_edge", "alpha_local", "alpha_edge_weighted",
-                 "task_flops_encode", "task_flops_decode"):
-        positive(name, getattr(sys_, name))
-    reported = len(bad)
-    for name in ("bw_edge_total", "bw_cloud_total", "noise_psd", "p_tx_max"):
-        positive(name, getattr(ch, name))
-    links_ok = len(bad) == reported
-    for name in ("sentence_len", "symbols_per_word", "bits_per_word"):
-        positive(name, getattr(sem, name))
-
-    for name, chi in (("chi_edge", sys_.chi_edge), ("chi_cloud", sys_.chi_cloud)):
-        if chi < 0:
-            bad.append(f"{name}: must be >= 0, got {chi}")
-        elif chi > sys_.num_devices:
+    for name in ("chi_edge", "chi_cloud"):
+        chi = getattr(sys_, name)
+        if in_range(name) and chi > sys_.num_devices:
             bad.append(f"{name} exceeds device count ({chi} > {sys_.num_devices})")
-
-    for name, q_max in (("q_max_local", sys_.q_max_local),
-                        ("q_max_edge", sys_.q_max_edge)):
-        if q_max is not None and not 0 < q_max < math.inf:
-            bad.append(f"{name}: must be positive and finite, or null for unbounded")
     if sys_.q_max_local is not None and sys_.q_max_local < cfg.mean_arrivals_per_slot:
         bad.append("q_max_local: must be at least the mean arrivals per slot "
                    f"({sys_.q_max_local} < {cfg.mean_arrivals_per_slot})")
-
-    if not (0.0 < sem.epsilon_min < 1.0):
-        bad.append(f"epsilon_min: must lie in (0, 1), got {sem.epsilon_min}")
-    if not (0.0 < sem.accuracy_ceiling <= 1.0):
-        bad.append(f"accuracy_ceiling: must lie in (0, 1], got {sem.accuracy_ceiling}")
     if sem.epsilon_min >= sem.accuracy_ceiling:
         bad.append("epsilon_min: must be below accuracy_ceiling")
-    positive("accuracy_slope_per_db", sem.accuracy_slope_per_db)
 
-    if not 0 < ch.hotspot_radius_min < ch.hotspot_radius_max < math.inf:
-        bad.append("hotspot_radius_min, hotspot_radius_max: need 0 < min < max < inf")
-    positive("cloud_distance", ch.cloud_distance)
-    if not 0 <= ch.shadowing_std_db <= 100.0:   # keeps 10 ** (30 sigma / 10) finite
-        bad.append(f"shadowing_std_db: must lie in [0, 100] dB, got {ch.shadowing_std_db!r}")
-    for group, name in ((ch, "pathloss_intercept_db"), (ch, "pathloss_slope_db"),
-                        (ch, "rician_k_db"), (sem, "accuracy_midpoint_db"),
-                        (tr, "feature_gain_offset_edge_db"), (tr, "feature_gain_offset_cloud_db")):
-        if not -math.inf < getattr(group, name) < math.inf:
-            bad.append(f"{name}: must be finite")
     r_min, r_max, d_c = ch.hotspot_radius_min, ch.hotspot_radius_max, ch.cloud_distance
     a, b = ch.pathloss_intercept_db, ch.pathloss_slope_db
-    if (0 < r_min < r_max < math.inf and 0 < d_c < math.inf
-            and math.isfinite(a) and math.isfinite(b)):
+    if r_min >= r_max:
+        bad.append("hotspot_radius_min, hotspot_radius_max: need min < max, "
+                   f"got {r_min!r} and {r_max!r}")
+    elif in_range("hotspot_radius_min", "hotspot_radius_max", "cloud_distance",
+                  "pathloss_intercept_db", "pathloss_slope_db"):
         if r_min <= d_c <= r_max:   # devices come arbitrarily close to the cloud station
             bad.append(f"cloud_distance: must lie outside the hotspot ({r_min:g} to {r_max:g} m), "
                        f"where the pathloss gain has no bound, got {d_c!r}")
@@ -276,12 +291,12 @@ def validate_config(cfg: SystemConfig) -> list[str]:
             try:
                 g_near = 10.0 ** (-(a + b * math.log10(near / 1000.0)) / 10.0)
                 g_far = 10.0 ** (-(a + b * math.log10(far / 1000.0)) / 10.0)
-            except OverflowError:
+            except (OverflowError, ValueError):   # ValueError: near / 1000 rounds to 0
                 g_near = g_far = math.inf
             if not (0 < g_near < math.inf and 0 < g_far < math.inf):
                 bad.append("pathloss_intercept_db, pathloss_slope_db: must keep the pathloss "
                            f"gain finite and > 0 from {near:g} to {far:g} m, got {a!r} and {b!r}")
-            elif links_ok:
+            elif in_range("bw_edge_total", "bw_cloud_total", "noise_psd", "p_tx_max"):
                 # the SNR at the power ceiling on each link, as `power.semantic_volume_cap`
                 # and `power.cloud_offload_cap` divide it (a zero divisor is an inf SNR)
                 p = ch.p_tx_max
@@ -298,34 +313,17 @@ def validate_config(cfg: SystemConfig) -> list[str]:
         10.0 ** (ch.rician_k_db / 10.0)   # the linear K factor
     except OverflowError:
         bad.append(f"rician_k_db: must keep 10 ** (rician_k_db / 10) finite, got {ch.rician_k_db!r}")
-    if 0 < sem.epsilon_min < sem.accuracy_ceiling and sem.accuracy_slope_per_db > 0:
+    if in_range("epsilon_min", "accuracy_slope_per_db") and sem.epsilon_min < sem.accuracy_ceiling:
         try:   # the linear SNR at the accuracy floor, as `power.semantic_tx_power` takes it
             10.0 ** ((sem.accuracy_midpoint_db - math.log(sem.accuracy_ceiling / sem.epsilon_min - 1.0)
                       / sem.accuracy_slope_per_db) / 10.0)
         except OverflowError:
             bad.append("accuracy_midpoint_db: must keep the SNR at epsilon_min finite, "
                        f"got {sem.accuracy_midpoint_db!r}")
-
-    positive("learning_rate", tr.learning_rate)
-    for name, count, low in (("memory_size", tr.memory_size, 1),
-                             ("batch_size", tr.batch_size, 1),
-                             ("train_interval", tr.train_interval, 1),
-                             ("train_start_slot", tr.train_start_slot, 0),
-                             ("total_slots", tr.total_slots, 1)):
-        if count < low:
-            bad.append(f"{name}: must be >= {low}")
     if tr.batch_size > tr.memory_size:
         bad.append("batch_size: must not exceed memory_size")
     if not tr.hidden_sizes:
         bad.append("hidden_sizes: must list at least one layer size")
-    for size in tr.hidden_sizes:
-        if type(size) is not int or size < 1:
-            bad.append(f"hidden_sizes: layer sizes must be integers >= 1, got {size!r}")
-    if not 0 <= tr.candidate_noise_std < math.inf:
-        bad.append(f"candidate_noise_std: must be a finite number >= 0, "
-                   f"got {tr.candidate_noise_std!r}")
-    positive("feature_gain_scale_db", tr.feature_gain_scale_db)
-    positive("feature_queue_ref", tr.feature_queue_ref)
     return bad
 
 
@@ -433,21 +431,12 @@ _GROUPS = {
 }
 
 
-def _params_from_dict(cls: type, data: dict[str, Any], group: str) -> Any:
-    """A parameter group from its parsed form; `validate_config` checks
-    the values' types (null included)."""
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown key(s) in '{group}': {sorted(unknown)}")
-    return cls(**data)
-
-
 def config_from_dict(data: dict[str, Any]) -> SystemConfig:
     """Build a SystemConfig from the parsed structured-text form.
 
     Top-level keys are the four parameter groups; a 'scenario' group is
     allowed and ignored here (see engine.scenario_from_dict). Unknown keys
-    anywhere are an error.
+    anywhere are an error; `validate_config` checks the values.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
@@ -459,7 +448,10 @@ def config_from_dict(data: dict[str, Any]) -> SystemConfig:
         sub = data.get(group, {})
         if not isinstance(sub, dict):
             raise ConfigError(f"'{group}' must be an object")
-        groups[group] = _params_from_dict(cls, sub, group)
+        unknown = set(sub) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown key(s) in '{group}': {sorted(unknown)}")
+        groups[group] = cls(**sub)
     return SystemConfig(**groups)
 
 
@@ -486,6 +478,8 @@ def read_config_file(path: str | Path) -> Any:
 
 
 def load_config(path: str | Path) -> SystemConfig:
+    """The file's four parameter groups, its `scenario` group unapplied and
+    nothing validated (`cli` resolves both)."""
     return config_from_dict(read_config_file(path))
 
 

@@ -161,6 +161,39 @@ def test_sweep_refuses_a_fractional_user_count(tmp_path, capsys):
     assert not out.exists()   # refused before the first run
 
 
+def test_sweep_refuses_a_bad_value_before_the_first_run(tmp_path, capsys, monkeypatch):
+    from semoff import engine
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "Simulation", no_run)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--param", "v", "--values", "1,2,-1", "--slots", "3000",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: v=-1.0: lyapunov_v: must lie in (0, inf), got -1.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate", "--slots", "5"], ["verify", "--quick"],
+                                     ["sweep", "--param", "users", "--values", "8"]],
+                         ids=["simulate", "verify", "sweep"])
+def test_every_command_applies_the_config_files_scenario(command, tmp_path, capsys):
+    # the file's scenario caps the local queue at 0.5 tasks, below the mean
+    # arrivals per slot (1.0); the file's own `q_max_local` (20) is valid
+    config = Path(__file__).resolve().parent.parent / "configs" / "scenario1_drlh64.json"
+    data = json.loads(config.read_text())
+    data["scenario"]["q_max_local"] = 0.5
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: q_max_local: must be at least the mean arrivals "
+                            "per slot (0.5 < 1.0)\n")
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 def test_verify_quick_passes(tmp_path, capsys):
     out = tmp_path / "audit"
     rc = main(["verify", "--quick", "--seed", "0", "--out", str(out)])
@@ -206,7 +239,7 @@ def test_simulate_reports_bad_scenario_values(tmp_path, capsys, scenario, field)
                "--out", str(tmp_path / "run")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"error: scenario.{field}: " in err
+    assert err.startswith(f"config error: scenario.{field}: ")
     assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 

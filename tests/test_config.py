@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semoff import config
 from semoff.config import (ConfigError, Policy, SystemConfig, SystemParams, TrainingParams,
                            config_from_dict, config_to_dict, load_config,
                            save_config, validate_config)
@@ -176,6 +177,58 @@ def test_malformed_values_are_reported_not_raised(cfg, field):
     assert any(p.startswith(field) for p in problems), problems
 
 
+def _field_problems(group, name, value):
+    """The messages of `value` in field `name` of `group`, all else default."""
+    base = SystemConfig()
+    params = dataclasses.replace(getattr(base, group), **{name: value})
+    return [p for p in validate_config(dataclasses.replace(base, **{group: params}))
+            if p.startswith(f"{name}:")]
+
+
+_GROUP_OF = {f.name: (group, f.type) for group in ("system", "channel", "semantic", "training")
+             for f in dataclasses.fields(getattr(SystemConfig(), group))}
+
+
+@pytest.mark.parametrize("name,interval", list(config._RANGES.items()))
+def test_each_field_refuses_just_past_each_end_of_its_range(name, interval):
+    # just past a closed end is the next float out (the integer below or
+    # above for a count), just past an open end is the end itself, and past
+    # no bound (inf) a number field still refuses inf; a closed end passes,
+    # and so does a null wherever the type admits one
+    group, kind = _GROUP_OF[name]
+    integer = kind in ("int", "tuple[int, ...]")
+    wrap = (lambda v: (v,)) if kind.startswith("tuple") else (lambda v: v)
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    for end, closed, out in ((lo, interval[0] == "[", -1), (hi, interval[-1] == "]", 1)):
+        if closed:
+            assert _field_problems(group, name, wrap(int(end) if integer else end)) == []
+            past = int(end) + out if integer else math.nextafter(end, out * math.inf)
+        elif integer and math.isinf(end):
+            continue   # no integer is infinite
+        else:
+            past = int(end) if integer else end
+        assert any(interval in p for p in _field_problems(group, name, wrap(past))), past
+    if kind.startswith("Optional"):
+        assert _field_problems(group, name, None) == []
+
+
+@pytest.mark.parametrize("group,name,value,ok", [
+    ("system", "num_devices", 1, True), ("system", "num_devices", 0, False),
+    ("system", "arrival_rate_per_sec", 0.0, True), ("system", "arrival_rate_per_sec", -5e-324, False),
+    ("system", "chi_cloud", 0, True), ("system", "chi_cloud", -1, False),
+    ("system", "q_max_edge", 5e-324, True), ("system", "q_max_edge", 0.0, False),
+    ("channel", "shadowing_std_db", 0.0, True), ("channel", "shadowing_std_db", -5e-324, False),
+    ("semantic", "epsilon_min", 5e-324, True), ("semantic", "epsilon_min", 0.0, False),
+    ("semantic", "accuracy_ceiling", 1.0, True), ("semantic", "accuracy_ceiling", 1.0000000000000002, False),
+    ("training", "train_start_slot", 0, True), ("training", "train_start_slot", -1, False),
+    ("training", "candidate_noise_std", 0.0, True), ("training", "candidate_noise_std", -5e-324, False),
+    ("training", "hidden_sizes", (1, 80), True), ("training", "hidden_sizes", (120, 0), False),
+])
+def test_range_ends_by_hand(group, name, value, ok):
+    # the ends of the ranges the config check has always had, written out
+    assert (_field_problems(group, name, value) == []) == ok
+
+
 def _float_fields():
     for group in ("system", "channel", "semantic", "training"):
         for f in dataclasses.fields(getattr(SystemConfig(), group)):
@@ -243,6 +296,10 @@ def test_pathloss_gain_beyond_float_range_is_named(name):
         cfg = config_from_dict({"channel": {name: value}})
         assert [p.split(":")[0] for p in validate_config(cfg)] == \
             ["pathloss_intercept_db, pathloss_slope_db"]
+    # a hotspot rim so close that the distance in km rounds to 0
+    cfg = config_from_dict({"channel": {"hotspot_radius_min": 5e-324}})
+    assert [p.split(":")[0] for p in validate_config(cfg)] == \
+        ["pathloss_intercept_db, pathloss_slope_db"]
     # inside the range at every device distance, near and far (a gain of
     # 1e300 at -3000 dB is named by the link-SNR rule instead)
     for channel in ({"pathloss_intercept_db": 3000.0}, {"pathloss_intercept_db": -2800.0},

@@ -3,6 +3,7 @@ the code, and `src/semoff` defines nothing that only the tests use."""
 
 import ast
 import dataclasses
+import importlib
 import json
 import re
 from pathlib import Path
@@ -42,6 +43,23 @@ def test_readme_config_block_lists_every_field_at_its_default():
 def test_example_config_runs(path, tmp_path):
     assert main(["simulate", "--config", str(path), "--slots", "5",
                  "--out", str(tmp_path / "run")]) == 0
+
+
+def test_readme_names_in_src_modules_exist():
+    # every `module.attr` or `module.attr.attr` in backticks whose module is
+    # one of src/semoff's names something the module has
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = [(module, path) for module, path in re.findall(r"`(\w+)\.(\w+(?:\.\w+)?)`", text)
+             if module in _MODULES]
+    assert len(names) >= 10
+    absent, missing = object(), []
+    for module, path in names:
+        obj = importlib.import_module(f"semoff.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, absent)
+        if obj is absent:
+            missing.append(f"{module}.{path}")
+    assert missing == []
 
 
 # Used only from outside the program: the README's "Actor checkpoints".

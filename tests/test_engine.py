@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from semoff import channel, critic, engine, oracle, power, queueing
-from semoff.config import (Allocation, SystemConfig, SystemParams,
+from semoff.config import (Allocation, ConfigError, SystemConfig, SystemParams,
                            TrainingParams, validate_config)
 
 
@@ -143,6 +143,16 @@ def test_users_sweep_reports_search_space_sizes():
     rows = engine.sweep("users", [4, 6, 8], CFG, policy="random", seed=1,
                         total_slots=30)
     assert [r["search_space_size"] for r in rows] == [6, 225, 1960]
+
+
+def test_sweep_validates_every_value_before_the_first_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "Simulation", no_run)
+    with pytest.raises(ConfigError, match=r"^v=-1\.0: lyapunov_v: must lie in \(0, inf\), "
+                                          r"got -1\.0$"):
+        engine.sweep("v", [1.0, 2.0, -1.0], CFG, total_slots=3000)
 
 
 def test_sweep_rejects_unknown_parameter():
