@@ -220,7 +220,7 @@ def generate_candidates(relaxed: RelaxedPolicy, num_candidates: int,
     if num_candidates > 1:
         np.subtract(neg[0], rng.normal(0.0, cfg.training.candidate_noise_std,
                                        size=(num_candidates - 1, 2, n)), out=neg[1:])
-    offsets, top = _candidate_grids(num_candidates, n, cfg.chi_edge_eff, cfg.chi_cloud_eff)
+    offsets, top = _candidate_grids(num_candidates, n, cfg.system.chi_edge, cfg.system.chi_cloud)
     order = np.argsort(neg, axis=2, kind="stable")
     order += offsets
     masks = np.empty(neg.shape, dtype=bool)

@@ -23,7 +23,7 @@ def _resolve(args, default: engine.Scenario = engine.Scenario()
              ) -> tuple[SystemConfig, engine.Scenario]:
     """The config and scenario a command runs: the `--config` file's groups,
     its `scenario` group (else `default`) applied over them, the flags over
-    both. Raises ConfigError with every problem `validate_config` reports."""
+    both. Raises ConfigError with every problem of its run settings and config."""
     cfg, scenario = SystemConfig(), default
     if args.config is not None:
         raw = read_config_file(args.config)
@@ -35,7 +35,6 @@ def _resolve(args, default: engine.Scenario = engine.Scenario()
             policy=scenario.policy, seed=scenario.seed, total_slots=scenario.total_slots)
     updates = {}
     if getattr(args, "policy", None) is not None:
-        engine.parse_policy_spec(args.policy)  # fail fast on bad specs
         updates["policy"] = args.policy
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
@@ -43,7 +42,7 @@ def _resolve(args, default: engine.Scenario = engine.Scenario()
         updates["total_slots"] = args.slots
     scenario = dataclasses.replace(scenario, **updates)
     resolved = scenario.apply(cfg)
-    problems = validate_config(resolved)
+    problems = engine.validate_scenario(scenario) + validate_config(resolved)
     if problems:
         raise ConfigError("\n".join(problems))
     return resolved, scenario
@@ -58,8 +57,7 @@ def cmd_simulate(args) -> int:
     log = engine.Simulation(cfg, scenario.policy, scenario.seed).run(
         progress=progress if args.verbose else None)
     outdir = Path(args.out)
-    engine.write_run_outputs(outdir, log, cfg, scenario,
-                             channel_trace=args.channel_trace)
+    engine.write_run_outputs(outdir, log, cfg, scenario)
     print(f"run complete: {scenario.policy}, {log.total_slots} slots, "
           f"tail mean power {log.tail_mean('p_total'):.4f} W -> {outdir}")
     return 0
@@ -305,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--policy", type=str, default=None,
                      help="drlh:N | exhaustive | random")
     sim.add_argument("--out", type=str, default="runs/latest")
-    sim.add_argument("--channel-trace", action="store_true",
-                     help="also write per-slot channel gains")
     sim.add_argument("--verbose", action="store_true")
     sim.set_defaults(func=cmd_simulate)
 

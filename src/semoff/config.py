@@ -65,8 +65,8 @@ class SystemParams(_Group):
     arrival_rate_per_sec: float = 100.0  # Poisson mean, tasks/s per device
     q_max_local: Optional[float] = 20.0  # tasks; None = unbounded
     q_max_edge: Optional[float] = 5.0    # tasks; None = unbounded
-    chi_edge: int = 4                    # max devices served by the edge server
-    chi_cloud: int = 2                   # max devices served by the cloud server
+    chi_edge: int = 4                    # devices served by the edge server, <= num_devices
+    chi_cloud: int = 2                   # devices served by the cloud server, <= num_devices
     f_local_max: float = 1.2e9           # Hz
     f_edge_max: float = 1.41e9           # Hz
     flops_per_cycle_local: float = 2048.0
@@ -145,22 +145,14 @@ class SystemConfig:
     training: TrainingParams = field(default_factory=TrainingParams)
 
     @property
-    def chi_edge_eff(self) -> int:
-        return min(self.system.chi_edge, self.system.num_devices)
-
-    @property
-    def chi_cloud_eff(self) -> int:
-        return min(self.system.chi_cloud, self.system.num_devices)
-
-    @property
     def bandwidth_edge(self) -> float:
         """Per-device edge uplink bandwidth (equal split across slots)."""
-        return self.channel.bw_edge_total / max(self.chi_edge_eff, 1)
+        return self.channel.bw_edge_total / max(self.system.chi_edge, 1)
 
     @property
     def bandwidth_cloud(self) -> float:
         """Per-device cloud uplink bandwidth (equal split across slots)."""
-        return self.channel.bw_cloud_total / max(self.chi_cloud_eff, 1)
+        return self.channel.bw_cloud_total / max(self.system.chi_cloud, 1)
 
     @property
     def mean_arrivals_per_slot(self) -> float:
@@ -268,8 +260,9 @@ def validate_config(cfg: SystemConfig) -> list[str]:
     sys_, ch, sem, tr = cfg.system, cfg.channel, cfg.semantic, cfg.training
     for name in ("chi_edge", "chi_cloud"):
         chi = getattr(sys_, name)
-        if in_range(name) and chi > sys_.num_devices:
-            bad.append(f"{name} exceeds device count ({chi} > {sys_.num_devices})")
+        if in_range(name) and chi > sys_.num_devices:   # out of [0, num_devices]
+            out_of_range[name] = f"{name} exceeds device count ({chi} > {sys_.num_devices})"
+            bad.append(out_of_range[name])
     if sys_.q_max_local is not None and sys_.q_max_local < cfg.mean_arrivals_per_slot:
         bad.append("q_max_local: must be at least the mean arrivals per slot "
                    f"({sys_.q_max_local} < {cfg.mean_arrivals_per_slot})")
@@ -296,7 +289,8 @@ def validate_config(cfg: SystemConfig) -> list[str]:
             if not (0 < g_near < math.inf and 0 < g_far < math.inf):
                 bad.append("pathloss_intercept_db, pathloss_slope_db: must keep the pathloss "
                            f"gain finite and > 0 from {near:g} to {far:g} m, got {a!r} and {b!r}")
-            elif in_range("bw_edge_total", "bw_cloud_total", "noise_psd", "p_tx_max"):
+            elif in_range("bw_edge_total", "bw_cloud_total", "noise_psd", "p_tx_max",
+                          "chi_edge", "chi_cloud"):   # the bandwidths divide by chi
                 # the SNR at the power ceiling on each link, as `power.semantic_volume_cap`
                 # and `power.cloud_offload_cap` divide it (a zero divisor is an inf SNR)
                 p = ch.p_tx_max

@@ -269,7 +269,7 @@ def _dp_plan(n: int, ke: int, kc: int) -> tuple[tuple[bool, tuple[int, ...], tup
 
 
 def best_association(table: np.ndarray, chi_e: int, chi_c: int) -> Policy:
-    """Minimum-objective association for a (4, I) combo table, exactly.
+    """Minimum-objective association for a (4, I) combo table, exactly (chi_e, chi_c <= I).
 
     A forward dynamic program over devices on the state (#edge, #cloud):
     O(I * chi_e * chi_c) steps instead of scoring all C(I, chi_e) *
@@ -289,15 +289,14 @@ def best_association(table: np.ndarray, chi_e: int, chi_c: int) -> Policy:
     are Python ints and cannot overflow at any I.
     """
     n = table.shape[1]
-    ke, kc = min(chi_e, n), min(chi_c, n)
-    w = kc + 1
-    size = (ke + 1) * w
+    w = chi_c + 1
+    size = (chi_e + 1) * w
     edge = 1 << n   # an edge bit's term in the key extension
     inf = float("inf")
     g_old, k_old, g_new, k_new = [inf] * size, [0] * size, [inf] * size, [0] * size
     g_old[0] = 0.0
     for (t0, t1, t2, t3), (origin, cloud_only, edge_only, both) in zip(
-            table.T.tolist(), _dp_plan(n, ke, kc)):
+            table.T.tolist(), _dp_plan(n, chi_e, chi_c)):
         # predecessors of s: s (no server), s - 1 (cloud), s - w (edge),
         # s - w - 1 (both); unrolled per kind, as these loops are the hot path
         if origin:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import actor, channel, critic, oracle, power, queueing
 from .config import (ConfigError, Policy, SlotState, SystemConfig, config_to_dict,
-                     queue_row, validate_config)
+                     queue_row, save_config, validate_config)
 
 # Named RNG streams (master seed, stream id[, slot]).
 STREAM_PLACEMENT = 0
@@ -40,15 +41,15 @@ BOUND_TOL = 1e-9   # a slot breaks the drift bound when dpp > bound + BOUND_TOL
 
 
 def parse_policy_spec(spec: str) -> tuple[str, int]:
-    """Parse 'drlh:N' | 'exhaustive' | 'random' into (kind, candidates)."""
-    if spec.startswith("drlh"):
-        parts = spec.split(":")
-        if len(parts) == 2 and parts[1].isdigit() and int(parts[1]) >= 1:
-            return "drlh", int(parts[1])
-        raise ValueError(f"bad policy spec {spec!r}; expected drlh:N with N >= 1")
+    """Parse 'drlh:N' (N a positive integer in ASCII digits) | 'exhaustive' |
+    'random' into (kind, candidates)."""
     if spec in ("exhaustive", "random"):
         return spec, 0
-    raise ValueError(f"unknown policy spec {spec!r}")
+    match = re.fullmatch(r"drlh:([0-9]+)", spec)
+    if match is None or int(match[1]) < 1:
+        raise ValueError(f"unknown policy spec {spec!r}; expected drlh:N with N >= 1, "
+                         "exhaustive or random")
+    return "drlh", int(match[1])
 
 
 @dataclass(frozen=True)
@@ -91,25 +92,28 @@ class Scenario:
 
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
-    """A config file's 'scenario' group. Checks the run settings here; the
-    values it layers over the config are checked by `validate_config`."""
+    """A config file's 'scenario' group; `validate_scenario` checks its run
+    settings and `validate_config` the values it layers over the config."""
     if not isinstance(data, dict):
         raise ConfigError("'scenario' must be an object")
     unknown = set(data) - {f.name for f in dataclasses.fields(Scenario)}
     if unknown:
         raise ConfigError(f"unknown key(s) in 'scenario': {sorted(unknown)}")
-    scenario = Scenario(**data)
-    for name in ("name", "policy"):
-        if type(getattr(scenario, name)) is not str:
-            raise ConfigError(f"scenario.{name}: must be a string, "
-                              f"got {getattr(scenario, name)!r}")
+    return Scenario(**data)
+
+
+def validate_scenario(scenario: Scenario) -> list[str]:
+    """The run settings' problems (name, policy, seed), as `validate_config` reports."""
+    bad = [f"scenario.{name}: must be a string, got {getattr(scenario, name)!r}"
+           for name in ("name", "policy") if type(getattr(scenario, name)) is not str]
     if type(scenario.seed) is not int or scenario.seed < 0:
-        raise ConfigError(f"scenario.seed: must be an integer >= 0, got {scenario.seed!r}")
-    try:
-        parse_policy_spec(scenario.policy)
-    except ValueError as exc:
-        raise ConfigError(f"scenario.policy: {exc}") from None
-    return scenario
+        bad.append(f"scenario.seed: must be an integer >= 0, got {scenario.seed!r}")
+    if type(scenario.policy) is str:
+        try:
+            parse_policy_spec(scenario.policy)
+        except ValueError as exc:
+            bad.append(f"scenario.policy: {exc}")
+    return bad
 
 
 def scenario_one(policy: str = "drlh:64", seed: int = 1,
@@ -157,7 +161,6 @@ class MetricsLog:
         self.policy_edge = np.zeros(total_slots, dtype=object)
         self.policy_cloud = np.zeros(total_slots, dtype=object)
         self.num_candidates = np.zeros(total_slots, dtype=object)
-        self.bound_violations = 0
         self.train_steps = 0
 
     @property
@@ -174,6 +177,22 @@ class MetricsLog:
         """System total backlog (local plus edge) per slot."""
         return self.q_local.sum(axis=1) + self.q_edge.sum(axis=1)
 
+    def tail_queue_power(self) -> dict[str, float]:
+        """Tail means (see `tail_start`) of the per-device local and edge
+        queues, the total backlog (`sum_queue`) and the total power."""
+        return {"q_local_per_device": self.tail_mean("q_local"),
+                "q_edge_per_device": self.tail_mean("q_edge"),
+                "sum_queue": float(np.mean(self.sum_queue()[self.tail_start:])),
+                "power_w": self.tail_mean("p_total")}
+
+    def broken_slots(self) -> np.ndarray:
+        """The logged slots that broke the drift bound: dpp > bound + BOUND_TOL."""
+        return np.flatnonzero(self.dpp > self.bound + BOUND_TOL)
+
+    @property
+    def bound_violations(self) -> int:
+        return len(self.broken_slots())
+
     def to_csv(self, path: str | Path) -> None:
         header = ["slot"]
         cols = [np.arange(self.total_slots)]
@@ -189,12 +208,6 @@ class MetricsLog:
     def loss_to_csv(self, path: str | Path) -> None:
         _write_columns(path, ["slot", "train_loss", "test_loss"],
                        [np.arange(self.total_slots), self.train_loss, self.test_loss])
-
-    def channels_to_csv(self, path: str | Path) -> None:
-        _write_columns(path, ["slot", "device", "h2_edge", "h2_cloud"],
-                       [np.repeat(np.arange(self.total_slots), self.num_devices),
-                        np.tile(np.arange(self.num_devices), self.total_slots),
-                        self.h2_edge.reshape(-1), self.h2_cloud.reshape(-1)])
 
 
 _CSV_BLOCK_ROWS = 16   # rows formatted at a time, so the text held stays small
@@ -270,7 +283,7 @@ class Simulation:
     def __init__(self, cfg: SystemConfig, policy_spec: str, seed: int):
         problems = validate_config(cfg)
         if problems:
-            raise ValueError("invalid config: " + "; ".join(problems))
+            raise ConfigError("\n".join(problems))
         self.cfg = cfg
         self.seed = seed
         self.policy_spec = policy_spec
@@ -386,8 +399,6 @@ class Simulation:
                                                   cfg, block.bound_terms, k)
         except critic.FeasibilityError as exc:
             raise critic.FeasibilityError(f"slot {t}: {exc}") from exc
-        if dpp > bound + BOUND_TOL:
-            log.bound_violations += 1
 
         log.arrivals[t] = arrivals
         log.q_local[t], log.q_edge[t], log.z_local[t], log.z_edge[t] = queues
@@ -410,11 +421,8 @@ class Simulation:
         self.lyapunov = l_nxt
 
 
-def run_scenario(cfg: SystemConfig, scenario: Scenario,
-                 progress: Optional[Callable[[int, int], None]] = None) -> MetricsLog:
-    resolved = scenario.apply(cfg)
-    sim = Simulation(resolved, scenario.policy, scenario.seed)
-    return sim.run(progress=progress)
+def run_scenario(cfg: SystemConfig, scenario: Scenario) -> MetricsLog:
+    return Simulation(scenario.apply(cfg), scenario.policy, scenario.seed).run()
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +449,7 @@ def sweep_config(cfg: SystemConfig, parameter: str, value: float) -> SystemConfi
 
 def sweep(parameter: str, values: list[float], cfg: SystemConfig,
           policy: str = "exhaustive", seed: int = 1,
-          total_slots: Any = INHERIT,
-          progress: Optional[Callable[[int, int], None]] = None) -> list[dict[str, Any]]:
+          total_slots: Any = INHERIT) -> list[dict[str, Any]]:
     """Run one scenario per value; emit plot-ready summary rows.
 
     Every run shares the same master seed, so channel and arrival draws are
@@ -463,7 +470,7 @@ def sweep(parameter: str, values: list[float], cfg: SystemConfig,
     for value, scenario, run_cfg in runs:
         # resolved again just before its run: handing each run the config
         # validated above measured about 10% slower `Simulation` set-ups
-        log = run_scenario(run_cfg, scenario, progress=progress)
+        log = run_scenario(run_cfg, scenario)
         resolved = scenario.apply(run_cfg)
         row = {
             "parameter": parameter,
@@ -471,10 +478,7 @@ def sweep(parameter: str, values: list[float], cfg: SystemConfig,
             "policy": policy,
             "seed": seed,
             "slots": resolved.training.total_slots,
-            "tail_mean_q_local_per_device": log.tail_mean("q_local"),
-            "tail_mean_q_edge_per_device": log.tail_mean("q_edge"),
-            "tail_mean_sum_queue": float(np.mean(log.sum_queue()[log.tail_start:])),
-            "tail_mean_power_w": log.tail_mean("p_total"),
+            **{f"tail_mean_{k}": v for k, v in log.tail_queue_power().items()},
             "search_space_size": oracle.count_policies(
                 resolved.system.num_devices, resolved.system.chi_edge,
                 resolved.system.chi_cloud),
@@ -500,12 +504,9 @@ def sweep_to_csv(rows: list[dict[str, Any]], path: str | Path) -> None:
 
 def summarize(log: MetricsLog, cfg: SystemConfig, scenario: Scenario) -> dict[str, Any]:
     tail = {
-        "q_local_per_device": log.tail_mean("q_local"),
-        "q_edge_per_device": log.tail_mean("q_edge"),
+        **log.tail_queue_power(),
         "z_local_per_device": log.tail_mean("z_local"),
         "z_edge_per_device": log.tail_mean("z_edge"),
-        "sum_queue": float(np.mean(log.sum_queue()[log.tail_start:])),
-        "power_w": log.tail_mean("p_total"),
         "power_local_w": log.tail_mean("p_local"),
         "power_edge_w": log.tail_mean("p_edge"),
         "power_tx_edge_w": log.tail_mean("p_tx_edge"),
@@ -514,7 +515,7 @@ def summarize(log: MetricsLog, cfg: SystemConfig, scenario: Scenario) -> dict[st
     }
     slack = np.sort(log.bound - log.dpp)
     n = len(slack)
-    broken = np.flatnonzero(log.dpp > log.bound + BOUND_TOL)
+    broken = log.broken_slots()
     # null where the tail holds no loss (no actor, or no training step in it)
     test_tail, train_tail = (float(np.nanmean(tail)) if np.any(np.isfinite(tail)) else None
                              for tail in (log.test_loss[log.tail_start:],
@@ -539,11 +540,9 @@ def summarize(log: MetricsLog, cfg: SystemConfig, scenario: Scenario) -> dict[st
 
 
 def write_run_outputs(outdir: str | Path, log: MetricsLog, cfg: SystemConfig,
-                      scenario: Scenario, channel_trace: bool = False) -> None:
+                      scenario: Scenario) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    from .config import save_config
-
     save_config(cfg, out / "config.json", scenario_dict=scenario.to_dict())
     log.to_csv(out / "metrics.csv")
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
@@ -551,5 +550,3 @@ def write_run_outputs(outdir: str | Path, log: MetricsLog, cfg: SystemConfig,
         fh.write("\n")
     if np.any(np.isfinite(log.test_loss)):
         log.loss_to_csv(out / "loss.csv")
-    if channel_trace:
-        log.channels_to_csv(out / "channels.csv")

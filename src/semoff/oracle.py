@@ -5,8 +5,8 @@ Enumeration is a test oracle and the `enumerate` command's output; the
 exhaustive search itself is the exact dynamic program in
 `critic.best_association`.
 
-Every policy associates exactly min(chi_edge, I) devices with the edge
-server and exactly chi_cloud with the cloud server, which reproduces the
+Every policy associates exactly chi_edge <= I devices with the edge server
+and exactly chi_cloud <= I with the cloud server, which reproduces the
 binomial-product search-space sizes.
 """
 
@@ -22,20 +22,15 @@ from .config import Policy
 
 
 def count_policies(num_devices: int, chi_edge: int, chi_cloud: int) -> int:
-    """Closed-form size of the feasible policy set."""
-    if chi_cloud > num_devices:
-        raise ValueError(f"chi_cloud ({chi_cloud}) exceeds device count ({num_devices})")
-    n = num_devices
-    return math.comb(n, min(chi_edge, n)) * math.comb(n, chi_cloud)
+    """Closed-form size of the feasible policy set, chi_* <= I."""
+    return math.comb(num_devices, chi_edge) * math.comb(num_devices, chi_cloud)
 
 
 def enumerate_policies(num_devices: int, chi_edge: int,
                        chi_cloud: int) -> Iterator[Policy]:
-    """Stream every feasible policy in lexicographic (edge, cloud) order."""
-    if chi_cloud > num_devices:
-        raise ValueError(f"chi_cloud ({chi_cloud}) exceeds device count ({num_devices})")
+    """Stream every feasible policy in (edge, cloud) lexicographic order, chi_* <= I."""
     n = num_devices
-    for e_subset in itertools.combinations(range(n), min(chi_edge, n)):
+    for e_subset in itertools.combinations(range(n), chi_edge):
         rho_e = np.zeros(n, dtype=bool)
         rho_e[list(e_subset)] = True
         for c_subset in itertools.combinations(range(n), chi_cloud):
@@ -56,14 +51,12 @@ def policy_table(num_devices: int, chi_edge: int,
 
 def random_policy(rng: np.random.Generator, num_devices: int, chi_edge: int,
                   chi_cloud: int) -> Policy:
-    """Uniform draw over the feasible policy set."""
-    if chi_cloud > num_devices:
-        raise ValueError(f"chi_cloud ({chi_cloud}) exceeds device count ({num_devices})")
+    """Uniform draw over the feasible policy set, chi_* <= I."""
     n = num_devices
 
     def draw(chi: int) -> np.ndarray:
         mask = np.zeros(n, dtype=bool)
-        mask[rng.choice(n, size=min(chi, n), replace=False)] = True
+        mask[rng.choice(n, size=chi, replace=False)] = True
         return mask
 
     return Policy(rho_edge=draw(chi_edge), rho_cloud=draw(chi_cloud))

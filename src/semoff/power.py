@@ -55,14 +55,12 @@ class LogisticAccuracyCurve:
     def accuracy(self, snr_db):
         z = self.slope_per_db * (np.asarray(snr_db, dtype=float) - self.midpoint_db)
         ez = np.exp(-np.abs(z))  # overflow-safe in both tails
-        out = np.where(z >= 0, self.ceiling / (1.0 + ez), self.ceiling * ez / (1.0 + ez))
-        return out if out.ndim else float(out)
+        return np.where(z >= 0, self.ceiling / (1.0 + ez), self.ceiling * ez / (1.0 + ez))
 
     def snr_db_for(self, epsilon):
         """Inverse curve; epsilon must lie strictly inside (0, ceiling)."""
         eps = np.asarray(epsilon, dtype=float)
-        out = self.midpoint_db - np.log(self.ceiling / eps - ONE) / self.slope_per_db
-        return out if out.ndim else float(out)
+        return self.midpoint_db - np.log(self.ceiling / eps - ONE) / self.slope_per_db
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +128,14 @@ def semantic_tx_power(eps_required, h2_edge, cfg: SystemConfig):
     snr_db = np.where(eps_eff >= k.curve.ceiling, INF,
                       k.curve.snr_db_for(np.minimum(eps_eff, k.epsilon_invertible)))
     snr = TEN ** (snr_db / TEN)
-    p = snr * k.noise_psd * cfg.bandwidth_edge / np.asarray(h2_edge, dtype=float)
-    return p if np.ndim(p) else float(p)
+    return snr * k.noise_psd * cfg.bandwidth_edge / np.asarray(h2_edge, dtype=float)
 
 
 def shannon_tx_power(u_cloud, h2_cloud, cfg: SystemConfig):
     """Transmit power to push u_cloud tasks/slot of source bits to the cloud."""
     k, bandwidth = cfg.coefficients, cfg.bandwidth_cloud
     exponent = u_cloud * k.bits_per_task / (cfg.system.slot_length * bandwidth)
-    p = (TWO ** exponent - ONE) * k.noise_psd * bandwidth / np.asarray(h2_cloud, dtype=float)
-    return p if np.ndim(p) else float(p)
+    return (TWO ** exponent - ONE) * k.noise_psd * bandwidth / np.asarray(h2_cloud, dtype=float)
 
 
 def cloud_offload_cap(h2_cloud, cfg: SystemConfig):
@@ -148,8 +144,7 @@ def cloud_offload_cap(h2_cloud, cfg: SystemConfig):
     with np.errstate(over="ignore"):   # a fading peak may pass the float range: see `_SNR_MAX`
         snr = np.minimum(cfg.channel.p_tx_max * np.asarray(h2_cloud, dtype=float)
                          / (cfg.bandwidth_cloud * cfg.channel.noise_psd), _SNR_MAX)
-    cap = cfg.coefficients.cloud_volume_scale * np.log2(1.0 + snr)
-    return cap if np.ndim(cap) else float(cap)
+    return cfg.coefficients.cloud_volume_scale * np.log2(1.0 + snr)
 
 
 # Accuracies this close to the curve ceiling are numerically
@@ -175,8 +170,7 @@ def semantic_volume_cap(h2_edge, cfg: SystemConfig):
         snr_cap_db = 10.0 * np.log10(np.minimum(snr_cap, _SNR_MAX))
     eps_cap = np.minimum(curve.accuracy(snr_cap_db),
                          curve.ceiling * (1.0 - _CEILING_BACKOFF))
-    cap = (cfg.system.slot_length * bandwidth / (sem.sentence_len * sem.symbols_per_word)) * eps_cap
-    return cap if np.ndim(cap) else float(cap)
+    return (cfg.system.slot_length * bandwidth / (sem.sentence_len * sem.symbols_per_word)) * eps_cap
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,10 @@ def update_edge_queue(q, mu_edge, u_edge):
 def update_virtual_queue(z, q_next, q_max, bounded=True):
     """Virtual queue absorbing the excess of the real queue over its cap.
 
-    An unbounded cap (None, or False in `bounded`) keeps the virtual queue
-    pinned at zero. On stacked rows, `q_max` and `bounded` are columns, one
-    entry per row (`Coefficients.q_max`, `Coefficients.q_max_set`).
+    An unbounded cap (False in `bounded`) keeps the virtual queue pinned at
+    zero. On stacked rows, `q_max` and `bounded` are columns, one entry per
+    row (`Coefficients.q_max`, `Coefficients.q_max_set`).
     """
-    if q_max is None:
-        q_max, bounded = ZERO, False
     return np.where(bounded, np.maximum(z + q_next - q_max, ZERO), ZERO)
 
 

@@ -83,8 +83,8 @@ def _top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
 def _quantize(relaxed: RelaxedPolicy, cfg: SystemConfig) -> Policy:
     """Order-preserving quantization: top-chi scores per server become ones;
     `actor.generate_candidates`' first (noiseless) candidate."""
-    return Policy(rho_edge=_top_k_mask(relaxed.rho_hat_edge, cfg.chi_edge_eff),
-                  rho_cloud=_top_k_mask(relaxed.rho_hat_cloud, cfg.chi_cloud_eff))
+    return Policy(rho_edge=_top_k_mask(relaxed.rho_hat_edge, cfg.system.chi_edge),
+                  rho_cloud=_top_k_mask(relaxed.rho_hat_cloud, cfg.system.chi_cloud))
 
 
 def test_quantize_top_k_example():
@@ -153,8 +153,8 @@ def _candidates_reference(relaxed, k, rng, cfg):
     if k > 1:
         noisy[1:] += rng.normal(0.0, cfg.training.candidate_noise_std,
                                 size=(k - 1, 2 * n))
-    em = np.array([_top_k_mask(row[:n], cfg.chi_edge_eff) for row in noisy])
-    cm = np.array([_top_k_mask(row[n:], cfg.chi_cloud_eff) for row in noisy])
+    em = np.array([_top_k_mask(row[:n], cfg.system.chi_edge) for row in noisy])
+    cm = np.array([_top_k_mask(row[n:], cfg.system.chi_cloud) for row in noisy])
     _, first = np.unique(np.concatenate([em, cm], axis=1), axis=0, return_index=True)
     keep = np.sort(first)
     return em[keep], cm[keep]
@@ -226,8 +226,8 @@ def _reference_generate_candidates(relaxed, num_candidates, rng, cfg):
     if num_candidates > 1:
         noisy = np.concatenate((noisy, scores + rng.normal(
             0.0, cfg.training.candidate_noise_std, size=(num_candidates - 1, 2 * n))))
-    edge_masks = _reference_top_k_rows(noisy[:, :n], cfg.chi_edge_eff)
-    cloud_masks = _reference_top_k_rows(noisy[:, n:], cfg.chi_cloud_eff)
+    edge_masks = _reference_top_k_rows(noisy[:, :n], cfg.system.chi_edge)
+    cloud_masks = _reference_top_k_rows(noisy[:, n:], cfg.system.chi_cloud)
     packed = np.packbits(np.concatenate((edge_masks, cloud_masks), axis=1), axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
     _, first = np.unique(keys, return_index=True)

@@ -278,3 +278,46 @@ def test_simulate_reports_overflowing_shadowing_and_midpoint(group, name, tmp_pa
     err = capsys.readouterr().err
     assert f"config error: {name}:" in err
     assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+
+_COMMANDS = {"simulate": ["simulate", "--slots", "5"], "verify": ["verify", "--quick"],
+             "sweep": ["sweep", "--param", "users", "--values", "8"]}
+
+
+@pytest.mark.parametrize("spec", ["drlhfoo:4", "drlh:٣", "drlh:²"],
+                         ids=["prefix", "arabic_indic_digit", "superscript_digit"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_policy_spec_is_refused_alike_as_flag_and_in_a_file(spec, command, tmp_path, capsys):
+    # one `config error:` line, exit status 2 and no run, whichever way it comes
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scenario": {"policy": spec}}))
+    errors = []
+    for given in (["--policy", spec], ["--config", str(path)]):
+        assert main([*_COMMANDS[command], *given, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == (f"config error: scenario.policy: unknown policy spec "
+                                      f"{spec!r}; expected drlh:N with N >= 1, exhaustive "
+                                      "or random\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+def test_a_negative_seed_is_refused_alike_as_flag_and_in_a_file(command, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scenario": {"seed": -1}}))
+    for given in (["--seed", "-1"], ["--config", str(path)]):
+        assert main([*_COMMANDS[command], *given, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: scenario.seed: must be an integer >= 0, got -1\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+def test_a_flag_overrides_a_bad_run_setting_of_the_file(tmp_path, capsys):
+    # the run settings are checked once resolved, the flags applied
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scenario": {"policy": "drlhfoo:4", "seed": -1}}))
+    assert main(["simulate", "--config", str(path), "--policy", "random", "--seed", "2",
+                 "--slots", "5", "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["policy"], summary["seed"]) == ("random", 2)

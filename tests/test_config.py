@@ -19,9 +19,11 @@ def test_default_config_is_valid():
 
 
 def test_chi_edge_above_device_count_is_reported():
-    cfg = SystemConfig(system=SystemParams(num_devices=8, chi_edge=9))
-    problems = validate_config(cfg)
-    assert any("chi_edge exceeds device count" in p for p in problems)
+    # a cap too large for a float too: the bandwidth split by it is not computed
+    for chi in (9, 10 ** 400):
+        cfg = SystemConfig(system=SystemParams(num_devices=8, chi_edge=chi))
+        problems = validate_config(cfg)
+        assert any("chi_edge exceeds device count" in p for p in problems)
 
 
 def test_task_flops_mismatch_names_the_field():

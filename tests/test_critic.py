@@ -312,7 +312,7 @@ def _tables(draw):
     DP and enumeration then see the same values and the same ties, and only
     the tie-break rule can tell them apart."""
     n = draw(hs.integers(1, 10))
-    chi_e = draw(hs.integers(0, n + 1))     # above n clamps to n
+    chi_e = draw(hs.integers(0, n))
     chi_c = draw(hs.integers(0, n))
     values = hs.integers(-3, 3).map(float)
     table = np.array(draw(hs.lists(hs.lists(values, min_size=n, max_size=n),
@@ -458,8 +458,8 @@ def _float_tables(draw):
     (exact ties between policies that swap those devices) and some with
     all four combos equal (as an idle device's)."""
     n = draw(hs.integers(1, 12))
-    chi_e = draw(hs.integers(0, n + 1))     # above n clamps to n
-    chi_c = draw(hs.integers(0, n + 1))
+    chi_e = draw(hs.integers(0, n))
+    chi_c = draw(hs.integers(0, n))
     values = hs.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     table = np.array(draw(hs.lists(hs.lists(values, min_size=n, max_size=n),
                                    min_size=4, max_size=4)))

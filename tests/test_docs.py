@@ -1,6 +1,7 @@
 """The README's config reference and the example configs stay in step with
 the code, and `src/semoff` defines nothing that only the tests use."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from semoff import engine
-from semoff.cli import main
+from semoff.cli import build_parser, main
 from semoff.config import SystemConfig, config_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +61,30 @@ def test_readme_names_in_src_modules_exist():
         if obj is absent:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def _subcommand_flags() -> dict[str, set[str]]:
+    """Each `semoff` subcommand's option strings, as `cli.build_parser` builds them."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: set(sub._option_string_actions) for name, sub in commands.choices.items()}
+
+
+def test_readme_flags_are_accepted_by_the_cli():
+    # a flag on a `semoff <command>` line by that command; a backticked flag
+    # in the prose by some command
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    flags = _subcommand_flags()
+    lines = re.findall(r"^semoff (\w+)(.*)$", text, re.M)
+    assert {command for command, _ in lines} == set(flags)
+    unknown = [(command, flag) for command, rest in lines
+               for flag in re.findall(r"--[\w-]+", rest.partition("#")[0])
+               if flag not in flags[command]]
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    quoted = re.findall(r"--[\w-]+", " ".join(re.findall(r"`([^`]+)`", prose)))
+    assert len(quoted) >= 10
+    unknown += [("any", flag) for flag in quoted if not any(flag in f for f in flags.values())]
+    assert unknown == []
 
 
 # Used only from outside the program: the README's "Actor checkpoints".

@@ -102,7 +102,9 @@ def test_parse_policy_spec():
     assert engine.parse_policy_spec("drlh:64") == ("drlh", 64)
     assert engine.parse_policy_spec("exhaustive") == ("exhaustive", 0)
     assert engine.parse_policy_spec("random") == ("random", 0)
-    for bad in ("drlh", "drlh:0", "drlh:x", "greedy"):
+    # only one ASCII full match: not an Arabic-Indic three or a superscript two
+    for bad in ("drlh", "drlh:0", "drlh:x", "greedy", "drlhfoo:4", "drlh:\u0663", "drlh:\u00b2",
+                "drlh:4\n", " drlh:4", "drlh:+4", "drlh:4:1", "Exhaustive"):
         with pytest.raises(ValueError):
             engine.parse_policy_spec(bad)
 
@@ -163,9 +165,8 @@ def test_sweep_rejects_unknown_parameter():
 def test_run_outputs_written(tmp_path):
     sc = engine.scenario_one(policy="drlh:8", seed=2, total_slots=60)
     log = engine.run_scenario(CFG, sc)
-    engine.write_run_outputs(tmp_path, log, sc.apply(CFG), sc, channel_trace=True)
-    for name in ("config.json", "metrics.csv", "summary.json", "loss.csv",
-                 "channels.csv"):
+    engine.write_run_outputs(tmp_path, log, sc.apply(CFG), sc)
+    for name in ("config.json", "metrics.csv", "summary.json", "loss.csv"):
         assert (tmp_path / name).exists(), name
     header = (tmp_path / "metrics.csv").read_text().splitlines()[0].split(",")
     assert "q_local_0" in header and "p_total" in header
@@ -205,15 +206,37 @@ def test_summary_names_the_first_slot_that_breaks_the_bound():
     log.dpp[9] = log.bound[9] + 0.5e-9
     log.dpp[17] = log.bound[17] + 1e-6
     log.dpp[30] = log.bound[30] + 5.0
-    slack = engine.summarize(log, sc.apply(CFG), sc)["drift_bound_slack"]
+    summary = engine.summarize(log, sc.apply(CFG), sc)
+    slack = summary["drift_bound_slack"]
     assert slack["first_violation_slot"] == 17
     assert slack["min"] == log.bound[30] - log.dpp[30]
+    # the count is read from the same logged columns
+    assert summary["bound_violations"] == log.bound_violations == 2
+    assert engine.MetricsLog(5, 8).bound_violations == 0   # unreached (NaN) slots count none
 
 
 def test_invalid_config_refused():
     cfg = SystemConfig(system=SystemParams(chi_edge=9))
     with pytest.raises(ValueError, match="chi_edge"):
         engine.Simulation(cfg, "random", seed=1)
+
+
+def test_simulation_reports_each_config_problem_on_its_own_line():
+    cfg = SystemConfig(system=SystemParams(chi_edge=9, lyapunov_v=-1.0))
+    with pytest.raises(ConfigError) as exc:
+        engine.Simulation(cfg, "random", seed=1)
+    assert str(exc.value).splitlines() == validate_config(cfg)
+    assert len(validate_config(cfg)) == 2
+
+
+def test_validate_scenario_reports_every_run_setting():
+    assert engine.validate_scenario(engine.Scenario()) == []
+    bad = engine.Scenario(name=5, policy="drlh:\u0663", seed=-1)
+    assert engine.validate_scenario(bad) == [
+        "scenario.name: must be a string, got 5",
+        "scenario.seed: must be an integer >= 0, got -1",
+        "scenario.policy: unknown policy spec 'drlh:\u0663'; expected drlh:N with N >= 1, "
+        "exhaustive or random"]
 
 
 def test_run_slot_outcome_consistent():

@@ -25,24 +25,13 @@ def test_count_closed_form_matches_enumeration():
             for chi_c in range(0, n + 1):
                 count = sum(1 for _ in oracle.enumerate_policies(n, chi_e, chi_c))
                 assert count == oracle.count_policies(n, chi_e, chi_c)
-                assert count == math.comb(n, min(chi_e, n)) * math.comb(n, chi_c)
+                assert count == math.comb(n, chi_e) * math.comb(n, chi_c)
 
 
 def test_everyone_associated_is_single_policy():
     policies = list(oracle.enumerate_policies(2, 2, 2))
     assert len(policies) == 1
     assert np.all(policies[0].rho_edge) and np.all(policies[0].rho_cloud)
-
-
-def test_chi_cloud_above_devices_raises():
-    with pytest.raises(ValueError, match="chi_cloud"):
-        list(oracle.enumerate_policies(4, 2, 5))
-    with pytest.raises(ValueError, match="chi_cloud"):
-        oracle.count_policies(4, 2, 5)
-
-
-def test_chi_edge_above_devices_clamps():
-    assert oracle.count_policies(4, 9, 2) == math.comb(4, 4) * math.comb(4, 2)
 
 
 def test_enumeration_is_lexicographic_and_streaming():

@@ -47,7 +47,7 @@ def test_virtual_queue_examples():
     assert queueing.update_virtual_queue(2, 7, 5) == 4
     assert queueing.update_virtual_queue(0, 3, 5) == 0
     assert np.all(queueing.update_virtual_queue(np.array([3.0, 9.0]),
-                                                np.array([50.0, 0.0]), None) == 0)
+                                                np.array([50.0, 0.0]), 0.0, False) == 0)
 
 
 def _state(q_l, q_e=0.0, z_l=0.0, z_e=0.0, n=1):
