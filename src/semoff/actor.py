@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RelaxedPolicy, SlotState, SystemConfig
+from .config import SlotState, SystemConfig
 
 _LOG_CLIP = 1e-7
 
@@ -55,8 +55,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class ActorNetwork:
     """Fixed-shape multilayer perceptron with sigmoid outputs in (0, 1)."""
 
-    FORMAT_VERSION = 1
-
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         self.weights = weights
         self.biases = biases
@@ -71,10 +69,6 @@ class ActorNetwork:
             weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
-
-    @property
-    def sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Outputs for a single feature vector or a (B, in) batch."""
@@ -115,25 +109,6 @@ class ActorNetwork:
             if layer > 0:
                 delta = (delta @ self.weights[layer].T) * (activations[layer] > 0)
         return loss, grads_w, grads_b
-
-    def save(self, path) -> None:
-        arrays = {"format_version": np.array(self.FORMAT_VERSION),
-                  "sizes": np.array(self.sizes)}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            arrays[f"w{i}"] = w
-            arrays[f"b{i}"] = b
-        np.savez(path, **arrays)
-
-    @classmethod
-    def load(cls, path) -> "ActorNetwork":
-        data = np.load(path)
-        version = int(data["format_version"])
-        if version != cls.FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        n_layers = len(data["sizes"]) - 1
-        weights = [data[f"w{i}"] for i in range(n_layers)]
-        biases = [data[f"b{i}"] for i in range(n_layers)]
-        return cls(weights, biases)
 
 
 @dataclass
@@ -184,11 +159,10 @@ class ReplayMemory:
         return self.features[idx], self.labels[idx]
 
 
-def relaxed_policy(net: ActorNetwork, features: np.ndarray,
-                   num_devices: int) -> RelaxedPolicy:
-    out = net.forward(features)
-    return RelaxedPolicy(rho_hat_edge=out[:num_devices],
-                         rho_hat_cloud=out[num_devices:], scores=out)
+def relaxed_policy(net: ActorNetwork, features: np.ndarray) -> np.ndarray:
+    """The (2I,) relaxed association scores in (0, 1) for one feature vector:
+    the I edge scores, then the I cloud scores."""
+    return net.forward(features)
 
 
 @functools.lru_cache(maxsize=16)
@@ -199,10 +173,11 @@ def _candidate_grids(rows: int, n: int, k_edge: int, k_cloud: int) -> tuple[np.n
             np.broadcast_to(np.arange(n) < np.array([[k_edge], [k_cloud]]), (2, n)))
 
 
-def generate_candidates(relaxed: RelaxedPolicy, num_candidates: int,
+def generate_candidates(scores: np.ndarray, num_candidates: int,
                         rng: np.random.Generator, cfg: SystemConfig
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Up to `num_candidates` distinct policies as read-only (P, I) mask arrays.
+    """Up to `num_candidates` distinct policies as read-only (P, I) mask
+    arrays, from `relaxed_policy`'s (2I,) scores.
 
     The noiseless quantization always comes first; the rest quantize
     Gaussian-perturbed scores. Duplicates keep their first occurrence, and
@@ -213,10 +188,9 @@ def generate_candidates(relaxed: RelaxedPolicy, num_candidates: int,
     (-s) - z bit for bit), one scatter marks ranks below k, and a dict keeps
     each mask row's first occurrence, read back from its bytes.
     """
-    n = len(relaxed.rho_hat_edge)
+    n = len(scores) // 2
     neg = np.empty((num_candidates, 2, n))
-    np.negative(relaxed.rho_hat_edge, out=neg[0, 0])
-    np.negative(relaxed.rho_hat_cloud, out=neg[0, 1])
+    np.negative(scores.reshape(2, n), out=neg[0])
     if num_candidates > 1:
         np.subtract(neg[0], rng.normal(0.0, cfg.training.candidate_noise_std,
                                        size=(num_candidates - 1, 2, n)), out=neg[1:])

@@ -21,9 +21,10 @@ from .config import (ConfigError, SlotState, SystemConfig, SystemParams, config_
 
 def _resolve(args, default: engine.Scenario = engine.Scenario()
              ) -> tuple[SystemConfig, engine.Scenario]:
-    """The config and scenario a command runs: the `--config` file's groups,
-    its `scenario` group (else `default`) applied over them, the flags over
-    both. Raises ConfigError with every problem of its run settings and config."""
+    """The config and scenario a command runs: the `--config` file's groups
+    and run settings (its `scenario` group, else `default`), a `--scenario`
+    preset's values over the groups, the flags over both. Raises ConfigError
+    with every problem of its run settings and config."""
     cfg, scenario = SystemConfig(), default
     if args.config is not None:
         raw = read_config_file(args.config)
@@ -32,7 +33,7 @@ def _resolve(args, default: engine.Scenario = engine.Scenario()
             scenario = engine.scenario_from_dict(raw["scenario"])
     if getattr(args, "scenario", None) is not None:
         scenario = engine.SCENARIO_PRESETS[args.scenario](
-            policy=scenario.policy, seed=scenario.seed, total_slots=scenario.total_slots)
+            policy=scenario.policy, seed=scenario.seed)
     updates = {}
     if getattr(args, "policy", None) is not None:
         updates["policy"] = args.policy
@@ -129,8 +130,8 @@ def _stage_grid_rows(cfg: SystemConfig, state: SlotState, sample: int,
     tau = s.slot_length
 
     # combo 3 (edge and cloud) of the slot's combo solve
-    alloc = critic.device_g_table(state, cfg)[1].alloc
-    u_e, u_c, f_l, f_e = alloc.u_edge[3], alloc.u_cloud[3], alloc.f_local[3], alloc.f_edge
+    combos = critic.device_g_table(state, cfg)[1]
+    u_e, u_c, f_l, f_e = combos.u_edge[3], combos.u_cloud[3], combos.f_local[3], combos.f_edge
 
     rows: list[dict] = []
     worst = 0.0

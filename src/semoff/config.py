@@ -393,26 +393,6 @@ def _mask_int(mask: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-@dataclass
-class RelaxedPolicy:
-    """Continuous relaxation of a Policy, componentwise in [0, 1]."""
-
-    rho_hat_edge: np.ndarray
-    rho_hat_cloud: np.ndarray
-    scores: Optional[np.ndarray] = None   # the network output both halves are views of
-
-
-@dataclass
-class Allocation:
-    """Continuous per-device decisions accompanying a Policy."""
-
-    u_edge: np.ndarray    # tasks/slot offloaded to the edge server
-    u_cloud: np.ndarray   # tasks/slot offloaded to the cloud server
-    f_local: np.ndarray   # Hz spent executing tasks locally
-    f_encode: np.ndarray  # Hz spent encoding edge-bound tasks
-    f_edge: np.ndarray    # Hz spent decoding at the edge server
-
-
 # ---------------------------------------------------------------------------
 # Structured-text config file handling
 # ---------------------------------------------------------------------------
@@ -472,8 +452,8 @@ def read_config_file(path: str | Path) -> Any:
 
 
 def load_config(path: str | Path) -> SystemConfig:
-    """The file's four parameter groups, its `scenario` group unapplied and
-    nothing validated (`cli` resolves both)."""
+    """The file's four parameter groups, unvalidated; its `scenario` group
+    holds run settings, not config values (`cli` resolves both)."""
     return config_from_dict(read_config_file(path))
 
 

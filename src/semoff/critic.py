@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Allocation, Policy, SlotState, SystemConfig
+from .config import Policy, SlotState, SystemConfig
 from . import power
 from .power import TINY, ZERO
 
@@ -108,11 +108,11 @@ def check_clocks_and_backlog(sol: Solution, state: SlotState, cfg: SystemConfig)
     """Raise FeasibilityError if the clocks exceed their budgets or the
     served volumes exceed the backlog, beyond rounding: 1e-9 relative,
     plus 1e-9 tasks for the volumes."""
-    s, alloc = cfg.system, sol.alloc
+    s = cfg.system
     tol = 1 + _REL_TOL
-    if (alloc.f_local + alloc.f_encode > s.f_local_max * tol).any():
+    if (sol.f_local + sol.f_encode > s.f_local_max * tol).any():
         raise FeasibilityError("f_local + f_encode exceeds f_local_max")
-    if (alloc.f_edge > s.f_edge_max * tol).any():
+    if (sol.f_edge > s.f_edge_max * tol).any():
         raise FeasibilityError("f_edge exceeds f_edge_max")
     # the served volumes against the real queues, local and edge rows at once
     over = np.array((sol.mu_local, sol.mu_edge)) > state.queues[:2] * tol + _REL_TOL
@@ -123,11 +123,15 @@ def check_clocks_and_backlog(sol: Solution, state: SlotState, cfg: SystemConfig)
 
 @dataclass
 class Solution:
-    """A solved allocation with the execution rates and the four power
-    components it implies, per device; from `device_g_table`, the fields
-    that depend on the association are per combo and device, (4, I)."""
+    """A solved allocation (volumes and clocks) with the execution rates and
+    the four power components it implies, per device; from `device_g_table`,
+    the fields that depend on the association are per combo and device, (4, I)."""
 
-    alloc: Allocation
+    u_edge: np.ndarray      # tasks/slot offloaded to the edge server
+    u_cloud: np.ndarray     # tasks/slot offloaded to the cloud server
+    f_local: np.ndarray     # Hz spent executing tasks locally
+    f_encode: np.ndarray    # Hz spent encoding edge-bound tasks
+    f_edge: np.ndarray      # Hz spent decoding at the edge server
     mu_local: np.ndarray    # tasks served locally: executed plus offloaded
     mu_edge: np.ndarray     # tasks decoded at the edge server
     p_local: np.ndarray
@@ -146,7 +150,7 @@ def g_terms(sol: Solution, weights: np.ndarray,
     """
     k = cfg.coefficients
     local_terms = -weights[0] * (sol.mu_local - k.mean_arrivals)
-    edge_terms = -weights[1] * (sol.mu_edge - sol.alloc.u_edge)
+    edge_terms = -weights[1] * (sol.mu_edge - sol.u_edge)
     power_terms = k.lyapunov_v * (sol.p_local + sol.p_edge + sol.p_tx_edge + sol.p_tx_cloud)
     return local_terms, edge_terms, power_terms
 
@@ -199,8 +203,7 @@ def device_g_table(state: SlotState, cfg: SystemConfig) -> tuple[np.ndarray, Sol
     u_dev = u_edge[2]   # the edge-volume candidate: each device's volume when edge-associated
     p_tx_dev = power.semantic_tx_power(power.required_accuracy(u_dev, cfg), state.h2_edge, cfg)
     sol = Solution(
-        alloc=Allocation(u_edge=u_edge, u_cloud=u_cloud, f_local=f_local,
-                         f_encode=f_encode, f_edge=f_edge),
+        u_edge=u_edge, u_cloud=u_cloud, f_local=f_local, f_encode=f_encode, f_edge=f_edge,
         mu_local=power.local_exec_rate(f_local, cfg) + u_edge + u_cloud,
         mu_edge=power.edge_exec_rate(f_edge, cfg),
         p_local=power.local_power(f_local, f_encode, cfg),
@@ -221,11 +224,9 @@ def gather(table: np.ndarray, combos: Solution,
     """
     n = table.shape[1]
     idx = policy.rho_edge * (2 * n) + policy.rho_cloud * n + np.arange(n)
-    a = combos.alloc
-    alloc = Allocation(u_edge=a.u_edge.ravel()[idx], u_cloud=a.u_cloud.ravel()[idx],
-                       f_local=a.f_local.ravel()[idx], f_encode=a.f_encode.ravel()[idx],
-                       f_edge=a.f_edge)
-    sol = Solution(alloc=alloc, mu_local=combos.mu_local.ravel()[idx],
+    sol = Solution(u_edge=combos.u_edge.ravel()[idx], u_cloud=combos.u_cloud.ravel()[idx],
+                   f_local=combos.f_local.ravel()[idx], f_encode=combos.f_encode.ravel()[idx],
+                   f_edge=combos.f_edge, mu_local=combos.mu_local.ravel()[idx],
                    mu_edge=combos.mu_edge, p_local=combos.p_local.ravel()[idx],
                    p_edge=combos.p_edge, p_tx_edge=combos.p_tx_edge.ravel()[idx],
                    p_tx_cloud=combos.p_tx_cloud.ravel()[idx])

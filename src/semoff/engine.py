@@ -23,8 +23,8 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import actor, channel, critic, oracle, power, queueing
-from .config import (ConfigError, Policy, SlotState, SystemConfig, config_to_dict,
-                     queue_row, save_config, validate_config)
+from .config import (ConfigError, Policy, SlotState, SystemConfig, queue_row,
+                     save_config, validate_config)
 
 # Named RNG streams (master seed, stream id[, slot]).
 STREAM_PLACEMENT = 0
@@ -36,6 +36,7 @@ STREAM_ARRIVALS = 5
 STREAM_RANDOM_POLICY = 6
 
 INHERIT: Any = object()  # scenario fields left at the base config
+RUN_SETTINGS = ("name", "policy", "seed")   # a scenario's fields a config file may set
 
 BOUND_TOL = 1e-9   # a slot breaks the drift bound when dpp > bound + BOUND_TOL
 
@@ -54,7 +55,8 @@ def parse_policy_spec(spec: str) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Named bundle of run settings layered over a base config."""
+    """Named bundle of run settings (`RUN_SETTINGS`) plus config values that
+    code layers over a base config (`apply`)."""
 
     name: str = "custom"
     policy: str = "drlh:64"
@@ -81,22 +83,16 @@ class Scenario:
         return out
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"name": self.name, "policy": self.policy,
-                               "seed": self.seed}
-        for name in ("arrival_rate_per_sec", "q_max_local", "q_max_edge",
-                     "total_slots"):
-            value = getattr(self, name)
-            if value is not INHERIT:
-                out[name] = value
-        return out
+        """The run settings; the values `apply` layers are in the config."""
+        return {name: getattr(self, name) for name in RUN_SETTINGS}
 
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
-    """A config file's 'scenario' group; `validate_scenario` checks its run
-    settings and `validate_config` the values it layers over the config."""
+    """A config file's 'scenario' group: run settings only, as every config
+    value has its own group; `validate_scenario` checks them."""
     if not isinstance(data, dict):
         raise ConfigError("'scenario' must be an object")
-    unknown = set(data) - {f.name for f in dataclasses.fields(Scenario)}
+    unknown = set(data) - set(RUN_SETTINGS)
     if unknown:
         raise ConfigError(f"unknown key(s) in 'scenario': {sorted(unknown)}")
     return Scenario(**data)
@@ -252,7 +248,7 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
     critic.check_clocks_and_backlog(sol, state, cfg)
     powers = power.total_power(sol)
     p_total = powers[4]
-    flows = np.array((sol.mu_local, sol.mu_edge, arrivals, sol.alloc.u_edge))
+    flows = np.array((sol.mu_local, sol.mu_edge, arrivals, sol.u_edge))
     served, inflow = flows[:2], flows[2:]
     queues = state.queues
     real = queueing.update_local_queue(queues[:2], served, inflow)
@@ -281,7 +277,8 @@ class Simulation:
     q_local, q_edge, z_local, z_edge = map(queue_row, range(4))   # rows of `queues`
 
     def __init__(self, cfg: SystemConfig, policy_spec: str, seed: int):
-        problems = validate_config(cfg)
+        problems = (validate_scenario(Scenario(policy=policy_spec, seed=seed))
+                    + validate_config(cfg))
         if problems:
             raise ConfigError("\n".join(problems))
         self.cfg = cfg
@@ -334,17 +331,17 @@ class Simulation:
             log.num_candidates[t] = self.n_policies
         else:
             feats = actor.featurize(gains, state, cfg)
-            relaxed = actor.relaxed_policy(self.net, feats, cfg.system.num_devices)
+            scores = actor.relaxed_policy(self.net, feats)
             edge_masks, cloud_masks = actor.generate_candidates(
-                relaxed, self.n_candidates, self.noise_rng, cfg)
+                scores, self.n_candidates, self.noise_rng, cfg)
             idx, _ = critic.best_policy(edge_masks, cloud_masks, table)
             chosen = Policy(rho_edge=edge_masks[idx].copy(),
                             rho_cloud=cloud_masks[idx].copy())
             log.num_candidates[t] = edge_masks.shape[0]
 
             label = np.concatenate([chosen.rho_edge, chosen.rho_cloud]).astype(float)
-            # the relaxed scores are this slot's forward pass on `feats`
-            log.test_loss[t] = actor.cross_entropy(relaxed.scores, label)
+            # the scores are this slot's forward pass on `feats`
+            log.test_loss[t] = actor.cross_entropy(scores, label)
             self.memory.add(feats, label)
             tr = cfg.training
             if (t >= tr.train_start_slot
@@ -402,8 +399,8 @@ class Simulation:
 
         log.arrivals[t] = arrivals
         log.q_local[t], log.q_edge[t], log.z_local[t], log.z_edge[t] = queues
-        log.u_edge[t] = sol.alloc.u_edge
-        log.u_cloud[t] = sol.alloc.u_cloud
+        log.u_edge[t] = sol.u_edge
+        log.u_cloud[t] = sol.u_cloud
         log.mu_local[t] = sol.mu_local
         log.mu_edge[t] = sol.mu_edge
         log.h2_edge[t] = state.h2_edge
@@ -450,40 +447,39 @@ def sweep_config(cfg: SystemConfig, parameter: str, value: float) -> SystemConfi
 def sweep(parameter: str, values: list[float], cfg: SystemConfig,
           policy: str = "exhaustive", seed: int = 1,
           total_slots: Any = INHERIT) -> list[dict[str, Any]]:
-    """Run one scenario per value; emit plot-ready summary rows.
+    """Run `cfg`, its slot count set to `total_slots`, once per value of
+    `parameter`; emit plot-ready summary rows.
 
     Every run shares the same master seed, so channel and arrival draws are
-    comparable across values wherever dimensions match. Every value's
-    config is made and validated before the first run, so a bad value fails
-    early, with a ConfigError naming the value.
+    comparable across values wherever dimensions match. The run settings
+    and every value's config are checked before the first run, so a bad
+    one fails early with a ConfigError; a value's problems name the value.
     """
-    runs = []
+    scenario = Scenario(policy=policy, seed=seed, total_slots=total_slots)
+    problems = validate_scenario(scenario)
+    if problems:
+        raise ConfigError("\n".join(problems))
+    base = scenario.apply(cfg)
     for value in values:
-        scenario = Scenario(name=f"sweep_{parameter}_{value}", policy=policy,
-                            seed=seed, total_slots=total_slots)
-        run_cfg = sweep_config(cfg, parameter, value)
-        problems = validate_config(scenario.apply(run_cfg))
+        problems = validate_config(sweep_config(base, parameter, value))
         if problems:
             raise ConfigError("\n".join(f"{parameter}={value!r}: {p}" for p in problems))
-        runs.append((value, scenario, run_cfg))
     rows: list[dict[str, Any]] = []
-    for value, scenario, run_cfg in runs:
-        # resolved again just before its run: handing each run the config
+    for value in values:
+        # made again just before its run: handing each run the config
         # validated above measured about 10% slower `Simulation` set-ups
-        log = run_scenario(run_cfg, scenario)
-        resolved = scenario.apply(run_cfg)
-        row = {
+        run_cfg = sweep_config(base, parameter, value)
+        log = Simulation(run_cfg, policy, seed).run()
+        s = run_cfg.system
+        rows.append({
             "parameter": parameter,
             "value": value,
             "policy": policy,
             "seed": seed,
-            "slots": resolved.training.total_slots,
+            "slots": run_cfg.training.total_slots,
             **{f"tail_mean_{k}": v for k, v in log.tail_queue_power().items()},
-            "search_space_size": oracle.count_policies(
-                resolved.system.num_devices, resolved.system.chi_edge,
-                resolved.system.chi_cloud),
-        }
-        rows.append(row)
+            "search_space_size": oracle.count_policies(s.num_devices, s.chi_edge, s.chi_cloud),
+        })
     return rows
 
 
@@ -502,7 +498,7 @@ def sweep_to_csv(rows: list[dict[str, Any]], path: str | Path) -> None:
 # Run directory outputs
 # ---------------------------------------------------------------------------
 
-def summarize(log: MetricsLog, cfg: SystemConfig, scenario: Scenario) -> dict[str, Any]:
+def summarize(log: MetricsLog, scenario: Scenario) -> dict[str, Any]:
     tail = {
         **log.tail_queue_power(),
         "z_local_per_device": log.tail_mean("z_local"),
@@ -522,8 +518,6 @@ def summarize(log: MetricsLog, cfg: SystemConfig, scenario: Scenario) -> dict[st
                                           log.train_loss[log.tail_start:]))
     return {
         "scenario": scenario.to_dict(),
-        "seed": scenario.seed,
-        "policy": scenario.policy,
         "total_slots": log.total_slots,
         "tail_start": log.tail_start,
         "tail_means": tail,
@@ -535,7 +529,6 @@ def summarize(log: MetricsLog, cfg: SystemConfig, scenario: Scenario) -> dict[st
         "train_steps": log.train_steps,
         "tail_mean_test_loss": test_tail,
         "tail_mean_train_loss": train_tail,
-        "config": config_to_dict(cfg),
     }
 
 
@@ -546,7 +539,7 @@ def write_run_outputs(outdir: str | Path, log: MetricsLog, cfg: SystemConfig,
     save_config(cfg, out / "config.json", scenario_dict=scenario.to_dict())
     log.to_csv(out / "metrics.csv")
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summarize(log, cfg, scenario), fh, indent=2, sort_keys=True)
+        json.dump(summarize(log, scenario), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if np.any(np.isfinite(log.test_loss)):
         log.loss_to_csv(out / "loss.csv")

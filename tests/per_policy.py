@@ -17,7 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from semoff import critic, power
-from semoff.config import Allocation, Policy, SlotState, SystemConfig
+from semoff.config import Policy, SlotState, SystemConfig
+
+
+@dataclass
+class Allocation:
+    """One policy's five continuous decisions, which the reference solve
+    makes and scores from alone (`critic.Solution` holds them flat, with
+    the rates and powers they imply)."""
+
+    u_edge: np.ndarray    # tasks/slot offloaded to the edge server
+    u_cloud: np.ndarray   # tasks/slot offloaded to the cloud server
+    f_local: np.ndarray   # Hz spent executing tasks locally
+    f_encode: np.ndarray  # Hz spent encoding edge-bound tasks
+    f_edge: np.ndarray    # Hz spent decoding at the edge server
 
 
 @dataclass
@@ -104,7 +117,9 @@ def rates_and_powers(alloc: Allocation, policy: Policy, state: SlotState,
                 + alloc.u_edge + alloc.u_cloud)
     mu_edge = np.asarray(power.edge_exec_rate(alloc.f_edge, cfg))
     p_l, p_e, p_tx_e, p_tx_c, _ = total_power(alloc, policy, state, cfg)
-    return critic.Solution(alloc=alloc, mu_local=mu_local, mu_edge=mu_edge,
+    return critic.Solution(u_edge=alloc.u_edge, u_cloud=alloc.u_cloud, f_local=alloc.f_local,
+                           f_encode=alloc.f_encode, f_edge=alloc.f_edge,
+                           mu_local=mu_local, mu_edge=mu_edge,
                            p_local=np.asarray(p_l), p_edge=np.asarray(p_e),
                            p_tx_edge=p_tx_e, p_tx_cloud=p_tx_c)
 

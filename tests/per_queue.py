@@ -59,11 +59,11 @@ def check_clocks_and_backlog(sol: critic.Solution, state: SlotState, cfg: System
     """Raise FeasibilityError if the clocks exceed their budgets or the
     served volumes exceed the backlog, beyond rounding: 1e-9 relative,
     plus 1e-9 tasks for the volumes."""
-    s, alloc = cfg.system, sol.alloc
+    s = cfg.system
     tol = 1 + _REL_TOL
-    if (alloc.f_local + alloc.f_encode > s.f_local_max * tol).any():
+    if (sol.f_local + sol.f_encode > s.f_local_max * tol).any():
         raise critic.FeasibilityError("f_local + f_encode exceeds f_local_max")
-    if (alloc.f_edge > s.f_edge_max * tol).any():
+    if (sol.f_edge > s.f_edge_max * tol).any():
         raise critic.FeasibilityError("f_edge exceeds f_edge_max")
     if (sol.mu_local > state.q_local * tol + _REL_TOL).any():
         raise critic.FeasibilityError("served local volume exceeds local backlog")
@@ -201,7 +201,7 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
     powers = total_power(sol)
     p_total = powers[4]
     q_local = update_local_queue(state.q_local, sol.mu_local, arrivals)
-    q_edge = update_edge_queue(state.q_edge, sol.mu_edge, sol.alloc.u_edge)
+    q_edge = update_edge_queue(state.q_edge, sol.mu_edge, sol.u_edge)
     nxt = SlotState(h2_edge=state.h2_edge, h2_cloud=state.h2_cloud,
                     edge_cap=state.edge_cap, cloud_cap=state.cloud_cap,
                     q_local=q_local, q_edge=q_edge,
@@ -209,6 +209,6 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
                     z_edge=update_virtual_queue(state.z_edge, q_edge, s.q_max_edge))
     l_nxt = lyapunov_value(nxt)
     dpp = drift_plus_penalty(l_state, l_nxt, p_total, s.lyapunov_v)
-    bound = drift_penalty_bound(state, sol.mu_local, sol.mu_edge, sol.alloc.u_edge,
+    bound = drift_penalty_bound(state, sol.mu_local, sol.mu_edge, sol.u_edge,
                                 arrivals, p_total, cfg, cfg.coefficients, terms, k)
     return nxt, l_nxt, powers, dpp, bound

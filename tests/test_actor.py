@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semoff import actor, channel
-from semoff.config import Policy, RelaxedPolicy, SystemConfig
+from semoff.config import Policy, SystemConfig
 from semoff.config import SystemParams, TrainingParams
 
 CFG = SystemConfig()
@@ -80,26 +80,25 @@ def _top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def _quantize(relaxed: RelaxedPolicy, cfg: SystemConfig) -> Policy:
-    """Order-preserving quantization: top-chi scores per server become ones;
-    `actor.generate_candidates`' first (noiseless) candidate."""
-    return Policy(rho_edge=_top_k_mask(relaxed.rho_hat_edge, cfg.system.chi_edge),
-                  rho_cloud=_top_k_mask(relaxed.rho_hat_cloud, cfg.system.chi_cloud))
+def _quantize(scores: np.ndarray, cfg: SystemConfig) -> Policy:
+    """Order-preserving quantization of (2I,) scores: top-chi scores per
+    server become ones; `actor.generate_candidates`' first (noiseless)
+    candidate."""
+    edge, cloud = scores.reshape(2, -1)
+    return Policy(rho_edge=_top_k_mask(edge, cfg.system.chi_edge),
+                  rho_cloud=_top_k_mask(cloud, cfg.system.chi_cloud))
 
 
 def test_quantize_top_k_example():
-    relaxed = RelaxedPolicy(
-        rho_hat_edge=np.array([0.9, 0.1, 0.8, 0.7, 0.3, 0.2, 0.6, 0.5]),
-        rho_hat_cloud=np.array([0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01]))
-    pol = _quantize(relaxed, CFG)
+    scores = np.array([0.9, 0.1, 0.8, 0.7, 0.3, 0.2, 0.6, 0.5,
+                       0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01])
+    pol = _quantize(scores, CFG)
     assert list(pol.rho_edge.astype(int)) == [1, 0, 1, 1, 0, 0, 1, 0]
     assert int(pol.rho_edge.sum()) == 4 and int(pol.rho_cloud.sum()) == 2
 
 
 def test_quantize_tie_break_lowest_index():
-    relaxed = RelaxedPolicy(rho_hat_edge=np.full(8, 0.5),
-                            rho_hat_cloud=np.full(8, 0.5))
-    pol = _quantize(relaxed, CFG)
+    pol = _quantize(np.full(16, 0.5), CFG)
     assert list(np.nonzero(pol.rho_edge)[0]) == [0, 1, 2, 3]
     assert list(np.nonzero(pol.rho_cloud)[0]) == [0, 1]
 
@@ -115,10 +114,9 @@ def test_quantize_scale_invariance(scale, shift, seed):
 
 def test_generate_candidates_single_is_noiseless():
     rng = np.random.default_rng(1)
-    relaxed = RelaxedPolicy(rho_hat_edge=np.linspace(0.1, 0.9, 8),
-                            rho_hat_cloud=np.linspace(0.9, 0.1, 8))
-    em, cm = actor.generate_candidates(relaxed, 1, rng, CFG)
-    ref = _quantize(relaxed, CFG)
+    scores = np.concatenate([np.linspace(0.1, 0.9, 8), np.linspace(0.9, 0.1, 8)])
+    em, cm = actor.generate_candidates(scores, 1, rng, CFG)
+    ref = _quantize(scores, CFG)
     assert em.shape == (1, 8)
     assert np.array_equal(em[0], ref.rho_edge)
     assert np.array_equal(cm[0], ref.rho_cloud)
@@ -127,16 +125,13 @@ def test_generate_candidates_single_is_noiseless():
 def test_generate_candidates_zero_noise_collapses():
     from dataclasses import replace
     cfg = replace(CFG, training=replace(CFG.training, candidate_noise_std=0.0))
-    relaxed = RelaxedPolicy(rho_hat_edge=np.linspace(0.1, 0.9, 8),
-                            rho_hat_cloud=np.linspace(0.9, 0.1, 8))
-    em, cm = actor.generate_candidates(relaxed, 32, np.random.default_rng(2), cfg)
+    scores = np.concatenate([np.linspace(0.1, 0.9, 8), np.linspace(0.9, 0.1, 8)])
+    em, cm = actor.generate_candidates(scores, 32, np.random.default_rng(2), cfg)
     assert em.shape[0] == 1
 
 
 def test_generate_candidates_large_request_all_valid():
-    relaxed = RelaxedPolicy(rho_hat_edge=np.full(8, 0.5),
-                            rho_hat_cloud=np.full(8, 0.5))
-    em, cm = actor.generate_candidates(relaxed, 1960, np.random.default_rng(3), CFG)
+    em, cm = actor.generate_candidates(np.full(16, 0.5), 1960, np.random.default_rng(3), CFG)
     assert em.shape[0] <= 1960
     assert np.all(em.sum(axis=1) == 4)
     assert np.all(cm.sum(axis=1) == 2)
@@ -145,10 +140,9 @@ def test_generate_candidates_large_request_all_valid():
     assert len(combined) == em.shape[0]
 
 
-def _candidates_reference(relaxed, k, rng, cfg):
+def _candidates_reference(scores, k, rng, cfg):
     """Row-by-row quantization, de-duplicated with np.unique(axis=0)."""
-    n = len(relaxed.rho_hat_edge)
-    scores = np.concatenate([relaxed.rho_hat_edge, relaxed.rho_hat_cloud])
+    n = len(scores) // 2
     noisy = np.tile(scores, (k, 1))
     if k > 1:
         noisy[1:] += rng.normal(0.0, cfg.training.candidate_noise_std,
@@ -168,11 +162,10 @@ def test_generate_candidates_equals_unique_rows_reference(n, noise):
                   training=replace(CFG.training, candidate_noise_std=noise))
     rng = np.random.default_rng(n)
     for scores in (rng.random(2 * n), np.full(2 * n, 0.5)):
-        relaxed = RelaxedPolicy(rho_hat_edge=scores[:n], rho_hat_cloud=scores[n:])
         for k in (1, 2, 64, 300):
             seed = int(rng.integers(1 << 30))
-            em, cm = actor.generate_candidates(relaxed, k, np.random.default_rng(seed), cfg)
-            ref_e, ref_c = _candidates_reference(relaxed, k, np.random.default_rng(seed), cfg)
+            em, cm = actor.generate_candidates(scores, k, np.random.default_rng(seed), cfg)
+            ref_e, ref_c = _candidates_reference(scores, k, np.random.default_rng(seed), cfg)
             assert np.array_equal(em, ref_e) and np.array_equal(cm, ref_c), k
             if noise == 0.0:
                 assert em.shape[0] == 1
@@ -217,11 +210,11 @@ def _reference_top_k_rows(values, k):
     return masks
 
 
-def _reference_generate_candidates(relaxed, num_candidates, rng, cfg):
+def _reference_generate_candidates(scores, num_candidates, rng, cfg):
     """`actor.generate_candidates` as it was before it ranked all scores in
-    one argsort and de-duplicated through a dict, verbatim."""
-    scores = np.concatenate([relaxed.rho_hat_edge, relaxed.rho_hat_cloud])
-    n = len(relaxed.rho_hat_edge)
+    one argsort and de-duplicated through a dict, verbatim but for taking
+    the (2I,) scores whole."""
+    n = len(scores) // 2
     noisy = scores[None]
     if num_candidates > 1:
         noisy = np.concatenate((noisy, scores + rng.normal(
@@ -261,10 +254,9 @@ def test_generate_candidates_equals_the_reference_on_tie_heavy_scores(n):
         cfg = replace(CFG, system=replace(CFG.system, num_devices=n,
                                           chi_edge=chi_e, chi_cloud=chi_c))
         for scores in score_rows:
-            relaxed = RelaxedPolicy(rho_hat_edge=scores[:n], rho_hat_cloud=scores[n:])
             for k, seed in ((1, 0), (2, 1), (64, 2), (150, 3)):
-                em, cm = actor.generate_candidates(relaxed, k, _TieNoise(seed), cfg)
-                ref_e, ref_c = _reference_generate_candidates(relaxed, k, _TieNoise(seed), cfg)
+                em, cm = actor.generate_candidates(scores, k, _TieNoise(seed), cfg)
+                ref_e, ref_c = _reference_generate_candidates(scores, k, _TieNoise(seed), cfg)
                 assert em.dtype == ref_e.dtype == bool
                 assert np.array_equal(em, ref_e) and np.array_equal(cm, ref_c), (chi_e, chi_c, k)
                 idx, g = critic.PolicyBatch(em, cm).best(table)
@@ -275,10 +267,9 @@ def test_generate_candidates_equals_the_reference_on_tie_heavy_scores(n):
 
 
 def test_generate_candidates_deterministic_given_rng_state():
-    relaxed = RelaxedPolicy(rho_hat_edge=np.linspace(0, 1, 8),
-                            rho_hat_cloud=np.linspace(1, 0, 8))
-    a = actor.generate_candidates(relaxed, 16, np.random.default_rng(5), CFG)
-    b = actor.generate_candidates(relaxed, 16, np.random.default_rng(5), CFG)
+    scores = np.concatenate([np.linspace(0, 1, 8), np.linspace(1, 0, 8)])
+    a = actor.generate_candidates(scores, 16, np.random.default_rng(5), CFG)
+    b = actor.generate_candidates(scores, 16, np.random.default_rng(5), CFG)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -386,14 +377,3 @@ def test_replay_memory_size_cap(inserts, cap):
     for k in range(inserts):
         mem.add(np.array([k]), np.array([k]))
     assert mem.size == min(inserts, cap)
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    net = _net(rng)
-    path = tmp_path / "actor.npz"
-    net.save(path)
-    again = actor.ActorNetwork.load(path)
-    x = rng.normal(size=48)
-    assert np.array_equal(net.forward(x), again.forward(x))
-    assert again.sizes == net.sizes

@@ -66,7 +66,8 @@ def test_simulate_writes_run_directory(tmp_path, capsys):
     for name in ("config.json", "metrics.csv", "summary.json", "loss.csv"):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["seed"] == 3
+    assert summary["scenario"] == {"name": "scenario1", "policy": "drlh:8", "seed": 3}
+    assert summary.keys().isdisjoint({"seed", "policy", "config"})   # said once, elsewhere
     assert summary["total_slots"] == 50
     assert summary["bound_violations"] == 0
 
@@ -103,7 +104,8 @@ def test_simulate_rerun_from_config_echo_is_bit_identical(tmp_path):
     out2 = tmp_path / "b"
     assert main(["simulate", "--config", str(out1 / "config.json"),
                  "--out", str(out2)]) == 0
-    assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+    for name in ("metrics.csv", "config.json", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_simulate_invalid_scenario_combo(tmp_path, capsys):
@@ -140,7 +142,7 @@ def test_sweep_command(tmp_path, capsys):
 
 def test_sweep_resolves_the_config_files_scenario_as_simulate_does(tmp_path, capsys):
     # at the file's own v, a sweep runs what `simulate` on the same file runs:
-    # the file's policy (drlh:64), arrival rate and queue caps (5, 1)
+    # the file's policy (drlh:64) over its groups (arrival rate, caps 5 and 1)
     config = str(Path(__file__).resolve().parent.parent / "configs" / "scenario1_drlh64.json")
     assert main(["simulate", "--config", config, "--seed", "2", "--slots", "30",
                  "--out", str(tmp_path / "run")]) == 0
@@ -149,7 +151,7 @@ def test_sweep_resolves_the_config_files_scenario_as_simulate_does(tmp_path, cap
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     header, row = (tmp_path / "sw" / "sweep_v.csv").read_text().splitlines()
     row = dict(zip(header.split(","), row.split(",")))
-    assert row["policy"] == summary["policy"] == "drlh:64"
+    assert row["policy"] == summary["scenario"]["policy"] == "drlh:64"
     assert float(row["tail_mean_power_w"]) == summary["tail_means"]["power_w"]
 
 
@@ -179,18 +181,17 @@ def test_sweep_refuses_a_bad_value_before_the_first_run(tmp_path, capsys, monkey
 @pytest.mark.parametrize("command", [["simulate", "--slots", "5"], ["verify", "--quick"],
                                      ["sweep", "--param", "users", "--values", "8"]],
                          ids=["simulate", "verify", "sweep"])
-def test_every_command_applies_the_config_files_scenario(command, tmp_path, capsys):
-    # the file's scenario caps the local queue at 0.5 tasks, below the mean
-    # arrivals per slot (1.0); the file's own `q_max_local` (20) is valid
+def test_every_command_refuses_a_config_value_in_the_scenario_group(command, tmp_path, capsys):
+    # the scenario group holds run settings only: a config value has its
+    # own group, and set again in `scenario` it is an unknown key
     config = Path(__file__).resolve().parent.parent / "configs" / "scenario1_drlh64.json"
     data = json.loads(config.read_text())
-    data["scenario"]["q_max_local"] = 0.5
+    data["scenario"]["q_max_local"] = 5.0
     path = tmp_path / "c.json"
     path.write_text(json.dumps(data))
     assert main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("config error: q_max_local: must be at least the mean arrivals "
-                            "per slot (0.5 < 1.0)\n")
+    assert captured.err == "config error: unknown key(s) in 'scenario': ['q_max_local']\n"
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 
@@ -320,4 +321,4 @@ def test_a_flag_overrides_a_bad_run_setting_of_the_file(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--policy", "random", "--seed", "2",
                  "--slots", "5", "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert (summary["policy"], summary["seed"]) == ("random", 2)
+    assert summary["scenario"] == {"name": "custom", "policy": "random", "seed": 2}

@@ -9,7 +9,7 @@ from hypothesis import strategies as hs
 
 import per_policy
 from semoff import channel, critic, oracle, power
-from semoff.config import Allocation, Policy, SystemConfig
+from semoff.config import Policy, SystemConfig
 
 CFG = SystemConfig()
 TAU = 0.01
@@ -155,7 +155,7 @@ def test_unassociated_device_local_clock_is_per_slot_optimum():
             return -1.0 * (TAU * N_L * f / L_TOT - lam) + v * ALPHA_L * f ** 3
 
         sol, _ = critic.evaluate_policy(unassociated, st, cfg)
-        f = sol.alloc.f_local[0]
+        f = sol.f_local[0]
         local_terms, edge_terms, power_terms = critic.g_terms(sol, per_policy.weights(st), cfg)
         g_critic = local_terms[0] + edge_terms[0] + power_terms[0]
         assert g_critic == pytest.approx(device_g(f), rel=1e-12)
@@ -170,8 +170,8 @@ def test_unassociated_device_local_clock_is_per_slot_optimum():
 
 def _zero_alloc(n=8):
     z = np.zeros(n)
-    return Allocation(u_edge=z.copy(), u_cloud=z.copy(), f_local=z.copy(),
-                      f_encode=z.copy(), f_edge=z.copy())
+    return per_policy.Allocation(u_edge=z.copy(), u_cloud=z.copy(), f_local=z.copy(),
+                                 f_encode=z.copy(), f_edge=z.copy())
 
 
 def test_evaluate_g_zero_state_zero_alloc():
@@ -195,7 +195,7 @@ def test_evaluate_g_matches_term_by_term_recompute():
         st = _random_state(np.random.default_rng(rng.integers(1 << 30)), CFG, geom)
         pol = oracle.random_policy(rng, 8, 4, 2)
         sol, g_value = critic.evaluate_policy(pol, st, CFG)
-        a = sol.alloc
+        a = sol
         lam = CFG.mean_arrivals_per_slot
         expected = 0.0
         for i in range(8):
@@ -247,8 +247,8 @@ def test_evaluate_policy_pure_and_deterministic():
     a, g_a = critic.evaluate_policy(pol, st, CFG)
     b, g_b = critic.evaluate_policy(pol, st, CFG)
     assert g_a == g_b
-    assert np.array_equal(a.alloc.u_edge, b.alloc.u_edge)
-    assert np.array_equal(a.alloc.f_local, b.alloc.f_local)
+    assert np.array_equal(a.u_edge, b.u_edge)
+    assert np.array_equal(a.f_local, b.f_local)
 
 
 def test_batch_evaluation_matches_single_bit_exact():
@@ -274,11 +274,10 @@ def test_gathered_allocation_matches_evaluate_policy_bit_exact(n):
         table, combos = critic.device_g_table(st, cfg)
         # the association-free fields are per device, the rest per combo
         assert table.shape == (4, n)
-        for f in ("mu_local", "p_local", "p_tx_edge", "p_tx_cloud"):
+        for f in ("u_edge", "u_cloud", "f_local", "f_encode", "mu_local", "p_local",
+                  "p_tx_edge", "p_tx_cloud"):
             assert getattr(combos, f).shape == (4, n), f
-        for f in ("u_edge", "u_cloud", "f_local", "f_encode"):
-            assert getattr(combos.alloc, f).shape == (4, n), f
-        assert combos.alloc.f_edge.shape == combos.mu_edge.shape == combos.p_edge.shape == (n,)
+        assert combos.f_edge.shape == combos.mu_edge.shape == combos.p_edge.shape == (n,)
         pol = oracle.random_policy(rng, n, cfg.system.chi_edge, cfg.system.chi_cloud)
         ref = per_policy.evaluate_policy(pol, st, cfg)
         # rates and powers as the per-policy solve recomputes them
@@ -288,7 +287,7 @@ def test_gathered_allocation_matches_evaluate_policy_bit_exact(n):
         for sol, g in (critic.gather(table, combos, pol), critic.evaluate_policy(pol, st, cfg)):
             assert g == ref.g_value
             for f in ("u_edge", "u_cloud", "f_local", "f_encode", "f_edge"):
-                assert np.array_equal(getattr(sol.alloc, f), getattr(ref.alloc, f)), f
+                assert np.array_equal(getattr(sol, f), getattr(ref.alloc, f)), f
             assert np.array_equal(sol.mu_local, mu_local)
             assert np.array_equal(sol.mu_edge, power.edge_exec_rate(a.f_edge, cfg))
             for f, part in zip(("p_local", "p_edge", "p_tx_edge", "p_tx_cloud"), parts):
@@ -585,7 +584,7 @@ def test_solution_within_feasible_intervals():
         pol = oracle.random_policy(rng, 8, 4, 2)
         sol, _ = critic.evaluate_policy(pol, st, CFG)
         # raises on violation, transmit powers within p_tx_max included
-        per_policy.check_allocation(sol.alloc, pol, st, CFG)
+        per_policy.check_allocation(sol, pol, st, CFG)
 
 
 _QUEUE = hs.one_of(hs.just(0.0), hs.floats(1e-3, 1e12))

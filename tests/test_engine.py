@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from semoff import channel, critic, engine, oracle, power, queueing
-from semoff.config import (Allocation, ConfigError, SystemConfig, SystemParams,
-                           TrainingParams, validate_config)
+from semoff.config import ConfigError, SystemConfig, SystemParams, TrainingParams, validate_config
 
 
 CFG = SystemConfig()
@@ -91,11 +91,15 @@ def test_scenario_presets_apply_overrides():
 
 
 def test_scenario_dict_roundtrip():
+    # the dict holds the run settings only: the values a preset layers over
+    # the config are the config's, in its own groups
     sc = engine.scenario_two(policy="drlh:16", seed=4, total_slots=100)
+    assert sc.to_dict() == {"name": "scenario2", "policy": "drlh:16", "seed": 4}
     again = engine.scenario_from_dict(sc.to_dict())
-    assert again == sc
-    with pytest.raises(ValueError, match="unknown key"):
-        engine.scenario_from_dict({"name": "x", "bogus": 1})
+    assert again == engine.Scenario(name="scenario2", policy="drlh:16", seed=4)
+    for key in ("bogus", "arrival_rate_per_sec", "q_max_local", "q_max_edge", "total_slots"):
+        with pytest.raises(ConfigError, match=rf"^unknown key\(s\) in 'scenario': \['{key}'\]$"):
+            engine.scenario_from_dict({"name": "x", key: 1})
 
 
 def test_parse_policy_spec():
@@ -157,6 +161,18 @@ def test_sweep_validates_every_value_before_the_first_run(monkeypatch):
         engine.sweep("v", [1.0, 2.0, -1.0], CFG, total_slots=3000)
 
 
+@pytest.mark.parametrize("settings,problem", [
+    ({"seed": -1}, "scenario.seed: must be an integer >= 0, got -1"),
+    ({"policy": "drlhx"}, "scenario.policy: unknown policy spec 'drlhx'")])
+def test_sweep_checks_its_run_settings_before_the_first_run(monkeypatch, settings, problem):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "Simulation", no_run)
+    with pytest.raises(ConfigError, match="^" + re.escape(problem)):
+        engine.sweep("v", [1.0], CFG, total_slots=3, **settings)
+
+
 def test_sweep_rejects_unknown_parameter():
     with pytest.raises(ValueError, match="parameter"):
         engine.sweep("bandwidth", [1.0], CFG)
@@ -206,7 +222,7 @@ def test_summary_names_the_first_slot_that_breaks_the_bound():
     log.dpp[9] = log.bound[9] + 0.5e-9
     log.dpp[17] = log.bound[17] + 1e-6
     log.dpp[30] = log.bound[30] + 5.0
-    summary = engine.summarize(log, sc.apply(CFG), sc)
+    summary = engine.summarize(log, sc)
     slack = summary["drift_bound_slack"]
     assert slack["first_violation_slot"] == 17
     assert slack["min"] == log.bound[30] - log.dpp[30]
@@ -227,6 +243,22 @@ def test_simulation_reports_each_config_problem_on_its_own_line():
         engine.Simulation(cfg, "random", seed=1)
     assert str(exc.value).splitlines() == validate_config(cfg)
     assert len(validate_config(cfg)) == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_simulation_refuses_a_bad_seed(seed):
+    with pytest.raises(ConfigError, match=r"^scenario\.seed: must be an integer >= 0, got "
+                                          + re.escape(repr(seed)) + "$"):
+        engine.Simulation(CFG, "exhaustive", seed)
+
+
+def test_simulation_reports_run_settings_and_config_together():
+    cfg = SystemConfig(system=SystemParams(chi_edge=9))
+    with pytest.raises(ConfigError) as exc:
+        engine.Simulation(cfg, "drlhx", -1)
+    assert str(exc.value).splitlines() == engine.validate_scenario(
+        engine.Scenario(policy="drlhx", seed=-1)) + validate_config(cfg)
+    assert len(str(exc.value).splitlines()) == 3
 
 
 def test_validate_scenario_reports_every_run_setting():
@@ -265,9 +297,8 @@ def test_step_guard_tolerates_rounding_only():
     state = channel.slot_state(CFG, np.ones(n), np.ones(n), np.full(n, 3.0), np.full(n, 2.0),
                                zeros, zeros)
     def solution(mu_local, mu_edge):
-        alloc = Allocation(u_edge=zeros, u_cloud=zeros, f_local=zeros,
-                           f_encode=zeros, f_edge=zeros)
-        return critic.Solution(alloc=alloc, mu_local=np.full(n, mu_local),
+        return critic.Solution(u_edge=zeros, u_cloud=zeros, f_local=zeros, f_encode=zeros,
+                               f_edge=zeros, mu_local=np.full(n, mu_local),
                                mu_edge=np.full(n, mu_edge), p_local=zeros, p_edge=zeros,
                                p_tx_edge=zeros, p_tx_cloud=zeros)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import per_policy
 from semoff import channel, critic, engine, power
-from semoff.config import Allocation, Policy, SlotState, SystemConfig
+from semoff.config import Policy, SlotState, SystemConfig
 from semoff.config import SemanticParams
 
 CFG = SystemConfig()
@@ -258,10 +258,10 @@ def _random_feasible(rng, n=4):
     rho_c = rng.random(n) < 0.5
     u_e = np.where(rho_e, rng.uniform(0, 2, n), 0.0)
     u_c = np.where(rho_c, rng.uniform(0, 2, n), 0.0)
-    alloc = Allocation(u_edge=u_e, u_cloud=u_c,
-                       f_local=rng.uniform(0, 2e8, n),
-                       f_encode=np.asarray(power.encode_frequency(u_e, CFG)),
-                       f_edge=rng.uniform(0, 2e8, n))
+    alloc = per_policy.Allocation(u_edge=u_e, u_cloud=u_c,
+                                  f_local=rng.uniform(0, 2e8, n),
+                                  f_encode=np.asarray(power.encode_frequency(u_e, CFG)),
+                                  f_edge=rng.uniform(0, 2e8, n))
     return state, Policy(rho_edge=rho_e, rho_cloud=rho_c), alloc
 
 
@@ -269,8 +269,8 @@ def test_total_power_zero_allocation():
     n = 4
     state, policy, _ = _random_feasible(np.random.default_rng(0), n)
     zeros = np.zeros(n)
-    alloc = Allocation(u_edge=zeros, u_cloud=zeros, f_local=zeros,
-                       f_encode=zeros, f_edge=zeros)
+    alloc = per_policy.Allocation(u_edge=zeros, u_cloud=zeros, f_local=zeros,
+                                  f_encode=zeros, f_edge=zeros)
     assert per_policy.total_power(alloc, policy, state, CFG)[4] == 0.0
 
 
@@ -304,10 +304,10 @@ def test_single_active_device_additivity():
     policy = Policy(rho_edge=np.array([True, False, False, False]),
                     rho_cloud=np.array([False, False, False, False]))
     u_e = np.array([1.5, 0, 0, 0.0])
-    alloc = Allocation(u_edge=u_e, u_cloud=zeros,
-                       f_local=np.array([1e8, 0, 0, 0.0]),
-                       f_encode=np.asarray(power.encode_frequency(u_e, CFG)),
-                       f_edge=np.array([2e8, 0, 0, 0.0]))
+    alloc = per_policy.Allocation(u_edge=u_e, u_cloud=zeros,
+                                  f_local=np.array([1e8, 0, 0, 0.0]),
+                                  f_encode=np.asarray(power.encode_frequency(u_e, CFG)),
+                                  f_edge=np.array([2e8, 0, 0, 0.0]))
     p_l, p_e, p_tx_e, p_tx_c, total = per_policy.total_power(alloc, policy, state, CFG)
     assert total == pytest.approx(p_l[0] + p_e[0] + p_tx_e[0] + p_tx_c[0], rel=1e-12)
 
@@ -334,5 +334,5 @@ def test_total_power_of_the_solution_is_the_logged_power(policy):
         assert g == log.g_value[t]
         assert power.total_power(sol) == (log.p_local[t], log.p_edge[t], log.p_tx_edge[t],
                                           log.p_tx_cloud[t], log.p_total[t])
-        assert per_policy.total_power(sol.alloc, pol, state, cfg)[4] == log.p_total[t]
+        assert per_policy.total_power(sol, pol, state, cfg)[4] == log.p_total[t]
     assert log.p_tx_edge.max() > 0 and log.p_tx_cloud.max() > 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import per_queue
 from semoff import channel, critic, engine, oracle, queueing
-from semoff.config import QUEUE_ROWS, Allocation, SystemConfig
+from semoff.config import QUEUE_ROWS, SystemConfig
 
 CFG = SystemConfig()
 
@@ -309,9 +309,9 @@ def _transition_inputs(n, q_max, rng, queue_modes, served_mode, clock_over=False
     f_edge = rng.uniform(0, 1.0, n) * s.f_edge_max
     if clock_over:
         f_edge[rng.integers(n)] = s.f_edge_max * 1.01
-    alloc = Allocation(u_edge=u_edge, u_cloud=np.zeros(n), f_local=f_local,
-                       f_encode=rng.uniform(0, 0.5, n) * s.f_local_max, f_edge=f_edge)
-    sol = critic.Solution(alloc=alloc, mu_local=served[0], mu_edge=served[1],
+    sol = critic.Solution(u_edge=u_edge, u_cloud=np.zeros(n), f_local=f_local,
+                          f_encode=rng.uniform(0, 0.5, n) * s.f_local_max, f_edge=f_edge,
+                          mu_local=served[0], mu_edge=served[1],
                           p_local=rng.uniform(0, 1, n), p_edge=rng.uniform(0, 2, n),
                           p_tx_edge=rng.uniform(0, 0.1, n), p_tx_cloud=rng.uniform(0, 0.1, n))
     h2 = rng.uniform(1e-12, 1e-9, (2, n))
@@ -385,8 +385,6 @@ def test_bad_entries_are_refused_as_before(field, value):
             state.check()
     elif field == "arrivals":
         arrivals[3] = value
-    elif field == "u_edge":
-        sol.alloc.u_edge[3] = value
     else:
         getattr(sol, field)[3] = value
     with np.errstate(all="ignore"):
