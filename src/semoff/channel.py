@@ -69,18 +69,22 @@ def run_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(_run_words(seed, stream))))
 
 
+BLOCK_SLOTS = 1024   # slots per block of seed words, and of `engine.Simulation`'s draws
+
+
 @functools.lru_cache(maxsize=32)
 def _slot_block_words(seed: int, stream: int, block: int) -> np.ndarray:
-    """(1024, 4) PCG64 seed words of `SeedSequence((seed, stream, t))` for the
+    """(BLOCK_SLOTS, 4) PCG64 seed words of `SeedSequence((seed, stream, t))` for the
     slots t of one block: numpy's `mix_entropy` into the 4-word pool, then
     `generate_state(4, np.uint64)`, on uint32 arrays that wrap as its C does."""
     if min(seed, stream, block) < 0:
         raise ValueError(f"seed, stream and slot must be >= 0, got ({seed}, {stream}, block {block})")
-    # keys split as SeedSequence splits them; in a block only the slot's low word varies
+    # keys split as SeedSequence splits them; in a block only the slot's low word
+    # varies, as BLOCK_SLOTS divides 2**32
     seed_w, stream_w, slot_w = ([k >> s & 0xFFFFFFFF for s in range(0, max(k.bit_length(), 1), 32)]
-                                for k in (seed, stream, block << 10))
-    entropy = [np.full(1024, w, np.uint32) for w in seed_w + stream_w + slot_w]
-    entropy[len(seed_w) + len(stream_w)] += np.arange(1024, dtype=np.uint32)
+                                for k in (seed, stream, block * BLOCK_SLOTS))
+    entropy = [np.full(BLOCK_SLOTS, w, np.uint32) for w in seed_w + stream_w + slot_w]
+    entropy[len(seed_w) + len(stream_w)] += np.arange(BLOCK_SLOTS, dtype=np.uint32)
     hc = [0x43B0D7E5]   # the running hash constant
 
     def hashmix(v, mult=0x931E8875):
@@ -107,7 +111,7 @@ def _slot_block_words(seed: int, stream: int, block: int) -> np.ndarray:
 
 def slot_rng(seed: int, stream: int, slot: int) -> np.random.Generator:
     """Generator keyed by (seed, stream, slot): `default_rng(SeedSequence((seed, stream, slot)))`."""
-    words = _slot_block_words(seed, stream, slot >> 10)[slot & 1023]
+    words = _slot_block_words(seed, stream, slot // BLOCK_SLOTS)[slot % BLOCK_SLOTS]
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 

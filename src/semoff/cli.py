@@ -19,12 +19,12 @@ from .config import (ConfigError, SlotState, SystemConfig, SystemParams, config_
                      read_config_file, validate_config)
 
 
-def _resolve(args, default: engine.Scenario = engine.Scenario()
+def _resolve(args, default: engine.Scenario = engine.Scenario(), check_config: bool = True
              ) -> tuple[SystemConfig, engine.Scenario]:
     """The config and scenario a command runs: the `--config` file's groups
     and run settings (its `scenario` group, else `default`), a `--scenario`
     preset's values over the groups, the flags over both. Raises ConfigError
-    with every problem of its run settings and config."""
+    with every problem of its run settings and (with `check_config`) config."""
     cfg, scenario = SystemConfig(), default
     if args.config is not None:
         raw = read_config_file(args.config)
@@ -43,7 +43,8 @@ def _resolve(args, default: engine.Scenario = engine.Scenario()
         updates["total_slots"] = args.slots
     scenario = dataclasses.replace(scenario, **updates)
     resolved = scenario.apply(cfg)
-    problems = engine.validate_scenario(scenario) + validate_config(resolved)
+    problems = engine.validate_scenario(scenario) + (
+        validate_config(resolved) if check_config else [])
     if problems:
         raise ConfigError("\n".join(problems))
     return resolved, scenario
@@ -65,9 +66,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # the run settings resolve as `simulate` resolves them, the policy
-    # defaulting to exhaustive; the swept parameter overrides them
-    cfg, scenario = _resolve(args, engine.Scenario(policy="exhaustive"))
+    # resolved as `simulate` resolves its run, the policy defaulting to
+    # exhaustive; `engine.sweep` checks the config at each swept value
+    cfg, scenario = _resolve(args, engine.Scenario(policy="exhaustive"), check_config=False)
     values = [float(v) for v in args.values.split(",")]
     rows = engine.sweep(args.param, values, cfg, policy=scenario.policy, seed=scenario.seed)
     outdir = Path(args.out)

@@ -190,20 +190,13 @@ class MetricsLog:
         return len(self.broken_slots())
 
     def to_csv(self, path: str | Path) -> None:
-        header = ["slot"]
-        cols = [np.arange(self.total_slots)]
-        for name in _PER_DEVICE_SERIES:
-            header += [f"{name}_{i}" for i in range(self.num_devices)]
-            cols += list(getattr(self, name).T)
-        header += list(_SCALAR_SERIES)
-        cols += [getattr(self, name) for name in _SCALAR_SERIES]
-        header += ["policy_edge_mask", "policy_cloud_mask", "num_candidates"]
-        cols += [self.policy_edge, self.policy_cloud, self.num_candidates]
-        _write_columns(path, header, cols)
-
-    def loss_to_csv(self, path: str | Path) -> None:
-        _write_columns(path, ["slot", "train_loss", "test_loss"],
-                       [np.arange(self.total_slots), self.train_loss, self.test_loss])
+        """The slot, scalar and mask columns; `write_run_outputs` writes the
+        per-device series as `.npy` arrays beside it."""
+        names = ["slot", *_SCALAR_SERIES, "policy_edge_mask", "policy_cloud_mask",
+                 "num_candidates"]
+        _write_columns(path, names, [np.arange(self.total_slots),
+                                     *(getattr(self, name) for name in _SCALAR_SERIES),
+                                     self.policy_edge, self.policy_cloud, self.num_candidates])
 
 
 _CSV_BLOCK_ROWS = 16   # rows formatted at a time, so the text held stays small
@@ -357,12 +350,13 @@ class Simulation:
 
     def channels(self, t: int) -> tuple[SlotBlock, int]:
         """The block of slots holding slot t, and t's row in it. Block b holds
-        slots [1024 b, 1024 (b + 1)) cut at the run's end (past it, at t + 1),
-        each slot's channels and arrivals from its own streams; drawn on first
-        use, one kept at a time."""
-        start = t - t % 1024
+        slots [B b, B (b + 1)), B = `channel.BLOCK_SLOTS`, cut at the run's end
+        (past it, at t + 1), each slot's channels and arrivals from its own
+        streams; drawn on first use, one kept at a time."""
+        size = channel.BLOCK_SLOTS
+        start = t - t % size
         if self.block is None or start != self.block_start or t - start >= len(self.block.h2_edge):
-            slots = range(start, max(min(start + 1024, self.cfg.training.total_slots), t + 1))
+            slots = range(start, max(min(start + size, self.cfg.training.total_slots), t + 1))
             self.block = None   # freed before its successor is drawn
             draw = channel.draw_channels(self.geometry, self.cfg, (
                 channel.slot_rng(self.seed, STREAM_CHANNEL, u) for u in slots), len(slots))
@@ -538,8 +532,8 @@ def write_run_outputs(outdir: str | Path, log: MetricsLog, cfg: SystemConfig,
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.json", scenario_dict=scenario.to_dict())
     log.to_csv(out / "metrics.csv")
+    for name in _PER_DEVICE_SERIES:   # (slots, I) float64, exact and unformatted
+        np.save(out / f"{name}.npy", getattr(log, name), allow_pickle=False)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summarize(log, scenario), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if np.any(np.isfinite(log.test_loss)):
-        log.loss_to_csv(out / "loss.csv")

@@ -436,6 +436,9 @@ def test_criterion_11_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli_main(args + ["--out", str(out1)]) == 0
     assert cli_main(args + ["--out", str(out2)]) == 0
-    same = (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+    files1, files2 = ({p.name: p.read_bytes() for p in out.iterdir()} for out in (out1, out2))
+    # config, metrics and summary, and the 11 per-device series
+    same = files1 == files2 and len(files1) == 14
     with capsys.disabled():
-        _report(11, same, "repeated run produced byte-identical metrics.csv")
+        _report(11, same, f"repeated run produced a byte-identical run directory "
+                          f"({len(files1)} files)")

@@ -63,8 +63,10 @@ def test_simulate_writes_run_directory(tmp_path, capsys):
     rc = main(["simulate", "--scenario", "1", "--policy", "drlh:8",
                "--seed", "3", "--slots", "50", "--out", str(out)])
     assert rc == 0
-    for name in ("config.json", "metrics.csv", "summary.json", "loss.csv"):
-        assert (out / name).exists()
+    assert {p.name for p in out.iterdir()} == {
+        "config.json", "metrics.csv", "summary.json", "arrivals.npy", "q_local.npy",
+        "q_edge.npy", "z_local.npy", "z_edge.npy", "u_edge.npy", "u_cloud.npy",
+        "mu_local.npy", "mu_edge.npy", "h2_edge.npy", "h2_cloud.npy"}
     summary = json.loads((out / "summary.json").read_text())
     assert summary["scenario"] == {"name": "scenario1", "policy": "drlh:8", "seed": 3}
     assert summary.keys().isdisjoint({"seed", "policy", "config"})   # said once, elsewhere
@@ -87,14 +89,20 @@ def test_one_and_two_slot_runs_write_strict_json(tmp_path, capsys, slots):
         assert summary["tail_start"] == slots - 1
 
 
+def _run_files(outdir: Path) -> dict[str, bytes]:
+    """Every file of a run directory, by name."""
+    files = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    assert len(files) == 14   # config, metrics, summary and 11 per-device series
+    return files
+
+
 def test_simulate_rerun_is_bit_identical(tmp_path):
     args = ["simulate", "--scenario", "1", "--policy", "drlh:8",
             "--seed", "11", "--slots", "40"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
-    assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    assert _run_files(out1) == _run_files(out2)
 
 
 def test_simulate_rerun_from_config_echo_is_bit_identical(tmp_path):
@@ -104,8 +112,7 @@ def test_simulate_rerun_from_config_echo_is_bit_identical(tmp_path):
     out2 = tmp_path / "b"
     assert main(["simulate", "--config", str(out1 / "config.json"),
                  "--out", str(out2)]) == 0
-    for name in ("metrics.csv", "config.json", "summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert _run_files(out1) == _run_files(out2)
 
 
 def test_simulate_invalid_scenario_combo(tmp_path, capsys):
@@ -153,6 +160,40 @@ def test_sweep_resolves_the_config_files_scenario_as_simulate_does(tmp_path, cap
     row = dict(zip(header.split(","), row.split(",")))
     assert row["policy"] == summary["scenario"]["policy"] == "drlh:64"
     assert float(row["tail_mean_power_w"]) == summary["tail_means"]["power_w"]
+
+
+def _arrival_750_cap_5(tmp_path: Path) -> str:
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"system": {"arrival_rate_per_sec": 750.0,
+                                           "q_max_local": 5.0}}))
+    return str(path)
+
+
+def test_sweep_checks_the_config_at_the_swept_values_only(tmp_path, capsys):
+    # 750 tasks/s is too many for a local cap of 5, but the sweep replaces it
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", _arrival_750_cap_5(tmp_path), "--param", "arrival",
+                 "--values", "100", "--policy", "random", "--slots", "5",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len((out / "sweep_arrival.csv").read_text().splitlines()) == 2
+
+
+def test_sweep_refuses_a_bad_swept_value_of_a_file_before_the_first_run(
+        tmp_path, capsys, monkeypatch):
+    from semoff import engine
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(engine, "Simulation", no_run)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", _arrival_750_cap_5(tmp_path), "--param", "arrival",
+                 "--values", "100,750", "--slots", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: arrival=750.0: q_max_local: must be at least the mean arrivals "
+        "per slot (5.0 < 7.5)\n")
+    assert not out.exists()
 
 
 def test_sweep_refuses_a_fractional_user_count(tmp_path, capsys):

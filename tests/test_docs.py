@@ -53,6 +53,19 @@ def test_example_config_runs(path, tmp_path):
                  "--out", str(tmp_path / "run")]) == 0
 
 
+def test_readme_names_every_run_file_and_the_metrics_header(tmp_path):
+    sc = engine.scenario_one(policy="drlh:8", seed=1, total_slots=3)
+    log = engine.run_scenario(SystemConfig(), sc)
+    engine.write_run_outputs(tmp_path, log, sc.apply(SystemConfig()), sc)
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Run directory contents"):text.index("## Config file")]
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert len(files) == 14
+    assert [name for name in files if f"`{name}`" not in section] == []
+    header = (tmp_path / "metrics.csv").read_text().splitlines()[0]
+    assert re.findall(r"^  (slot,\S*)$", section, re.M) == [header]
+
+
 def test_readme_names_in_src_modules_exist():
     # every `module.attr` or `module.attr.attr` in backticks whose module is
     # one of src/semoff's names something the module has

@@ -14,6 +14,13 @@ from semoff.config import ConfigError, SystemConfig, SystemParams, TrainingParam
 
 
 CFG = SystemConfig()
+# The per-device series, each written as `<name>.npy`, in the order of the
+# wide metrics.csv that the pinned hashes were recorded from (one column
+# `<name>_<i>` per device).
+WIDE_SERIES = ("arrivals", "q_local", "q_edge", "z_local", "z_edge", "u_edge", "u_cloud",
+               "mu_local", "mu_edge", "h2_edge", "h2_cloud")
+RUN_FILES = {"config.json", "metrics.csv", "summary.json",
+             *(f"{name}.npy" for name in WIDE_SERIES)}
 
 
 def _short(policy, slots=120, seed=5, scenario=1):
@@ -182,12 +189,25 @@ def test_run_outputs_written(tmp_path):
     sc = engine.scenario_one(policy="drlh:8", seed=2, total_slots=60)
     log = engine.run_scenario(CFG, sc)
     engine.write_run_outputs(tmp_path, log, sc.apply(CFG), sc)
-    for name in ("config.json", "metrics.csv", "summary.json", "loss.csv"):
-        assert (tmp_path / name).exists(), name
+    assert {p.name for p in tmp_path.iterdir()} == RUN_FILES
     header = (tmp_path / "metrics.csv").read_text().splitlines()[0].split(",")
-    assert "q_local_0" in header and "p_total" in header
+    assert header == ["slot", "p_local", "p_edge", "p_tx_edge", "p_tx_cloud", "p_total",
+                      "g_value", "dpp", "bound", "test_loss", "train_loss",
+                      "policy_edge_mask", "policy_cloud_mask", "num_candidates"]
     n_rows = len((tmp_path / "metrics.csv").read_text().splitlines()) - 1
     assert n_rows == 60
+
+
+@pytest.mark.parametrize("policy,devices", [("drlh:8", 8), ("exhaustive", 13)])
+def test_per_device_npy_files_load_to_the_log_arrays(policy, devices, tmp_path):
+    cfg = replace(CFG, system=replace(CFG.system, num_devices=devices))
+    sc = engine.scenario_one(policy=policy, seed=4, total_slots=70)
+    log = engine.run_scenario(cfg, sc)
+    engine.write_run_outputs(tmp_path, log, sc.apply(cfg), sc)
+    for name in WIDE_SERIES:
+        array = np.load(tmp_path / f"{name}.npy", allow_pickle=False)
+        assert array.dtype == np.float64 and array.shape == (70, devices), name
+        assert array.tobytes() == getattr(log, name).tobytes(), name
 
 
 def _slack_from_csv(path):
@@ -403,8 +423,31 @@ def test_sweep_config_refuses_a_fractional_integer_parameter(value):
         engine.sweep("users", [4, value], CFG, policy="random", total_slots=5)
 
 
-# sha256 of metrics.csv after 300 slots, seed 1 (I=8 on scenario 1, I=12 on
-# scenario 2), recorded with Python 3.11 and numpy 2.4 on x86-64.
+def _wide_metrics_sha256(outdir):
+    """sha256 of the wide metrics.csv rebuilt from a run directory: its
+    metrics.csv with the per-device columns of its `.npy` files (floats as
+    `repr`) after `slot`, as metrics.csv was written when the hashes below
+    were recorded."""
+    lines = (outdir / "metrics.csv").read_bytes().decode().split("\r\n")[:-1]
+    series = [np.load(outdir / f"{name}.npy") for name in WIDE_SERIES]
+    n = series[0].shape[1]
+    header = lines[0].split(",")
+    wide = [[header[0], *(f"{name}_{i}" for name in WIDE_SERIES for i in range(n)),
+             *header[1:]]]
+    for line, *rows in zip(lines[1:], *series, strict=True):
+        slot, rest = line.split(",", 1)
+        wide.append([slot, *(repr(v) for row in rows for v in row.tolist()), rest])
+    return hashlib.sha256("".join(",".join(r) + "\r\n" for r in wide).encode()).hexdigest()
+
+
+def _pinned_run_sha256(cfg, scenario, outdir):
+    log = engine.run_scenario(cfg, scenario)
+    engine.write_run_outputs(outdir, log, scenario.apply(cfg), scenario)
+    return log, _wide_metrics_sha256(outdir)
+
+
+# sha256 of the wide metrics.csv after 300 slots, seed 1 (I=8 on scenario 1,
+# I=12 on scenario 2), recorded with Python 3.11 and numpy 2.4 on x86-64.
 PINNED_METRICS_SHA256 = {
     ("drlh:64", 8, 1): "06dbc0c2f263e397f4b34418a3bc5ab3a36363b567ee8c700edb268336aae1ec",
     ("exhaustive", 8, 1): "e4c0378b410976698cba9bd9c74bf39e6fae26e1b8c9bc63f0cad93ca631ad58",
@@ -415,21 +458,20 @@ PINNED_METRICS_SHA256 = {
 
 @pytest.mark.parametrize("policy,devices,scenario", sorted(PINNED_METRICS_SHA256))
 def test_metrics_csv_bytes_pinned(policy, devices, scenario, tmp_path):
-    """A run's metrics.csv bytes are fixed by its config and seed.
+    """A run's outputs are fixed by its config and seed.
 
     Hot-path rewrites must leave them unchanged. A hash here changes only
     with a stated reason: a deliberate change of the model, the random
-    streams or the output format, recorded in CHANGES.md.
+    streams or the output values, recorded in CHANGES.md.
     """
     cfg = replace(CFG, system=replace(CFG.system, num_devices=devices))
     preset = engine.scenario_one if scenario == 1 else engine.scenario_two
-    log = engine.run_scenario(cfg, preset(policy=policy, seed=1, total_slots=300))
-    log.to_csv(tmp_path / "metrics.csv")
-    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    _, digest = _pinned_run_sha256(cfg, preset(policy=policy, seed=1, total_slots=300),
+                                   tmp_path)
     assert digest == PINNED_METRICS_SHA256[policy, devices, scenario]
 
 
-# sha256 of metrics.csv after 1,100 slots, seed 1, past the first 1,024-slot
+# sha256 of the wide metrics.csv after 1,100 slots, seed 1, past the first 1,024-slot
 # channel block; the first two recorded, like the hashes above, before
 # channels were drawn a block at a time, the last two before arrivals, the
 # drift bound's queue-free terms and the actor's gain features were.
@@ -445,13 +487,12 @@ PINNED_BLOCK_METRICS_SHA256 = {
 def test_metrics_csv_bytes_pinned_across_a_block_boundary(policy, devices, scenario, tmp_path):
     cfg = replace(CFG, system=replace(CFG.system, num_devices=devices))
     preset = engine.scenario_one if scenario == 1 else engine.scenario_two
-    log = engine.run_scenario(cfg, preset(policy=policy, seed=1, total_slots=1100))
-    log.to_csv(tmp_path / "metrics.csv")
-    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    _, digest = _pinned_run_sha256(cfg, preset(policy=policy, seed=1, total_slots=1100),
+                                   tmp_path)
     assert digest == PINNED_BLOCK_METRICS_SHA256[policy, devices, scenario]
 
 
-# sha256 of metrics.csv after 300 slots, seed 1, scenario 1, at shapes whose
+# sha256 of the wide metrics.csv after 300 slots, seed 1, scenario 1, at shapes whose
 # association DP walks wider windows than the defaults (chi = (16, 8) at
 # I=40) or an odd device count (drlh:64 at I=13); recorded before the DP
 # walked a per-shape plan and the combos were solved untiled.
@@ -465,13 +506,12 @@ PINNED_SHAPE_METRICS_SHA256 = {
 def test_metrics_csv_bytes_pinned_at_other_shapes(policy, devices, chi_e, chi_c, tmp_path):
     cfg = replace(CFG, system=replace(CFG.system, num_devices=devices,
                                       chi_edge=chi_e, chi_cloud=chi_c))
-    log = engine.run_scenario(cfg, engine.scenario_one(policy=policy, seed=1, total_slots=300))
-    log.to_csv(tmp_path / "metrics.csv")
-    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    _, digest = _pinned_run_sha256(
+        cfg, engine.scenario_one(policy=policy, seed=1, total_slots=300), tmp_path)
     assert digest == PINNED_SHAPE_METRICS_SHA256[policy, devices, chi_e, chi_c]
 
 
-# sha256 of metrics.csv after 300 slots, seed 1, scenario 1's arrivals with
+# sha256 of the wide metrics.csv after 300 slots, seed 1, scenario 1's arrivals with
 # one queue cap set and the other unbounded, so one virtual queue moves and
 # the other stays at zero; recorded before the queues were held in one (4, I)
 # array.
@@ -490,11 +530,9 @@ def test_metrics_csv_bytes_pinned_with_one_queue_cap(policy, devices, q_max_loca
     cfg = replace(CFG, system=replace(CFG.system, num_devices=devices))
     sc = engine.Scenario(name="mixed", policy=policy, seed=1, q_max_local=q_max_local,
                          q_max_edge=q_max_edge, total_slots=300)
-    log = engine.run_scenario(cfg, sc)
+    log, digest = _pinned_run_sha256(cfg, sc, tmp_path)
     assert log.z_local.any() == (q_max_local is not None)
     assert log.z_edge.any() == (q_max_edge is not None)
-    log.to_csv(tmp_path / "metrics.csv")
-    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == PINNED_MIXED_CAP_METRICS_SHA256[policy, devices, q_max_local, q_max_edge]
 
 
@@ -553,8 +591,10 @@ def test_run_slot_reads_its_slot_of_the_block_in_any_order():
 
 def test_metrics_csv_independent_of_the_seed_word_caches(tmp_path):
     # a drlh:8 run whose seed-word caches are emptied before every slot, past
-    # the first 1,024-slot block, writes the bytes of a run that reuses them
-    resolved = engine.scenario_one(policy="drlh:8", seed=3, total_slots=1100).apply(CFG)
+    # the first 1,024-slot block, writes the run directory of a run that
+    # reuses them, every file byte for byte
+    sc = engine.scenario_one(policy="drlh:8", seed=3, total_slots=1100)
+    resolved = sc.apply(CFG)
     for name, clear in (("kept", False), ("cleared", True)):
         if clear:
             channel._run_words.cache_clear()
@@ -565,8 +605,10 @@ def test_metrics_csv_independent_of_the_seed_word_caches(tmp_path):
                 channel._run_words.cache_clear()
                 channel._slot_block_words.cache_clear()
             sim.run_slot(t, log)
-        log.to_csv(tmp_path / f"{name}.csv")
-    assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "cleared.csv").read_bytes()
+        engine.write_run_outputs(tmp_path / name, log, resolved, sc)
+    kept, cleared = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+                     for name in ("kept", "cleared"))
+    assert set(kept) == RUN_FILES and kept == cleared
 
 
 @hs.composite
