@@ -255,9 +255,8 @@ def cmd_verify(args) -> int:
         sol, _ = critic.evaluate_policy(pol, state, cfg)
         arrivals = rng.poisson(cfg.mean_arrivals_per_slot,
                                cfg.system.num_devices).astype(float)
-        terms = queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg)
         _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state.queues), sol,
-                                          arrivals, cfg, terms, 0)
+                                          arrivals, cfg)
         if dpp > bound + engine.BOUND_TOL:
             violations += 1
     ok = violations == 0

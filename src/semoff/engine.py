@@ -6,8 +6,8 @@ derived from the master seed, and the per-slot streams (channel, arrivals,
 random policy) are keyed by slot index, so replays are order-independent
 and toggling one feature never perturbs another stream. Gains, link caps and
 arrivals are drawn per block of slots (`Simulation.channels`), one stream per
-slot, with what needs no queue: the drift bound's queue-free terms and the
-actor's gain features, whose rows have the bits of per-slot calls.
+slot, with what needs no queue: the actor's gain features, whose rows have
+the bits of per-slot calls.
 """
 
 from __future__ import annotations
@@ -135,6 +135,7 @@ SCENARIO_PRESETS = {"1": scenario_one, "2": scenario_two}
 # Metrics
 # ---------------------------------------------------------------------------
 
+_CSV_BLOCK_ROWS = 16   # rows `to_csv` formats at a time, so the text held stays small
 _PER_DEVICE_SERIES = ("arrivals", "q_local", "q_edge", "z_local", "z_edge",
                       "u_edge", "u_cloud", "mu_local", "mu_edge",
                       "h2_edge", "h2_cloud")
@@ -190,30 +191,23 @@ class MetricsLog:
         return len(self.broken_slots())
 
     def to_csv(self, path: str | Path) -> None:
-        """The slot, scalar and mask columns; `write_run_outputs` writes the
-        per-device series as `.npy` arrays beside it."""
-        names = ["slot", *_SCALAR_SERIES, "policy_edge_mask", "policy_cloud_mask",
-                 "num_candidates"]
-        _write_columns(path, names, [np.arange(self.total_slots),
-                                     *(getattr(self, name) for name in _SCALAR_SERIES),
-                                     self.policy_edge, self.policy_cloud, self.num_candidates])
-
-
-_CSV_BLOCK_ROWS = 16   # rows formatted at a time, so the text held stays small
-
-
-def _write_columns(path: str | Path, header: list[str], cols: list[np.ndarray]) -> None:
-    """Write equal-length 1-D columns as CSV rows, byte for byte as
-    `csv.writer` writes them (no field here needs quoting; rows end in
-    CRLF): floats as `repr`, the shortest text that reads back exactly,
-    integers (also Python ints in object arrays) as `str`."""
-    text = [repr if col.dtype.kind == "f" else str for col in cols]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-            block = [map(fmt, col[lo:lo + _CSV_BLOCK_ROWS].tolist())
-                     for fmt, col in zip(text, cols)]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*block))
+        """The slot, scalar and mask columns, byte for byte as `csv.writer`
+        writes them (no field here needs quoting; rows end in CRLF) and
+        faster: floats as `repr`, the shortest text that reads back exactly,
+        integers (also Python ints in object arrays) as `str`.
+        `write_run_outputs` writes the per-device series as `.npy` arrays
+        beside it."""
+        header = ["slot", *_SCALAR_SERIES, "policy_edge_mask", "policy_cloud_mask",
+                  "num_candidates"]
+        cols = [np.arange(self.total_slots), *(getattr(self, name) for name in _SCALAR_SERIES),
+                self.policy_edge, self.policy_cloud, self.num_candidates]
+        text = [repr if col.dtype.kind == "f" else str for col in cols]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for lo in range(0, self.total_slots, _CSV_BLOCK_ROWS):
+                fh.writelines(",".join(row) + "\r\n" for row in zip(
+                    *(map(fmt, col[lo:lo + _CSV_BLOCK_ROWS].tolist())
+                      for fmt, col in zip(text, cols))))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +215,7 @@ def _write_columns(path: str | Path, header: list[str], cols: list[np.ndarray]) 
 # ---------------------------------------------------------------------------
 
 def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.ndarray,
-         cfg: SystemConfig, terms: tuple, k: int
+         cfg: SystemConfig
          ) -> tuple[np.ndarray, float, tuple[float, float, float, float, float], float, float]:
     """One slot's queue transition under the chosen policy's solution, as
     `critic.gather` reads it from the slot's combo solve.
@@ -234,9 +228,9 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
     cap column of `cfg.coefficients`. Returns the next (4, I) queue array
     and its Lyapunov value (it takes `state`'s), the power sums (local,
     edge, edge transmit, cloud transmit, total), the realised
-    drift-plus-penalty and its upper bound (the slot is row k of its
-    block's `queueing.bound_terms`; the bound's constants are those of
-    `cfg.coefficients`). Pure: `state` and `sol` are not modified.
+    drift-plus-penalty and its upper bound, which reads the slot's own
+    served volumes and inflows (`queueing.drift_penalty_bound`). Pure:
+    `state` and `sol` are not modified.
     """
     critic.check_clocks_and_backlog(sol, state, cfg)
     powers = power.total_power(sol)
@@ -250,7 +244,7 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
                                                               coef.q_max, coef.q_max_set)))
     l_nxt = queueing.lyapunov_value(nxt)
     dpp = queueing.drift_plus_penalty(l_state, l_nxt, p_total, cfg.system.lyapunov_v)
-    bound = queueing.drift_penalty_bound(queues, served, inflow, p_total, cfg, terms, k)
+    bound = queueing.drift_penalty_bound(queues, served, inflow, p_total, cfg)
     return nxt, l_nxt, powers, dpp, bound
 
 
@@ -260,7 +254,6 @@ class SlotBlock(channel.ChannelDraw):
     before any queue is known, one row per slot."""
 
     arrivals: np.ndarray          # Poisson arrivals, as floats
-    bound_terms: tuple            # `queueing.bound_terms`
     gains: Optional[np.ndarray]   # `actor.gain_features`, for drlh only
 
 
@@ -366,7 +359,6 @@ class Simulation:
                     self.cfg.mean_arrivals_per_slot, len(row))
             self.block = SlotBlock(
                 **vars(draw), arrivals=arrivals,
-                bound_terms=queueing.bound_terms(draw.cloud_cap, arrivals, self.cfg),
                 gains=actor.gain_features(draw.h2_edge, draw.h2_cloud, self.cfg)
                 if self.kind == "drlh" else None)
             self.block_start = start
@@ -386,8 +378,7 @@ class Simulation:
             t, state, None if block.gains is None else block.gains[k], log)
         arrivals = block.arrivals[k]
         try:
-            nxt, l_nxt, powers, dpp, bound = step(state, self.lyapunov, sol, arrivals,
-                                                  cfg, block.bound_terms, k)
+            nxt, l_nxt, powers, dpp, bound = step(state, self.lyapunov, sol, arrivals, cfg)
         except critic.FeasibilityError as exc:
             raise critic.FeasibilityError(f"slot {t}: {exc}") from exc
 

@@ -4,11 +4,11 @@ and a solution's power sums.
 All formulas are pure and accept scalars or numpy arrays. Rates are in
 tasks/slot, frequencies in Hz, powers in W. Most formulas the slot's combo
 solve (`critic.device_g_table`) runs take their scalar operands from
-`Coefficients`, built once per config on first use; the execution rates keep
-reading the config's Python floats, as `Coefficients` calls them while it is
-being built, before `cfg.coefficients` exists. Each link formula reads its
-own link's per-device bandwidth from the config. `total_power` sums the four
-power components of one policy's solution.
+`Coefficients`, built once per config on first use; the execution rates
+read the config's Python floats, as `Coefficients` calls `encode_rate`
+while it is being built, before `cfg.coefficients` exists. Each link
+formula reads its own link's per-device bandwidth from the config.
+`total_power` sums the four power components of one policy's solution.
 """
 
 from __future__ import annotations
@@ -182,15 +182,13 @@ _LN2 = float(np.log(2.0))
 
 class Coefficients:
     """The per-config constants: the scalar operands of the formulas above
-    and of the solver stages in `critic`, the queue caps as columns over the
-    real queues, and the drift bound's rate ceilings, for one config, each
-    computed as the formula computed it inline (the same float64 operations
-    in the same order), so every result keeps its bits. The operands are
-    `operand`s; the ceilings the bound squares in Python are floats.
+    and of the solver stages in `critic`, and the queue caps as columns over
+    the real queues, for one config, each computed as the formula computed
+    it inline (the same float64 operations in the same order), so every
+    result keeps its bits. The scalars are `operand`s.
     `SystemConfig.coefficients` builds one per config object, on first use."""
 
     def __init__(self, cfg: SystemConfig):
-        from .queueing import poisson_quantile   # queueing imports this module
         s, ch, sem = cfg.system, cfg.channel, cfg.semantic
         v = s.lyapunov_v
         bits_per_task = sem.sentence_len * sem.bits_per_word
@@ -226,14 +224,8 @@ class Coefficients:
         self.edge_volume_num = operand((s.slot_length * s.flops_per_cycle_local
                                         / s.task_flops_encode) ** 3)
         self.edge_volume_den = operand(3.0 * v * s.alpha_local)
-        # `queueing.bound_terms` and `drift_penalty_bound`: the rate ceilings
-        # at the full clocks (the encode rate also caps `solve_edge_volume`),
-        # the 0.9999 quantile of the per-slot arrivals, and the constant b3
+        # `critic.solve_edge_volume`'s cap: the encode rate at the full clock
         self.u_encode = operand(encode_rate(s.f_local_max, cfg))
-        self.u_local = float(local_exec_rate(s.f_local_max, cfg))
-        self.mu_edge = float(edge_exec_rate(s.f_edge_max, cfg))
-        self.arrivals = float(poisson_quantile(0.9999, cfg.mean_arrivals_per_slot))
-        self.b3 = 0.5 * s.num_devices * (self.mu_edge ** 2 + float(self.u_encode) ** 2)
         # `critic.solve_cloud_volume`: tasks per bit/s/Hz, and the
         # denominator of the log's argument
         self.cloud_volume_scale = operand(s.slot_length * cfg.bandwidth_cloud / bits_per_task)

@@ -12,8 +12,6 @@ queues (the virtual update consumes the post-slot real queue values).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import SystemConfig
@@ -73,97 +71,46 @@ def drift_plus_penalty(l_t: float, l_t1: float, power_w: float, v: float) -> flo
     return l_t1 - l_t + v * power_w
 
 
-def poisson_quantile(q: float, mean: float) -> int:
-    """Smallest k with P(X <= k) >= q for X ~ Poisson(mean), 0 < q < 1.
-
-    Sums the pmf upward from k0 = mean - 12 sd (k0 = 0 for means up to
-    144), where the mass left out is below 1e-30. The first term comes from
-    the log pmf, so exp(-mean) cannot underflow, and the loop takes
-    O(sqrt(mean)) steps.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile must lie in (0, 1), got {q!r}")
-    if not math.isfinite(mean):
-        raise ValueError(f"mean must be finite, got {mean!r}")
-    if mean <= 0:
-        return 0
-    sd = math.sqrt(mean)
-    k = max(int(mean - 12.0 * sd), 0)
-    p = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
-    cdf = p
-    # past mean + 40 sd the remaining mass is below float64 resolution of q
-    k_max = mean + 40.0 * sd + 40.0
-    while cdf < q and k < k_max:
-        k += 1
-        p *= mean / k
-        cdf += p
-    return k
-
-
-def bound_terms(cloud_cap, arrivals, cfg: SystemConfig) -> tuple:
-    """`drift_penalty_bound`'s queue-free terms for (slots, I) cloud caps and
-    arrivals: b1, and with a queue cap set three (slots, 2, I) arrays over
-    the local and edge rows (else None): the squared rate caps, the rate
-    caps times the queue caps (0.0 where unset) and the backlog factors
-    (arrivals, u_e_cap). The rate ceilings are those of `cfg.coefficients`.
-    Row k has the bits of slot k alone: elementwise operations, and a
-    C-contiguous row sum is the 1-D sum."""
-    c = cfg.coefficients
-    mu_l_cap = c.u_local + c.u_encode + cloud_cap
-    b1 = 0.5 * (mu_l_cap ** 2 + np.maximum(c.arrivals, arrivals) ** 2).sum(axis=1)
-    q_max_l, q_max_e = cfg.system.q_max_local, cfg.system.q_max_edge
-    if q_max_l is None and q_max_e is None:
-        return b1, None, None, None
-    shape = (len(arrivals), 2, arrivals.shape[1])
-    rate_sq, rate_cap, factor = np.empty(shape), np.empty(shape), np.empty(shape)
-    rate_sq[:, 0], rate_sq[:, 1] = mu_l_cap ** 2, c.mu_edge ** 2
-    rate_cap[:, 0] = 0.0 if q_max_l is None else mu_l_cap * q_max_l
-    rate_cap[:, 1] = 0.0 if q_max_e is None else c.mu_edge * q_max_e
-    factor[:, 0], factor[:, 1] = arrivals, c.u_encode
-    return b1, rate_sq, rate_cap, factor
-
-
 def drift_penalty_bound(queues: np.ndarray, served: np.ndarray, inflow: np.ndarray,
-                        power_w: float, cfg: SystemConfig, terms: tuple, k: int) -> float:
+                        power_w: float, cfg: SystemConfig) -> float:
     """Upper bound on the realised drift-plus-penalty for one transition.
 
     Assembled from the four per-queue drift bounds: the squared-rate
-    constants, the virtual-queue cross terms, the linear backlog terms, and
-    the weighted power. Valid per sample as long as the executed rates
-    respect the queue-backlog constraints (mu_local <= q_local,
+    terms, the virtual-queue cross terms, the linear backlog terms, and
+    the weighted power. Each rate is the slot's own (Neely 2010): a real
+    queue q' = max(q - mu, 0) + a has q'^2 <= q^2 + mu^2 + a^2 - 2 q (mu - a)
+    for any mu, a >= 0. The virtual-queue terms hold as long as the executed
+    rates respect the queue-backlog constraints (mu_local <= q_local,
     mu_edge <= q_edge), which the solvers guarantee.
 
     Takes the slot's (4, I) queues and the (2, I) served volumes and
-    inflows; each term runs once on the local and edge rows together.
-
-    Poisson arrivals have no a-priori maximum, so the arrival cap is the
-    configured high quantile, widened to the realised draw whenever a slot
-    exceeds it; the cloud-offload cap depends on the slot's channel. Both
-    enter only the queue-free terms, computed per block of slots: the slot
-    is row k of `terms`, its block's `bound_terms`. The constants (b3, the
-    queue caps) are those of `cfg.coefficients`.
+    inflows; each term runs once on the local and edge rows together. With
+    a queue cap set, the capped terms run on both rows, a row without a cap
+    against the zero cap of `cfg.coefficients`, and are summed for the
+    capped rows only: one more row costs less than cutting it out.
     """
+    s, c = cfg.system, cfg.coefficients
+    capped_local, capped_edge = s.q_max_local is not None, s.q_max_edge is not None
     real, virtual = queues[:2], queues[2:]
-    b1, rate_sq, rate_cap, factor = terms
-    c = cfg.coefficients
-    # per real queue: the linear backlog term, then with a queue cap its
-    # squared-rate term and its cross term; all row sums in one call
-    parts = [(real + virtual) * (served - inflow)]
-    if rate_sq is not None:
-        parts += [0.5 * (rate_sq[k] + inflow ** 2 + real ** 2 + c.q_max_sq) + rate_cap[k]
-                  + factor[k] * real,
+    rate_sq = served ** 2 + inflow ** 2
+    # per real queue: the squared rates and the linear backlog term, then with
+    # a queue cap its squared-rate term and its cross term; all row sums in
+    # one call
+    parts = [rate_sq, (real + virtual) * (served - inflow)]
+    if capped_local or capped_edge:
+        parts += [0.5 * (rate_sq + real ** 2 + c.q_max_sq) + served * c.q_max + inflow * real,
                   virtual * (real - c.q_max)]
     sums = np.concatenate(parts).sum(axis=1).tolist()
 
     b2 = 0.0
     b4 = 0.0
     cross = 0.0
-    if cfg.system.q_max_local is not None:
-        b2 = sums[2]
-        cross += sums[4]
-    if cfg.system.q_max_edge is not None:
-        b4 = sums[3]
-        cross += sums[5]
+    if capped_local:
+        b2 = sums[4]
+        cross += sums[6]
+    if capped_edge:
+        b4 = sums[5]
+        cross += sums[7]
 
-    b_hat = float(b1[k] + b2 + c.b3 + b4 + cross)
-    return b_hat - (sums[0] + sums[1]) + cfg.system.lyapunov_v * power_w
+    b_hat = 0.5 * sums[0] + b2 + 0.5 * sums[1] + b4 + cross
+    return b_hat - (sums[2] + sums[3]) + s.lyapunov_v * power_w

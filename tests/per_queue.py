@@ -8,19 +8,22 @@ queue, and the four power components are summed one by one. The bodies
 are those earlier functions', with module names qualified; `SlotState` is
 the earlier state type with its four queue fields, so the reference shares
 no queue code with the simulator. The tests compare the two bit for bit,
-guard failures included.
+guard failures included, except for the drift bound: this one is the
+a-priori bound the simulator logged before it read the slot's realised
+rates (`drift_penalty_bound`), and the tests check that the simulator's
+bound never exceeds it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from semoff import critic
+from semoff import critic, power
 from semoff.config import SystemConfig
-from semoff.power import Coefficients
 
 
 @dataclass
@@ -113,43 +116,49 @@ def drift_plus_penalty(l_t: float, l_t1: float, power_w: float, v: float) -> flo
     return l_t1 - l_t + v * power_w
 
 
-def bound_terms(cloud_cap, arrivals, cfg: SystemConfig, caps: Coefficients) -> tuple:
-    """`drift_penalty_bound`'s queue-free terms for (slots, I) cloud caps and
-    arrivals: b1, and with a local queue cap mu_l_cap**2 + arrivals**2 and
-    mu_l_cap * q_max_local (else None). Row k has the bits of slot k alone:
-    elementwise operations, and a C-contiguous row sum is the 1-D sum."""
-    mu_l_cap = caps.u_local + caps.u_encode + cloud_cap
-    b1 = 0.5 * (mu_l_cap ** 2 + np.maximum(caps.arrivals, arrivals) ** 2).sum(axis=1)
-    q_max_l = cfg.system.q_max_local
-    if q_max_l is None:
-        return b1, None, None
-    return b1, mu_l_cap ** 2 + arrivals ** 2, mu_l_cap * q_max_l
+def poisson_quantile(q: float, mean: float) -> int:
+    """Smallest k with P(X <= k) >= q for X ~ Poisson(mean), summed from
+    k = 0; exp(-mean) underflows past a mean of about 745."""
+    if not 0.0 <= mean <= 700.0:
+        raise ValueError(f"mean must lie in [0, 700], got {mean!r}")
+    k, p = 0, math.exp(-mean)
+    cdf = p
+    while cdf < q:
+        k += 1
+        p *= mean / k
+        cdf += p
+    return k
+
+
+def a_priori_ceilings(cfg: SystemConfig) -> tuple[float, float, float, float]:
+    """The rate ceilings of one config: the local, encode and edge rates at
+    the full clocks and the 0.9999 quantile of the per-slot arrivals."""
+    s = cfg.system
+    return (float(power.local_exec_rate(s.f_local_max, cfg)),
+            float(power.encode_rate(s.f_local_max, cfg)),
+            float(power.edge_exec_rate(s.f_edge_max, cfg)),
+            float(poisson_quantile(0.9999, cfg.mean_arrivals_per_slot)))
 
 
 def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
-                        arrivals, power_w: float, cfg: SystemConfig,
-                        caps: Coefficients, terms: tuple, k: int) -> float:
-    """Upper bound on the realised drift-plus-penalty for one transition.
-
-    Assembled from the four per-queue drift bounds: the squared-rate
-    constants, the virtual-queue cross terms, the linear backlog terms, and
-    the weighted power. Valid per sample as long as the executed rates
-    respect the queue-backlog constraints (mu_local <= q_local,
-    mu_edge <= q_edge), which the solvers guarantee.
-
-    Poisson arrivals have no a-priori maximum, so the arrival cap is the
-    configured high quantile, widened to the realised draw whenever a slot
-    exceeds it; the cloud-offload cap depends on the slot's channel. Both
-    enter only the queue-free terms, computed per block of slots: the slot
-    is row k of `terms`, its block's `bound_terms`.
+                        arrivals, power_w: float, cfg: SystemConfig) -> float:
+    """The a-priori upper bound on the realised drift-plus-penalty for one
+    transition: the four per-queue drift bounds with every rate replaced by
+    its ceiling (`a_priori_ceilings`), the cloud-offload cap by the slot's
+    (`state.cloud_cap`), and the arrival cap by the 0.9999 quantile widened
+    to the realised draw whenever a slot exceeds it. Valid per sample as
+    long as the executed rates respect the queue-backlog constraints
+    (mu_local <= q_local, mu_edge <= q_edge), which the solvers guarantee.
     """
     q_l, z_l = state.q_local, state.z_local
     q_e, z_e = state.q_edge, state.z_edge
     v = cfg.system.lyapunov_v
-    b1, local_sq, local_cap = terms
-    u_e_cap = caps.u_encode
-    mu_e_cap = caps.mu_edge
+    u_local, u_e_cap, mu_e_cap, arrivals_cap = a_priori_ceilings(cfg)
 
+    mu_l_cap = u_local + u_e_cap + state.cloud_cap
+    lam_cap = np.maximum(arrivals_cap, arrivals)
+
+    b1 = 0.5 * (mu_l_cap ** 2 + lam_cap ** 2).sum()
     b3 = 0.5 * len(q_e) * (mu_e_cap ** 2 + u_e_cap ** 2)
 
     b2 = 0.0
@@ -158,15 +167,15 @@ def drift_penalty_bound(state: SlotState, mu_local, mu_edge, u_edge,
     q_max_l = cfg.system.q_max_local
     q_max_e = cfg.system.q_max_edge
     if q_max_l is not None:
-        b2 = float((0.5 * (local_sq[k] + q_l ** 2 + q_max_l ** 2) + local_cap[k]
-                    + arrivals * q_l).sum())
+        b2 = float((0.5 * (mu_l_cap ** 2 + arrivals ** 2 + q_l ** 2 + q_max_l ** 2)
+                    + mu_l_cap * q_max_l + arrivals * q_l).sum())
         cross += float((z_l * (q_l - q_max_l)).sum())
     if q_max_e is not None:
         b4 = float((0.5 * (mu_e_cap ** 2 + u_edge ** 2 + q_e ** 2 + q_max_e ** 2)
                     + mu_e_cap * q_max_e + u_e_cap * q_e).sum())
         cross += float((z_e * (q_e - q_max_e)).sum())
 
-    b_hat = float(b1[k] + b2 + b3 + b4 + cross)
+    b_hat = float(b1 + b2 + b3 + b4 + cross)
     linear = float(((q_l + z_l) * (mu_local - arrivals)).sum()
                    + ((q_e + z_e) * (mu_edge - u_edge)).sum())
     return b_hat - linear + v * power_w
@@ -182,7 +191,7 @@ def total_power(sol: critic.Solution) -> tuple[float, float, float, float, float
 
 
 def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.ndarray,
-         cfg: SystemConfig, terms: tuple, k: int
+         cfg: SystemConfig
          ) -> tuple[SlotState, float, tuple[float, float, float, float, float], float, float]:
     """One slot's queue transition under the chosen policy's solution, as
     `critic.gather` reads it from the slot's combo solve.
@@ -190,11 +199,10 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
     Checks the clock budgets and the backlog (`critic.check_clocks_and_backlog`),
     sums the powers (`power.total_power`), updates the real and then the
     virtual queues. Takes and returns the Lyapunov values of `state` and of
-    the next state (the slot's channels carried over; the slot is row k of
-    its block's `queueing.bound_terms`); also returns the power sums (local,
-    edge, edge transmit, cloud transmit, total), the realised
-    drift-plus-penalty and its upper bound. Pure: `state` and `sol` are not
-    modified.
+    the next state (the slot's channels carried over); also returns the
+    power sums (local, edge, edge transmit, cloud transmit, total), the
+    realised drift-plus-penalty and its a-priori upper bound
+    (`drift_penalty_bound`). Pure: `state` and `sol` are not modified.
     """
     s = cfg.system
     check_clocks_and_backlog(sol, state, cfg)
@@ -210,5 +218,5 @@ def step(state: SlotState, l_state: float, sol: critic.Solution, arrivals: np.nd
     l_nxt = lyapunov_value(nxt)
     dpp = drift_plus_penalty(l_state, l_nxt, p_total, s.lyapunov_v)
     bound = drift_penalty_bound(state, sol.mu_local, sol.mu_edge, sol.u_edge,
-                                arrivals, p_total, cfg, cfg.coefficients, terms, k)
+                                arrivals, p_total, cfg)
     return nxt, l_nxt, powers, dpp, bound

@@ -1,6 +1,4 @@
 import dataclasses
-import math
-import time
 
 import numpy as np
 import pytest
@@ -86,72 +84,15 @@ def test_drift_plus_penalty_matches_independent_recompute():
             pytest.approx(expected, rel=1e-12)
 
 
-def test_poisson_quantile_basics():
-    assert queueing.poisson_quantile(0.9999, 0.0) == 0
-    q = queueing.poisson_quantile(0.9999, 1.0)
-    assert 4 <= q <= 8
-    assert queueing.poisson_quantile(0.9999, 7.5) >= 15
-
-
-def _poisson_quantile_linear(q, mean):
-    """Direct summation from k = 0; exp(-mean) underflows past mean ~745."""
-    if mean <= 0:
-        return 0
-    k, p = 0, math.exp(-mean)
-    cdf = p
-    while cdf < q:
-        k += 1
-        p *= mean / k
-        cdf += p
-    return k
-
-
-def test_poisson_quantile_matches_direct_summation_up_to_700():
-    means = np.concatenate([np.linspace(0.0, 20.0, 2001), np.linspace(20.0, 700.0, 3401)])
-    for q in (0.9999, 0.5):
-        for mean in means:
-            mean = float(mean)
-            assert queueing.poisson_quantile(q, mean) == _poisson_quantile_linear(q, mean), (q, mean)
-
-
-@pytest.mark.parametrize("mean", [1e3, 745.5, 800.0, 1e4, 1e5, 1e6])
-def test_poisson_quantile_large_means_fast_and_correct(mean):
-    t0 = time.perf_counter()
-    k = queueing.poisson_quantile(0.9999, mean)
-    assert time.perf_counter() - t0 < 0.5
-    # 0.9999 is 3.719 sd above the mean in the normal limit, and the Poisson
-    # skew adds about (z^2 - 1) / 6 = 2.14 tasks at any mean
-    expected = mean + 3.719 * math.sqrt(mean) + 2.14
-    assert abs(k - expected) <= 2.0
-    # the defining property, checked with an independent log-space cdf
-    def cdf(x):
-        ks = np.arange(x + 1)
-        logp = ks * math.log(mean) - mean - np.array([math.lgamma(j + 1) for j in ks])
-        return float(np.exp(logp).sum())
-    assert cdf(k) >= 0.9999 > cdf(k - 1)
-
-
-def test_poisson_quantile_rejects_bad_arguments():
-    for q in (0.0, 1.0, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="quantile"):
-            queueing.poisson_quantile(q, 3.0)
-    with pytest.raises(ValueError, match="mean"):
-        queueing.poisson_quantile(0.9, float("inf"))
-
-
-def _one_slot_terms(state, arrivals, cfg):
-    """`queueing.bound_terms` of a block of one slot."""
-    return queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg)
-
-
 def test_bound_trivial_cases():
-    # a zero cloud offload cap gives the smallest bound
-    zero = dataclasses.replace(_state(0, n=8), cloud_cap=np.zeros(8))
+    # an idle slot on empty queues: nothing moves, and the bound holds the
+    # queue caps' squares alone
+    zero = _state(0, n=8)
     b = queueing.drift_penalty_bound(zero.queues, np.zeros((2, 8)), np.zeros((2, 8)),
-                                     0.0, CFG, _one_slot_terms(zero, np.zeros(8), CFG), 0)
-    assert b >= 0.0
+                                     0.0, CFG)
+    assert b == 0.5 * 8 * (CFG.system.q_max_local ** 2 + CFG.system.q_max_edge ** 2)
     # one-device hand case: q=1, mu=1, arrivals=1 -> drift 0 <= bound
-    one = dataclasses.replace(_state(1, n=8), cloud_cap=np.zeros(8))
+    one = _state(1, n=8)
     mu = np.zeros(8); mu[0] = 1.0
     arr = np.zeros(8); arr[0] = 1.0
     nxt = _state(1, n=8)
@@ -159,13 +100,20 @@ def test_bound_trivial_cases():
                                       queueing.lyapunov_value(nxt.queues), 0.0,
                                       CFG.system.lyapunov_v)
     bound = queueing.drift_penalty_bound(one.queues, np.array((mu, np.zeros(8))),
-                                         np.array((arr, np.zeros(8))), 0.0, CFG,
-                                         _one_slot_terms(one, arr, CFG), 0)
+                                         np.array((arr, np.zeros(8))), 0.0, CFG)
     assert dpp == 0.0
     assert bound >= dpp
 
 
+def _per_queue_state(state):
+    """`state` as the per-queue reference's state type."""
+    return per_queue.SlotState(state.h2_edge, state.h2_cloud, state.edge_cap, state.cloud_cap,
+                               *state.queues)
+
+
 def _random_transition(cfg, rng, geom):
+    """A random slot's realised drift-plus-penalty, its logged bound and
+    the per-queue reference's a-priori bound."""
     n = cfg.system.num_devices
     draw = channel.draw_channels(geom, cfg, [rng])
     state = channel.slot_state(cfg, draw.h2_edge[0], draw.h2_cloud[0],
@@ -174,17 +122,48 @@ def _random_transition(cfg, rng, geom):
     pol = oracle.random_policy(rng, n, cfg.system.chi_edge, cfg.system.chi_cloud)
     sol, _ = critic.gather(*critic.device_g_table(state, cfg), pol)
     arrivals = rng.poisson(cfg.mean_arrivals_per_slot, n).astype(float)
-    _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state.queues), sol, arrivals,
-                                      cfg, _one_slot_terms(state, arrivals, cfg), 0)
-    return dpp, bound
+    _, _, powers, dpp, bound = engine.step(state, queueing.lyapunov_value(state.queues), sol,
+                                           arrivals, cfg)
+    a_priori = per_queue.drift_penalty_bound(_per_queue_state(state), sol.mu_local, sol.mu_edge,
+                                             sol.u_edge, arrivals, powers[4], cfg)
+    return dpp, bound, a_priori
 
 
 def test_bound_holds_on_random_transitions():
     rng = np.random.default_rng(77)
     geom = channel.place_devices(CFG, rng)
     for _ in range(2000):
-        dpp, bound = _random_transition(CFG, rng, geom)
+        dpp, bound, a_priori = _random_transition(CFG, rng, geom)
         assert dpp <= bound + 1e-9
+        assert bound <= a_priori
+
+
+def test_the_bound_counts_one_task_too_many(monkeypatch):
+    # slot 0 of scenario II starts on empty queues, where the bound has no
+    # slack: a queue update that adds one task more than the arrivals the
+    # bound reads breaks it, and does not break the a-priori bound
+    cfg = engine.scenario_two(policy="exhaustive", seed=1).apply(CFG)
+    n = cfg.system.num_devices
+    honest = engine.MetricsLog(1, n)
+    engine.Simulation(cfg, "exhaustive", 1).run_slot(0, honest)
+    assert honest.bound_violations == 0 and honest.dpp[0] == honest.bound[0]
+
+    update = queueing.update_local_queue
+    extra = np.zeros((2, n))
+    extra[0, 0] = 1.0   # one task on the first device's local queue
+    monkeypatch.setattr(queueing, "update_local_queue",
+                        lambda q, served, inflow: update(q, served, inflow + extra))
+    log = engine.MetricsLog(1, n)
+    sim = engine.Simulation(cfg, "exhaustive", 1)
+    sim.run_slot(0, log)
+    assert sim.q_local[0] == log.arrivals[0, 0] + 1.0
+    assert log.bound_violations == 1
+    block, k = sim.channels(0)
+    state = channel.slot_state(cfg, block.h2_edge[k], block.h2_cloud[k], *np.zeros((4, n)))
+    a_priori = per_queue.drift_penalty_bound(_per_queue_state(state), log.mu_local[0],
+                                             log.mu_edge[0], log.u_edge[0], log.arrivals[0],
+                                             log.p_total[0], cfg)
+    assert log.dpp[0] <= a_priori + engine.BOUND_TOL
 
 
 @pytest.mark.parametrize("update,names", [
@@ -207,22 +186,15 @@ def test_queue_update_names_the_negative_argument(update, names):
             update(*args)
 
 
-def _reference_drift_penalty_bound(state, mu_local, mu_edge, u_edge,
-                                   arrivals, power_w, cfg, caps):
-    """`queueing.drift_penalty_bound` as it was before its queue-free terms
-    moved to `queueing.bound_terms`, verbatim: every term from the slot's
-    own state."""
-    q_l, z_l = state.q_local, state.z_local
-    q_e, z_e = state.q_edge, state.z_edge
+def _realised_rate_bound(queues, mu_local, mu_edge, u_edge, arrivals, power_w, cfg):
+    """`queueing.drift_penalty_bound` transcribed device by device: the
+    a-priori bound's terms with each ceiling replaced by the slot's own
+    rate."""
+    q_l, q_e, z_l, z_e = queues
     v = cfg.system.lyapunov_v
 
-    mu_l_cap = caps.u_local + caps.u_encode + state.cloud_cap
-    lam_cap = np.maximum(caps.arrivals, arrivals)
-    u_e_cap = caps.u_encode
-    mu_e_cap = caps.mu_edge
-
-    b1 = 0.5 * (mu_l_cap ** 2 + lam_cap ** 2).sum()
-    b3 = 0.5 * len(q_e) * (mu_e_cap ** 2 + u_e_cap ** 2)
+    b1 = 0.5 * (mu_local ** 2 + arrivals ** 2).sum()
+    b3 = 0.5 * (mu_edge ** 2 + u_edge ** 2).sum()
 
     b2 = 0.0
     b4 = 0.0
@@ -230,12 +202,12 @@ def _reference_drift_penalty_bound(state, mu_local, mu_edge, u_edge,
     q_max_l = cfg.system.q_max_local
     q_max_e = cfg.system.q_max_edge
     if q_max_l is not None:
-        b2 = float((0.5 * (mu_l_cap ** 2 + arrivals ** 2 + q_l ** 2 + q_max_l ** 2)
-                    + mu_l_cap * q_max_l + arrivals * q_l).sum())
+        b2 = float((0.5 * (mu_local ** 2 + arrivals ** 2 + q_l ** 2 + q_max_l ** 2)
+                    + mu_local * q_max_l + arrivals * q_l).sum())
         cross += float((z_l * (q_l - q_max_l)).sum())
     if q_max_e is not None:
-        b4 = float((0.5 * (mu_e_cap ** 2 + u_edge ** 2 + q_e ** 2 + q_max_e ** 2)
-                    + mu_e_cap * q_max_e + u_e_cap * q_e).sum())
+        b4 = float((0.5 * (mu_edge ** 2 + u_edge ** 2 + q_e ** 2 + q_max_e ** 2)
+                    + mu_edge * q_max_e + u_edge * q_e).sum())
         cross += float((z_e * (q_e - q_max_e)).sum())
 
     b_hat = float(b1 + b2 + b3 + b4 + cross)
@@ -248,22 +220,23 @@ def _reference_drift_penalty_bound(state, mu_local, mu_edge, u_edge,
 @pytest.mark.parametrize("preset", [engine.scenario_one, engine.scenario_two])
 def test_block_bound_terms_give_the_per_slot_bound_bit_for_bit(preset, n):
     # 1,100 slots cross the first 1,024-slot block boundary; every logged
-    # bound equals the reference's on the slot's logged inputs, bit for bit
+    # bound equals the transcription's on the slot's logged inputs, bit for
+    # bit, and lies at or below the per-queue reference's a-priori bound
     cfg = dataclasses.replace(CFG, system=dataclasses.replace(
         CFG.system, num_devices=n, chi_edge=min(4, n), chi_cloud=min(2, n)))
     resolved = preset(policy="random", seed=3, total_slots=1100).apply(cfg)
     sim = engine.Simulation(resolved, "random", 3)
     log = sim.run()
-    caps = resolved.coefficients
     for t in range(1100):
+        queues = np.array((log.q_local[t], log.q_edge[t], log.z_local[t], log.z_edge[t]))
+        inputs = (log.mu_local[t], log.mu_edge[t], log.u_edge[t], log.arrivals[t],
+                  log.p_total[t], resolved)
+        expected = _realised_rate_bound(queues, *inputs)
+        assert log.bound[t].tobytes() == np.float64(expected).tobytes(), t
         block, k = sim.channels(t)
-        state = dataclasses.replace(_state(0, n=n), cloud_cap=block.cloud_cap[k],
-                                    queues=np.array((log.q_local[t], log.q_edge[t],
-                                                     log.z_local[t], log.z_edge[t])))
-        ref = _reference_drift_penalty_bound(state, log.mu_local[t], log.mu_edge[t],
-                                             log.u_edge[t], log.arrivals[t],
-                                             log.p_total[t], resolved, caps)
-        assert log.bound[t].tobytes() == np.float64(ref).tobytes(), t
+        state = per_queue.SlotState(block.h2_edge[k], block.h2_cloud[k], block.edge_cap[k],
+                                    block.cloud_cap[k], *queues)
+        assert log.bound[t] <= per_queue.drift_penalty_bound(state, *inputs), t
 
 
 # --- the stacked transition against the per-queue reference ------------------
@@ -323,18 +296,12 @@ def _both_steps(cfg, h2, queues, sol, arrivals):
     same slot: (next queues, Lyapunov values, powers, dpp, bound) as arrays,
     or the error each raised."""
     state = channel.slot_state(cfg, *h2, *queues)
-    ref_state = per_queue.SlotState(state.h2_edge, state.h2_cloud, state.edge_cap,
-                                    state.cloud_cap, *queues)
+    ref_state = _per_queue_state(state)
     outcomes = []
-    for module, st_, l_state, terms in (
-            (engine, state, queueing.lyapunov_value(state.queues),
-             queueing.bound_terms(state.cloud_cap[None], arrivals[None], cfg)),
-            (per_queue, ref_state, per_queue.lyapunov_value(ref_state),
-             per_queue.bound_terms(state.cloud_cap[None], arrivals[None], cfg,
-                                   cfg.coefficients))):
+    for module, st_, l_state in ((engine, state, queueing.lyapunov_value(state.queues)),
+                                 (per_queue, ref_state, per_queue.lyapunov_value(ref_state))):
         try:
-            nxt, l_nxt, powers, dpp, bound = module.step(st_, l_state, sol, arrivals, cfg,
-                                                         terms, 0)
+            nxt, l_nxt, powers, dpp, bound = module.step(st_, l_state, sol, arrivals, cfg)
         except ValueError as exc:
             outcomes.append((type(exc), str(exc)))
             continue
@@ -342,6 +309,12 @@ def _both_steps(cfg, h2, queues, sol, arrivals):
             nxt = np.array([getattr(nxt, name) for name in QUEUE_ROWS])
         outcomes.append((nxt, np.array([l_state, l_nxt, *powers, dpp, bound])))
     return outcomes
+
+
+def _realised_rate_bound_of(values, cfg, queues, sol, arrivals):
+    """`_realised_rate_bound` on a slot's inputs and the power of its outcome."""
+    return np.float64(_realised_rate_bound(np.array(queues), sol.mu_local, sol.mu_edge,
+                                           sol.u_edge, arrivals, values[6], cfg))
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,9 +325,11 @@ def _both_steps(cfg, h2, queues, sol, arrivals):
        clock_over=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_stacked_transition_matches_the_per_queue_reference(n, q_max, queue_modes,
                                                             served_mode, clock_over, seed):
-    # next queues, both Lyapunov values, the five power sums, the realised
-    # drift-plus-penalty and its bound equal the reference's bit for bit,
-    # and a guard refuses exactly what the reference refuses, with its words
+    # next queues, both Lyapunov values, the five power sums and the
+    # realised drift-plus-penalty equal the reference's bit for bit, the
+    # bound equals its transcription's bit for bit and lies at or below the
+    # reference's a-priori bound, and a guard refuses exactly what the
+    # reference refuses, with its words
     inputs = _transition_inputs(n, q_max, np.random.default_rng(seed), queue_modes,
                                 served_mode, clock_over)
     new, ref = _both_steps(*inputs)
@@ -364,7 +339,11 @@ def test_stacked_transition_matches_the_per_queue_reference(n, q_max, queue_mode
     assert not isinstance(new[0], type), new
     assert new[0].shape == (4, n) and new[0].flags.c_contiguous
     assert new[0].tobytes() == ref[0].tobytes()
-    assert new[1].tobytes() == ref[1].tobytes()
+    assert new[1][:-1].tobytes() == ref[1][:-1].tobytes()
+    cfg, _, queues, sol, arrivals = inputs
+    assert new[1][-1].tobytes() == _realised_rate_bound_of(new[1], cfg, queues, sol,
+                                                           arrivals).tobytes()
+    assert new[1][-1] <= ref[1][-1]
     for row, cap in zip(new[0][2:], q_max):
         assert cap is not None or not row.any()   # an unbounded row stays at zero
 
@@ -375,7 +354,9 @@ def test_stacked_transition_matches_the_per_queue_reference(n, q_max, queue_mode
 def test_bad_entries_are_refused_as_before(field, value):
     # a NaN, -1 or +inf in any queue row fails the state check with the
     # row's name; in any queue row, served volume or inflow, the stacked
-    # step ends as the reference does (the same error, or the same values)
+    # step ends as the reference does (the same error, or the same values
+    # but the bound, which is its transcription's and not above the
+    # reference's)
     cfg, h2, queues, sol, arrivals = _transition_inputs(
         8, (5.0, 1.0), np.random.default_rng(11), ["random"] * 4, "fraction")
     if field in QUEUE_ROWS:
@@ -389,10 +370,14 @@ def test_bad_entries_are_refused_as_before(field, value):
         getattr(sol, field)[3] = value
     with np.errstate(all="ignore"):
         new, ref = _both_steps(cfg, h2, queues, sol, arrivals)
-    if isinstance(ref[0], type):
-        assert new == ref
-    else:
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(new, ref))
+        if isinstance(ref[0], type):
+            assert new == ref
+        else:
+            assert np.array_equal(new[0], ref[0], equal_nan=True)
+            assert np.array_equal(new[1][:-1], ref[1][:-1], equal_nan=True)
+            assert np.array_equal(new[1][-1], _realised_rate_bound_of(
+                new[1], cfg, queues, sol, arrivals), equal_nan=True)
+            assert not new[1][-1] > ref[1][-1]
     if value == -1.0:
         expected = {"q_local": "served local volume exceeds local backlog",
                     "q_edge": "edge decode volume exceeds edge backlog",
