@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import actor, channel, critic, engine, oracle, power, queueing
+from . import channel, critic, engine, oracle, power
 from .config import (ConfigError, SlotState, SystemConfig, SystemParams, config_from_dict,
                      read_config_file, validate_config)
 
@@ -107,8 +107,8 @@ def cmd_enumerate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: independent cross-checks of the solver stages, gradients, and the
-# drift bound
+# verify: the closed-form solver stages against dense grids of their own
+# objectives, at the `--config` file's coefficients
 # ---------------------------------------------------------------------------
 
 def _random_state(cfg: SystemConfig, rng: np.random.Generator,
@@ -201,73 +201,16 @@ def cmd_verify(args) -> int:
     cfg, _ = _resolve(args)   # the seed below is `--seed`, 0 without it
     rng = channel.run_rng(args.seed or 0, 99)
     geom = channel.place_devices(cfg, rng)
-    failures = 0
-    n_samples = 20 if args.quick else 200
-    grid_points = 2001 if args.quick else 10001
-
-    # 1. closed forms against per-stage grids
     audit_rows: list[dict] = []
     worst_gap = 0.0
-    for sample in range(n_samples):
+    for sample in range(200):
         state = _random_state(cfg, rng, geom)
-        rows, worst = _stage_grid_rows(cfg, state, sample, grid_points)
+        rows, worst = _stage_grid_rows(cfg, state, sample, grid_points=10001)
         audit_rows.extend(rows)
         worst_gap = max(worst_gap, worst)
     ok = worst_gap <= 1e-9
-    failures += 0 if ok else 1
     print(f"solver-vs-grid: worst objective gap {worst_gap:.3e} "
           f"({'ok' if ok else 'FAIL'})")
-
-    # 2. gradient check on a small network
-    grad_rng = channel.run_rng(args.seed or 0, 98)
-    net = actor.ActorNetwork.create(4, (16, 12), grad_rng)
-    x = grad_rng.normal(size=(6, 24))
-    y = (grad_rng.random(size=(6, 8)) > 0.5).astype(float)
-    _, gw, gb = net.loss_and_grad(x, y)
-    worst_rel = 0.0
-    h = 1e-6
-    for arrs, grads in ((net.weights, gw), (net.biases, gb)):
-        for arr, grad in zip(arrs, grads):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            idx = grad_rng.choice(flat.size, size=min(40, flat.size), replace=False)
-            for j in idx:
-                old = flat[j]
-                flat[j] = old + h
-                up = net.loss(x, y)
-                flat[j] = old - h
-                dn = net.loss(x, y)
-                flat[j] = old
-                fd = (up - dn) / (2 * h)
-                worst_rel = max(worst_rel, abs(fd - gflat[j]) / max(abs(fd), 1e-8))
-    ok = worst_rel <= 1e-4
-    failures += 0 if ok else 1
-    print(f"gradient-vs-finite-difference: worst relative error {worst_rel:.3e} "
-          f"({'ok' if ok else 'FAIL'})")
-
-    # 3. drift bound on random transitions
-    violations = 0
-    n_trans = 500 if args.quick else 5000
-    for _ in range(n_trans):
-        state = _random_state(cfg, rng, geom)
-        pol = oracle.random_policy(rng, cfg.system.num_devices,
-                                   cfg.system.chi_edge, cfg.system.chi_cloud)
-        sol, _ = critic.evaluate_policy(pol, state, cfg)
-        arrivals = rng.poisson(cfg.mean_arrivals_per_slot,
-                               cfg.system.num_devices).astype(float)
-        _, _, _, dpp, bound = engine.step(state, queueing.lyapunov_value(state.queues), sol,
-                                          arrivals, cfg)
-        if dpp > bound + engine.BOUND_TOL:
-            violations += 1
-    ok = violations == 0
-    failures += 0 if ok else 1
-    print(f"drift-bound: {violations}/{n_trans} violations ({'ok' if ok else 'FAIL'})")
-
-    # 4. enumeration counts
-    expected = {4: 6, 6: 225, 8: 1960, 10: 9450, 12: 32670}
-    counts_ok = all(oracle.count_policies(n, 4, 2) == c for n, c in expected.items())
-    failures += 0 if counts_ok else 1
-    print(f"enumeration-counts: {'ok' if counts_ok else 'FAIL'}")
 
     if args.out is not None:
         outdir = Path(args.out)
@@ -278,9 +221,7 @@ def cmd_verify(args) -> int:
             for row in audit_rows:
                 writer.writerow(row)
         print(f"audit table -> {outdir / 'solver_audit.csv'}")
-
-    print("verify:", "all checks passed" if failures == 0 else f"{failures} check(s) FAILED")
-    return 0 if failures == 0 else 1
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,11 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--count-only", action="store_true")
     en.set_defaults(func=cmd_enumerate)
 
-    ver = sub.add_parser("verify", help="run solver/gradient/bound cross-checks")
+    ver = sub.add_parser("verify", help="audit the closed-form solver stages against dense grids")
     add_common(ver, slots=False)
     ver.add_argument("--out", type=str, default=None,
                      help="write the per-stage audit table here")
-    ver.add_argument("--quick", action="store_true")
     ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -4,10 +4,11 @@ and a solution's power sums.
 All formulas are pure and accept scalars or numpy arrays. Rates are in
 tasks/slot, frequencies in Hz, powers in W. Most formulas the slot's combo
 solve (`critic.device_g_table`) runs take their scalar operands from
-`Coefficients`, built once per config on first use; the execution rates
-read the config's Python floats, as `Coefficients` calls `encode_rate`
-while it is being built, before `cfg.coefficients` exists. Each link
-formula reads its own link's per-device bandwidth from the config.
+`Coefficients`, built once per config on first use. Of the execution
+rates only `encode_rate` reads the config's Python floats, as
+`Coefficients` calls it while it is being built, before
+`cfg.coefficients` exists. Each link formula reads its own link's
+per-device bandwidth from the config.
 `total_power` sums the four power components of one policy's solution.
 """
 
@@ -69,8 +70,8 @@ class LogisticAccuracyCurve:
 
 def local_exec_rate(f_local, cfg: SystemConfig):
     """Tasks/slot finished locally at clock f_local."""
-    s = cfg.system
-    return s.slot_length * s.flops_per_cycle_local * f_local / s.task_flops_total
+    k = cfg.coefficients
+    return k.slot_flops_local * f_local / k.task_flops_total
 
 
 def encode_rate(f_encode, cfg: SystemConfig):
@@ -87,8 +88,8 @@ def encode_frequency(u_edge, cfg: SystemConfig):
 
 def edge_exec_rate(f_edge, cfg: SystemConfig):
     """Tasks/slot decoded and finished at the edge server at clock f_edge."""
-    s = cfg.system
-    return s.slot_length * s.flops_per_cycle_edge * f_edge / s.task_flops_decode
+    k = cfg.coefficients
+    return k.slot_flops_edge * f_edge / k.task_flops_decode
 
 
 def local_power(f_local, f_encode, cfg: SystemConfig):

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -42,7 +44,7 @@ def test_enumerate_refuses_what_validate_config_refuses(argv, flag, capsys):
 
 def test_verify_offers_no_slots_flag(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--quick", "--slots", "3"])
+        main(["verify", "--slots", "3"])
     assert exc.value.code == 2
     assert "--slots" in capsys.readouterr().err
 
@@ -219,7 +221,7 @@ def test_sweep_refuses_a_bad_value_before_the_first_run(tmp_path, capsys, monkey
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["simulate", "--slots", "5"], ["verify", "--quick"],
+@pytest.mark.parametrize("command", [["simulate", "--slots", "5"], ["verify"],
                                      ["sweep", "--param", "users", "--values", "8"]],
                          ids=["simulate", "verify", "sweep"])
 def test_every_command_refuses_a_config_value_in_the_scenario_group(command, tmp_path, capsys):
@@ -236,12 +238,42 @@ def test_every_command_refuses_a_config_value_in_the_scenario_group(command, tmp
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 
-def test_verify_quick_passes(tmp_path, capsys):
-    out = tmp_path / "audit"
-    rc = main(["verify", "--quick", "--seed", "0", "--out", str(out)])
-    assert rc == 0
-    assert (out / "solver_audit.csv").exists()
-    assert "all checks passed" in capsys.readouterr().out
+def test_verify_prints_the_audit_line_alone(capsys):
+    assert main(["verify", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == "solver-vs-grid: worst objective gap 1.421e-14 (ok)\n"
+
+
+def _audit(tmp_path, capsys, *argv: str) -> list[dict]:
+    """Run `verify --seed 0 --out tmp_path` with `argv` and read its audit table."""
+    assert main(["verify", "--seed", "0", "--out", str(tmp_path), *argv]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("solver-vs-grid: ") and out[0].endswith(" (ok)")
+    assert out[1:] == [f"audit table -> {tmp_path / 'solver_audit.csv'}"]
+    with open(tmp_path / "solver_audit.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_verify_audit_table_bytes_are_pinned(tmp_path, capsys):
+    # 200 random states x 8 devices x 4 stages, each against a 10,001-point grid
+    assert len(_audit(tmp_path, capsys)) == 200 * 8 * 4
+    digest = hashlib.sha256((tmp_path / "solver_audit.csv").read_bytes()).hexdigest()
+    assert digest == "d232e80049f1add7c876306a38ccb6871af2fe5bd86d6c1b598ae33ec8a0ffe7"
+
+
+def test_verify_audits_the_config_file(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"system": {"num_devices": 3, "chi_edge": 2, "chi_cloud": 1,
+                                           "lyapunov_v": 5.0}}))
+    rows = _audit(tmp_path / "custom", capsys, "--config", str(path))
+    default = _audit(tmp_path / "default", capsys)
+    assert {row["device"] for row in rows} == {"0", "1", "2"}
+    assert len(rows) == 200 * 3 * 4
+    # every stage value off its lower bound differs from the default config's
+    key = ("sample", "device", "stage")
+    default_values = {tuple(r[k] for k in key): r["analytic_value"] for r in default}
+    interior = [r for r in rows if float(r["analytic_value"]) != 0.0]
+    assert len(interior) > len(rows) / 2
+    assert all(default_values[tuple(r[k] for k in key)] != r["analytic_value"] for r in interior)
 
 
 @pytest.mark.parametrize("group,name,value", [
@@ -322,7 +354,7 @@ def test_simulate_reports_overflowing_shadowing_and_midpoint(group, name, tmp_pa
     assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 
-_COMMANDS = {"simulate": ["simulate", "--slots", "5"], "verify": ["verify", "--quick"],
+_COMMANDS = {"simulate": ["simulate", "--slots", "5"], "verify": ["verify"],
              "sweep": ["sweep", "--param", "users", "--values", "8"]}
 
 
