@@ -42,14 +42,15 @@ def cross_entropy(out: np.ndarray, y: np.ndarray) -> float:
     """Mean binary cross-entropy per component of network outputs `out`
     (one vector or a batch) against labels `y`, outputs clipped away from
     0 and 1."""
-    out = np.clip(np.atleast_2d(out), _LOG_CLIP, 1.0 - _LOG_CLIP)
-    y = np.atleast_2d(y)
-    return float(-np.mean(y * np.log(out) + (1.0 - y) * np.log(1.0 - out)))
+    out = np.minimum(np.maximum(out, _LOG_CLIP), 1.0 - _LOG_CLIP)
+    terms = y * np.log(out) + (1.0 - y) * np.log(1.0 - out)
+    return float(-(np.add.reduce(terms, axis=None) / terms.size))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    denom = 1.0 + ez
+    return np.where(z >= 0, 1.0 / denom, ez / denom)
 
 
 class ActorNetwork:
@@ -72,11 +73,24 @@ class ActorNetwork:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Outputs for a single feature vector or a (B, in) batch."""
-        a = np.atleast_2d(x)
+        out = _sigmoid(self._pre_sigmoid(x[None] if x.ndim == 1 else x, None))
+        return out[0] if x.ndim == 1 else out
+
+    def _pre_sigmoid(self, x: np.ndarray, activations: list | None) -> np.ndarray:
+        """The output layer's pre-sigmoid values for a (B, in) batch, each
+        bias added and each rectifier applied in place on its layer's fresh
+        product, so `x` is never written. Appends each hidden layer's
+        output to `activations` when given."""
+        a = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-        out = _sigmoid(a @ self.weights[-1] + self.biases[-1])
-        return out[0] if np.ndim(x) == 1 else out
+            a = a @ w
+            a += b
+            np.maximum(a, 0.0, out=a)
+            if activations is not None:
+                activations.append(a)
+        z = a @ self.weights[-1]
+        z += self.biases[-1]
+        return z
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean binary cross-entropy per output component."""
@@ -85,21 +99,19 @@ class ActorNetwork:
     def loss_and_grad(self, x: np.ndarray, y: np.ndarray
                       ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
         """Exact gradients of the clipped mean cross-entropy."""
-        x = np.atleast_2d(x)
-        y = np.atleast_2d(y)
+        x = x[None] if x.ndim == 1 else x
         activations = [x]
-        a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w + b, 0.0)
-            activations.append(a)
-        out = _sigmoid(a @ self.weights[-1] + self.biases[-1])
+        out = _sigmoid(self._pre_sigmoid(x, activations))
 
         loss = cross_entropy(out, y)
 
-        scale = 1.0 / y.size
-        # d(loss)/d(pre-sigmoid); the clip zeroes the gradient where active
+        # d(loss)/d(pre-sigmoid); the clip zeroes the gradient where active.
+        # np.where, not a product with the mask: the product would turn the
+        # zeroed +0.0 into -0.0 wherever the error is negative.
         inside = (out > _LOG_CLIP) & (out < 1.0 - _LOG_CLIP)
-        delta = np.where(inside, (out - y) * scale, 0.0)
+        err = out - y
+        err *= 1.0 / y.size
+        delta = np.where(inside, err, 0.0)
 
         grads_w: list[np.ndarray] = [np.empty(0)] * len(self.weights)
         grads_b: list[np.ndarray] = [np.empty(0)] * len(self.biases)
@@ -107,7 +119,8 @@ class ActorNetwork:
             grads_w[layer] = activations[layer].T @ delta
             grads_b[layer] = delta.sum(axis=0)
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (activations[layer] > 0)
+                delta = delta @ self.weights[layer].T
+                delta *= activations[layer] > 0
         return loss, grads_w, grads_b
 
 
@@ -130,11 +143,20 @@ class AdaptiveMomentState:
         if not self.cache_w:
             self.cache_w = [np.zeros_like(w) for w in net.weights]
             self.cache_b = [np.zeros_like(b) for b in net.biases]
-        for i in range(len(net.weights)):
-            self.cache_w[i] = self.decay * self.cache_w[i] + (1 - self.decay) * grads_w[i] ** 2
-            self.cache_b[i] = self.decay * self.cache_b[i] + (1 - self.decay) * grads_b[i] ** 2
-            net.weights[i] -= lr * grads_w[i] / (np.sqrt(self.cache_w[i]) + self.eps)
-            net.biases[i] -= lr * grads_b[i] / (np.sqrt(self.cache_b[i]) + self.eps)
+        params = (*net.weights, *net.biases)
+        for param, cache, grad in zip(params, (*self.cache_w, *self.cache_b),
+                                      (*grads_w, *grads_b)):
+            # cache <- decay * cache + (1 - decay) * grad**2, then
+            # param -= lr * grad / (sqrt(cache) + eps), in place
+            cache *= self.decay
+            term = grad * grad
+            term *= 1 - self.decay
+            cache += term
+            np.sqrt(cache, out=term)
+            term += self.eps
+            update = grad * lr
+            update /= term
+            param -= update
 
 
 class ReplayMemory:
@@ -166,11 +188,13 @@ def relaxed_policy(net: ActorNetwork, features: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _candidate_grids(rows: int, n: int, k_edge: int, k_cloud: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only: each (row, half)'s flat offset in (rows, 2, n) masks, and
-    per half whether rank j < k."""
+def _candidate_grids(rows: int, n: int, k_edge: int, k_cloud: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.dtype]:
+    """Read-only: each (row, half)'s flat offset in (rows, 2, n) masks, per
+    half whether rank j < k, and the void dtype of one mask row's bytes."""
     return (np.broadcast_to(np.arange(0, 2 * rows * n, n).reshape(rows, 2, 1), (rows, 2, 1)),
-            np.broadcast_to(np.arange(n) < np.array([[k_edge], [k_cloud]]), (2, n)))
+            np.broadcast_to(np.arange(n) < np.array([[k_edge], [k_cloud]]), (2, n)),
+            np.dtype((np.void, 2 * n)))
 
 
 def generate_candidates(scores: np.ndarray, num_candidates: int,
@@ -194,12 +218,13 @@ def generate_candidates(scores: np.ndarray, num_candidates: int,
     if num_candidates > 1:
         np.subtract(neg[0], rng.normal(0.0, cfg.training.candidate_noise_std,
                                        size=(num_candidates - 1, 2, n)), out=neg[1:])
-    offsets, top = _candidate_grids(num_candidates, n, cfg.system.chi_edge, cfg.system.chi_cloud)
+    offsets, top, row_bytes = _candidate_grids(num_candidates, n, cfg.system.chi_edge,
+                                               cfg.system.chi_cloud)
     order = np.argsort(neg, axis=2, kind="stable")
     order += offsets
     masks = np.empty(neg.shape, dtype=bool)
     masks.reshape(-1)[order] = top
-    rows = masks.reshape(num_candidates, 2 * n).view(np.dtype((np.void, 2 * n)))
+    rows = masks.reshape(num_candidates, 2 * n).view(row_bytes)
     kept = np.frombuffer(b"".join(dict.fromkeys(rows.reshape(-1).tolist())), dtype=bool)
     kept = kept.reshape(-1, 2, n)
     return kept[:, 0], kept[:, 1]

@@ -367,7 +367,7 @@ class SlotState:
         if q.shape != (4, n):
             raise ValueError(f"SlotState.queues: expected shape (4, {n})")
         # a NaN minimum fails the first test, +inf the second
-        if q.min() >= 0 and q.max() < np.inf:
+        if np.minimum.reduce(q, axis=None) >= 0 and np.maximum.reduce(q, axis=None) < np.inf:
             return
         for name, v in zip(QUEUE_ROWS, q):
             if not np.all(np.isfinite(v)) or np.any(v < 0):

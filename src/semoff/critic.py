@@ -110,13 +110,13 @@ def check_clocks_and_backlog(sol: Solution, state: SlotState, cfg: SystemConfig)
     plus 1e-9 tasks for the volumes."""
     s = cfg.system
     tol = 1 + _REL_TOL
-    if (sol.f_local + sol.f_encode > s.f_local_max * tol).any():
+    if np.logical_or.reduce(sol.f_local + sol.f_encode > s.f_local_max * tol, axis=None):
         raise FeasibilityError("f_local + f_encode exceeds f_local_max")
-    if (sol.f_edge > s.f_edge_max * tol).any():
+    if np.logical_or.reduce(sol.f_edge > s.f_edge_max * tol, axis=None):
         raise FeasibilityError("f_edge exceeds f_edge_max")
     # the served volumes against the real queues, local and edge rows at once
     over = np.array((sol.mu_local, sol.mu_edge)) > state.queues[:2] * tol + _REL_TOL
-    if over.any():
+    if np.logical_or.reduce(over, axis=None):
         raise FeasibilityError("served local volume exceeds local backlog" if over[0].any()
                                else "edge decode volume exceeds edge backlog")
 
@@ -367,7 +367,7 @@ class PolicyBatch:
     def best(self, table: np.ndarray) -> tuple[int, np.ndarray]:
         """Index of the minimum-objective policy (first on ties) plus all values."""
         g = self.evaluate(table)
-        return int(np.argmin(g)), g
+        return int(g.argmin()), g
 
 
 def best_policy(edge_masks: np.ndarray, cloud_masks: np.ndarray,

@@ -321,8 +321,8 @@ class Simulation:
             edge_masks, cloud_masks = actor.generate_candidates(
                 scores, self.n_candidates, self.noise_rng, cfg)
             idx, _ = critic.best_policy(edge_masks, cloud_masks, table)
-            chosen = Policy(rho_edge=edge_masks[idx].copy(),
-                            rho_cloud=cloud_masks[idx].copy())
+            # read-only views into the candidate masks: a write would raise
+            chosen = Policy(rho_edge=edge_masks[idx], rho_cloud=cloud_masks[idx])
             log.num_candidates[t] = edge_masks.shape[0]
 
             label = np.concatenate([chosen.rho_edge, chosen.rho_cloud]).astype(float)

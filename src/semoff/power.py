@@ -254,5 +254,6 @@ def total_power(sol: Solution) -> tuple[float, float, float, float, float]:
     transmit, cloud transmit), each summed over devices, and their total,
     added in that order. The components are summed as the rows of one (4, I)
     array; a C-contiguous row sum is the 1-D sum."""
-    sums = np.array((sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud)).sum(axis=1).tolist()
+    sums = np.add.reduce(np.array((sol.p_local, sol.p_edge, sol.p_tx_edge, sol.p_tx_cloud)),
+                         axis=1).tolist()
     return (*sums, sums[0] + sums[1] + sums[2] + sums[3])

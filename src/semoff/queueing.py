@@ -26,7 +26,7 @@ def _require_nonneg(names, q, served, inflow) -> None:
     """Raise ValueError naming the first argument with a negative entry (on
     (2, I) rows stacked local then edge, by the local names, then the edge
     ones). One fused test; fmin skips NaN, so a NaN cannot hide a negative."""
-    if (np.fmin(np.fmin(q, served), inflow) < 0).any():
+    if np.logical_or.reduce(np.fmin(np.fmin(q, served), inflow) < 0, axis=None):
         rows = (names, _EDGE_NAMES) if np.ndim(q) == 2 else (names,)
         values = [np.atleast_2d(v) for v in np.broadcast_arrays(q, served, inflow)]
         for r, row_names in enumerate(rows):
@@ -62,7 +62,7 @@ def update_virtual_queue(z, q_next, q_max, bounded=True):
 def lyapunov_value(queues: np.ndarray) -> float:
     """Quadratic energy of the total backlog: half the sum of squares of a
     (4, I) queue array, summed row by row and the row sums in row order."""
-    q_l, q_e, z_l, z_e = (queues ** 2).sum(axis=1).tolist()
+    q_l, q_e, z_l, z_e = np.add.reduce(queues ** 2, axis=1).tolist()
     return 0.5 * (q_l + q_e + z_l + z_e)
 
 
@@ -100,7 +100,7 @@ def drift_penalty_bound(queues: np.ndarray, served: np.ndarray, inflow: np.ndarr
     if capped_local or capped_edge:
         parts += [0.5 * (rate_sq + real ** 2 + c.q_max_sq) + served * c.q_max + inflow * real,
                   virtual * (real - c.q_max)]
-    sums = np.concatenate(parts).sum(axis=1).tolist()
+    sums = np.add.reduce(np.concatenate(parts), axis=1).tolist()
 
     b2 = 0.0
     b4 = 0.0

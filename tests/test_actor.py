@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_actor
 from semoff import actor, channel
 from semoff.config import Policy, SystemConfig
 from semoff.config import SystemParams, TrainingParams
@@ -120,6 +121,15 @@ def test_generate_candidates_single_is_noiseless():
     assert em.shape == (1, 8)
     assert np.array_equal(em[0], ref.rho_edge)
     assert np.array_equal(cm[0], ref.rho_cloud)
+
+
+def test_generate_candidates_rows_are_read_only():
+    """The chosen policy holds two of these rows without a copy."""
+    em, cm = actor.generate_candidates(np.linspace(0.1, 0.9, 16), 8,
+                                       np.random.default_rng(1), CFG)
+    for rows in (em, cm):
+        with pytest.raises(ValueError):
+            rows[0, 0] = not rows[0, 0]
 
 
 def test_generate_candidates_zero_noise_collapses():
@@ -377,3 +387,160 @@ def test_replay_memory_size_cap(inserts, cap):
     for k in range(inserts):
         mem.add(np.array([k]), np.array([k]))
     assert mem.size == min(inserts, cap)
+
+
+# --- in-place arithmetic against the allocating reference (per_actor.py) -------
+
+def _equal_bits(a, b) -> bool:
+    return np.array_equal(per_actor.bits(a), per_actor.bits(b))
+
+
+def _case(seed: int, n: int, hidden: tuple[int, ...], batch: int, weight_scale: float,
+          soft: bool):
+    """A net, features and labels; batch 0 gives one 1-D feature vector.
+    Weights scaled up saturate the outputs into the log clip."""
+    rng = np.random.default_rng(seed)
+    net = actor.ActorNetwork.create(n, hidden, rng)
+    for w in net.weights:
+        w *= weight_scale
+    for b in net.biases:
+        b[:] = rng.normal(scale=weight_scale, size=b.shape)
+    shape = (6 * n,) if batch == 0 else (batch, 6 * n)
+    x = rng.normal(size=shape)
+    labels = rng.random(shape[:-1] + (2 * n,))
+    y = labels if soft else (labels < 0.5).astype(float)
+    return net, x, y
+
+
+_CASES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+              hidden=st.lists(st.integers(1, 24), min_size=0, max_size=3).map(tuple),
+              batch=st.integers(0, 9), weight_scale=st.sampled_from([0.0, 1.0, 40.0]),
+              soft=st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_CASES)
+def test_forward_and_loss_equal_the_reference_bit_for_bit(seed, n, hidden, batch,
+                                                           weight_scale, soft):
+    net, x, y = _case(seed, n, hidden, batch, weight_scale, soft)
+    out = net.forward(x)
+    ref = per_actor.forward(net, x)
+    assert out.shape == ref.shape and _equal_bits(out, ref)
+    assert _equal_bits(actor.cross_entropy(out, y), per_actor.cross_entropy(ref, y))
+    assert _equal_bits(net.loss(x, y), per_actor.cross_entropy(ref, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_CASES)
+def test_loss_and_grad_equals_the_reference_bit_for_bit(seed, n, hidden, batch,
+                                                        weight_scale, soft):
+    net, x, y = _case(seed, n, hidden, batch, weight_scale, soft)
+    loss, gw, gb = net.loss_and_grad(x, y)
+    ref_loss, ref_gw, ref_gb = per_actor.loss_and_grad(net, x, y)
+    assert _equal_bits(loss, ref_loss)
+    for got, want in zip(gw + gb, ref_gw + ref_gb):
+        assert got.shape == want.shape and _equal_bits(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40), scale=st.floats(-2, 2))
+def test_cross_entropy_equals_the_reference_on_outputs_at_and_past_the_clip(seed, size, scale):
+    rng = np.random.default_rng(seed)
+    # exact 0 and 1, both sides of each clip edge, and interior values
+    edges = np.array([0.0, 1.0, 1e-8, 1e-7, 2e-7, 1 - 1e-8, 1 - 1e-7, 1 - 2e-7, 0.5])
+    out = np.concatenate([edges, 10.0 ** (scale * rng.random(size) - 8)])
+    for y in (rng.random(out.size), (rng.random(out.size) < 0.5).astype(float)):
+        for o, t in ((out, y), (out[None], y[None]), (out.reshape(1, -1), y)):
+            assert _equal_bits(actor.cross_entropy(o, t), per_actor.cross_entropy(o, t))
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+def test_saturated_net_equals_the_reference_where_the_clip_meets_a_negative_error(batch):
+    """Outputs clipped at 0 against label 1: the error is negative where the
+    clip zeroes the gradient, the place a product with the clip mask would
+    put -0.0 and `np.where` puts +0.0."""
+    net, x, y = _case(3, 4, (12, 8), batch, 40.0, False)
+    out = net.forward(x)
+    assert np.any((out <= actor._LOG_CLIP) & (y == 1.0))
+    _, gw, gb = net.loss_and_grad(x, y)
+    _, ref_gw, ref_gb = per_actor.loss_and_grad(net, x, y)
+    assert all(_equal_bits(a, b) for a, b in zip(gw + gb, ref_gw + ref_gb))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_CASES, lr=st.sampled_from([1e-3, 0.5]))
+def test_adaptive_moment_step_equals_the_reference_bit_for_bit(seed, n, hidden, batch,
+                                                               weight_scale, soft, lr):
+    net, x, y = _case(seed, n, hidden, batch, weight_scale, soft)
+    ref_net = actor.ActorNetwork([w.copy() for w in net.weights],
+                                 [b.copy() for b in net.biases])
+    opt, ref_opt = actor.AdaptiveMomentState(), per_actor.AdaptiveMomentState()
+    for _ in range(3):
+        _, gw, gb = net.loss_and_grad(x, y)
+        opt.step(net, gw, gb, lr)
+        _, gw, gb = per_actor.loss_and_grad(ref_net, x, y)
+        ref_opt.step(ref_net, gw, gb, lr)
+    for got, want in zip(net.weights + net.biases + opt.cache_w + opt.cache_b,
+                         ref_net.weights + ref_net.biases + ref_opt.cache_w + ref_opt.cache_b):
+        assert _equal_bits(got, want)
+
+
+def _memory(rng, n: int, capacity: int, soft: bool) -> actor.ReplayMemory:
+    mem = actor.ReplayMemory(capacity, 6 * n, 2 * n)
+    for _ in range(capacity):
+        labels = rng.random(2 * n)
+        mem.add(rng.normal(size=6 * n), labels if soft else (labels < 0.5).astype(float))
+    return mem
+
+
+@pytest.mark.parametrize("soft", [False, True])
+def test_two_hundred_training_steps_equal_the_reference_bit_for_bit(soft):
+    n, batch, lr = 8, 16, 1e-2
+    mem = _memory(np.random.default_rng(21), n, 64, soft)
+    net = actor.ActorNetwork.create(n, (120, 80), np.random.default_rng(22))
+    ref_net = actor.ActorNetwork([w.copy() for w in net.weights],
+                                 [b.copy() for b in net.biases])
+    opt, ref_opt = actor.AdaptiveMomentState(), per_actor.AdaptiveMomentState()
+    rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+    for _ in range(200):
+        loss = actor.train_step(net, opt, mem, batch, lr, rng)
+        x, y = mem.sample(batch, ref_rng)
+        ref_loss, gw, gb = per_actor.loss_and_grad(ref_net, x, y)
+        ref_opt.step(ref_net, gw, gb, lr)
+        assert _equal_bits(loss, ref_loss)
+    for got, want in zip(net.weights + net.biases + opt.cache_w + opt.cache_b,
+                         ref_net.weights + ref_net.biases + ref_opt.cache_w + ref_opt.cache_b):
+        assert _equal_bits(got, want)
+
+
+def test_forward_loss_and_training_leave_their_inputs_unchanged():
+    """Nor the replay memory's rows, nor gradients returned earlier; and the
+    optimizer's caches never alias the parameters."""
+    n, batch = 4, 8
+    rng = np.random.default_rng(31)
+    mem = _memory(rng, n, 32, False)
+    stored = (mem.features.copy(), mem.labels.copy())
+    net = actor.ActorNetwork.create(n, (16, 12), rng)
+    opt = actor.AdaptiveMomentState()
+    x, y = rng.normal(size=(batch, 6 * n)), (rng.random((batch, 2 * n)) < 0.5).astype(float)
+    scores = net.forward(x)
+    scores[0, :2] = (0.0, 1.0)     # past both clip edges
+    inputs = (x, y, x[0], y[0], scores)
+    kept = [a.copy() for a in inputs]
+    net.forward(x[0])
+    net.forward(x)
+    actor.cross_entropy(scores, y)
+    actor.cross_entropy(scores[0], y[0])
+    net.loss(x[0], y[0])
+    _, gw, gb = net.loss_and_grad(x, y)
+    _, gw1, gb1 = net.loss_and_grad(x[0], y[0])
+    grads = [g.copy() for g in gw + gb + gw1 + gb1]
+    opt.step(net, gw, gb, 1e-2)
+    for _ in range(5):
+        actor.train_step(net, opt, mem, batch, 1e-2, rng)
+    assert all(_equal_bits(a, b) for a, b in zip(inputs, kept))
+    assert _equal_bits(mem.features, stored[0]) and _equal_bits(mem.labels, stored[1])
+    assert all(_equal_bits(a, b) for a, b in zip(gw + gb + gw1 + gb1, grads))
+    params = net.weights + net.biases
+    for cache in opt.cache_w + opt.cache_b:
+        assert not any(np.shares_memory(cache, p) for p in params)

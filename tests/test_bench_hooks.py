@@ -33,13 +33,17 @@ def test_benchmark_spans_resolve_and_record(bench, tmp_path):
     try:
         worker.install_spans(tracer)     # AttributeError on a name that is gone
         wrapped = list(tracer._undo)
+        scored = []     # policies_scored after each drlh:8 slot
         for policy in ("drlh:8", "exhaustive", "random"):
             sim = engine.Simulation(cfg, policy, seed=1)
             log = engine.MetricsLog(8, cfg.system.num_devices)
             for t in range(8):
                 sim.run_slot(t, log)
+                if policy == "drlh:8":
+                    scored.append(tracer.counts.get("policies_scored", 0))
             if policy == "drlh:8":
-                net = sim.net
+                net, trained = sim.net, log.train_steps
+                in_slots = tracer.arrays()
         # what the slot path no longer calls, called once by hand
         log.to_csv(tmp_path / "metrics.csv")
         net.loss(np.zeros(6 * 8), np.zeros(2 * 8))
@@ -54,3 +58,12 @@ def test_benchmark_spans_resolve_and_record(bench, tmp_path):
     recorded = set(tracer.arrays()["name"].tolist())
     silent = [name for i, name in enumerate(tracer.names) if i not in recorded]
     assert not silent, f"spans installed but never entered: {silent}"
+
+    # drlh:8 trains, and the actor's spans and the search record inside the
+    # slots that call them, not only from the calls made by hand above; the
+    # search scores candidates in every slot
+    for name in ("actor.train_step", "actor.relaxed_policy", "critic.search"):
+        slots = in_slots["slot"][tracer.name_mask(in_slots, name)]
+        assert set(slots.tolist()) == set(range(8)), name
+    assert trained > 0
+    assert all(np.diff([0, *scored]) > 0), scored
